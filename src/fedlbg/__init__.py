@@ -2,9 +2,8 @@
 recycling, stackable gradient compressors, and gradient-space PCA analysis.
 """
 
-from .fl_core import run_vanilla, run_with_policy
-from .harness import ExperimentConfig, parse_config, run
-from .lbgm import run_lbgm, run_lbgm_sampled
+from .fl_core import build_experiment, run_with_policy
+from .harness import ExperimentConfig, parse_config, policy_for, run, simulate
 
 __version__ = "0.1.0"
 
@@ -12,9 +11,9 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "run",
-    "run_vanilla",
+    "simulate",
+    "policy_for",
+    "build_experiment",
     "run_with_policy",
-    "run_lbgm",
-    "run_lbgm_sampled",
     "__version__",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .fl_core import RoundConfig, WorkerState, local_round
 from .models import Model, init_params
-from .numerics import cosine_sim, norm_sq
+from .numerics import cosine_sim, leads_negative, norm_sq
 
 log = logging.getLogger(__name__)
 
@@ -54,23 +54,27 @@ def _zero_below(s: np.ndarray, tol: float) -> np.ndarray:
     return s
 
 
+def _gram_singular_values(gram: np.ndarray, m: int) -> np.ndarray:
+    """Descending singular values of a T x M stack from its T x T Gram
+    matrix. Gram eigenvalues carry machine noise on the squared scale, so
+    the rank cutoff is sqrt(eps)-relative rather than eps-relative."""
+    t = gram.shape[0]
+    w = np.linalg.eigvalsh(gram)
+    s = np.sqrt(np.clip(w[::-1], 0.0, None))
+    return _zero_below(s, math.sqrt(max(t, m) * np.finfo(np.float64).eps))
+
+
 def _singular_values(stack: np.ndarray) -> np.ndarray:
     """Descending singular values, sub-noise trailing values zeroed.
 
-    For wide stacks (M >> T) the T x T Gram matrix route is much cheaper
-    than a direct SVD and yields the same spectrum; Gram eigenvalues carry
-    machine noise on the squared scale, so the rank cutoff there is
-    sqrt(eps)-relative rather than eps-relative.
+    For wide stacks (M >> T) the Gram matrix route is much cheaper than a
+    direct SVD and yields the same spectrum.
     """
     t, m = stack.shape
-    eps = np.finfo(np.float64).eps
     if m > t:
-        gram = stack @ stack.T
-        w = np.linalg.eigvalsh(gram)
-        s = np.sqrt(np.clip(w[::-1], 0.0, None))
-        return _zero_below(s, math.sqrt(max(t, m) * eps))
+        return _gram_singular_values(stack @ stack.T, m)
     s = np.linalg.svd(stack, compute_uv=False)
-    return _zero_below(s, max(t, m) * eps)
+    return _zero_below(s, max(t, m) * np.finfo(np.float64).eps)
 
 
 def _count_for_mass(s: np.ndarray, variance: float, squared: bool) -> int:
@@ -92,10 +96,7 @@ def n_pca(log_: GradientLog, variance: float, squared: bool = False) -> int:
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(v) > 1e-12)
-    if len(nz) and v[nz[0]] < 0:
-        return -v
-    return v
+    return -v if leads_negative(v) else v
 
 
 def pgd(log_: GradientLog, variance: float, squared: bool = False) -> list:
@@ -193,10 +194,7 @@ def record_centralized(
         grads.append(g)
 
         if model.param_dim > len(grads):
-            w = np.linalg.eigvalsh(gram)
-            s = np.sqrt(np.clip(w[::-1], 0.0, None))
-            tol = math.sqrt(max(len(grads), model.param_dim) * np.finfo(np.float64).eps)
-            _zero_below(s, tol)
+            s = _gram_singular_values(gram, model.param_dim)
         else:
             # route must match n_pca so per-prefix recomputation agrees
             s = _singular_values(np.stack(grads))

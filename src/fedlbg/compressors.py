@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lbgm
-from .fl_core import run_with_policy
-from .numerics import ParamVector
+from .numerics import ParamVector, leads_negative
 
 FLOAT_BITS = lbgm.FLOAT_BITS
 
@@ -123,10 +122,8 @@ def sign_compress(g: ParamVector) -> SignPayload:
 def _fix_signs(u: np.ndarray, v: np.ndarray):
     """Flip factor pairs so each left singular vector starts positive."""
     for i in range(u.shape[1]):
-        col = u[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
-        if len(nz) and col[nz[0]] < 0:
-            u[:, i] = -col
+        if leads_negative(u[:, i]):
+            u[:, i] = -u[:, i]
             v[:, i] = -v[:, i]
     return u, v
 
@@ -159,7 +156,7 @@ def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
     return LowRankPayload(tuple(blocks), tuple(layer_shapes), g.shape[0])
 
 
-def stack_lbgm(compressed_g, compressed_lbg, cfg: lbgm.LbgmConfig) -> lbgm.UplinkMessage:
+def stack_lbgm(compressed_g, compressed_lbg, delta: float) -> lbgm.UplinkMessage:
     """Run the look-back gate on densified compressed vectors.
 
     `compressed_lbg` may be a payload, an already-densified vector, or None
@@ -172,7 +169,7 @@ def stack_lbgm(compressed_g, compressed_lbg, cfg: lbgm.LbgmConfig) -> lbgm.Uplin
         dense_lbg = compressed_lbg.densify()
     else:
         dense_lbg = compressed_lbg
-    send_scalar, rho = lbgm._gate(dense_g, dense_lbg, cfg.delta_threshold)
+    send_scalar, rho = lbgm._gate(dense_g, dense_lbg, delta)
     if send_scalar:
         return lbgm.scalar_message(rho)
     return lbgm.compressed_message(compressed_g)
@@ -185,73 +182,33 @@ def majority_sign(acc: ParamVector) -> ParamVector:
 class CompressedPolicy:
     """Uplink policy transmitting compressed gradients, optionally gated.
 
-    delta=None is the plain compressor baseline: every round ships the
-    payload, and the stored look-back copy only feeds the drift monitor.
-    With a delta, rounds whose densified payload stays within the gate send
-    a single scalar instead. Error feedback, when enabled, tracks only the
-    compressor's truncation (the gate's own error is not fed back).
+    `compress` maps a gradient to its payload. delta=None is the plain
+    compressor baseline: every round ships the payload, and the stored
+    look-back copy only feeds the drift monitor. With a delta, rounds whose
+    densified payload stays within the gate send a single scalar instead.
+    Error feedback, when enabled, tracks only the compressor's truncation
+    (the gate's own error is not fed back).
     """
 
-    def __init__(self, compressor, delta=None, error_feedback=False,
-                 k_frac=0.1, rank=2, sign_majority=False):
-        self.compressor = compressor  # name, or a ready payload-producing callable
-        self.delta = delta
+    def __init__(self, compress, delta=None, error_feedback=False, server_transform=None):
+        self.compress = compress
+        self.delta = lbgm.check_delta(delta)
         self.error_feedback = error_feedback
-        self.k_frac = k_frac
-        self.rank = rank
-        self.server_transform = majority_sign if sign_majority else None
-        self._compress = compressor if callable(compressor) else None
-
-    def bind(self, setup):
-        """Resolve a named compressor against the model built for this run."""
-        if callable(self.compressor):
-            return
-        m = setup.model.param_dim
-        if self.compressor == "topk":
-            k = max(1, min(m, int(round(self.k_frac * m))))
-            self._compress = lambda g: topk(g, k)
-        elif self.compressor == "rank_r":
-            shapes = setup.model.layer_shapes
-            self._compress = lambda g: rank_r(g, shapes, self.rank)
-        elif self.compressor == "sign":
-            self._compress = sign_compress
-        else:
-            raise ValueError(f"unknown compressor {self.compressor!r}")
+        self.server_transform = server_transform
 
     def process(self, worker, g: ParamVector):
         if self.error_feedback:
             if worker.ef_residual is None:
                 worker.ef_residual = np.zeros_like(g)
-            payload, worker.ef_residual = ef_wrap(worker.ef_residual, g, self._compress)
+            payload, worker.ef_residual = ef_wrap(worker.ef_residual, g, self.compress)
         else:
-            payload = self._compress(g)
+            payload = self.compress(g)
         dense = payload.densify()
         sin2 = lbgm.lbp_error(dense, worker.lbg) if worker.lbg is not None else 0.0
         if self.delta is None:
             msg = lbgm.compressed_message(payload)
         else:
-            msg = stack_lbgm(payload, worker.lbg, lbgm.LbgmConfig(self.delta))
+            msg = stack_lbgm(payload, worker.lbg, self.delta)
         if msg.tag != lbgm.TAG_SCALAR:
             worker.lbg = dense.copy()
         return msg, sin2
-
-    def reconstruct(self, server, worker_id: int, msg) -> ParamVector:
-        return lbgm.reconstruct(server, worker_id, msg)
-
-
-def policy_for(exp) -> CompressedPolicy:
-    base = exp.algorithm.removesuffix("_lbgm")
-    delta = exp.delta if exp.algorithm.endswith("_lbgm") else None
-    return CompressedPolicy(
-        base,
-        delta=delta,
-        error_feedback=(base == "topk" and exp.error_feedback),
-        k_frac=exp.k_frac,
-        rank=exp.rank,
-        sign_majority=(base == "sign" and exp.sign_majority),
-    )
-
-
-def run_compressed(exp):
-    """Run a compressor baseline or its look-back stacking per exp.algorithm."""
-    return run_with_policy(exp, policy_for(exp))

@@ -4,9 +4,9 @@ aggregation, and the shared round engine every algorithm runs on.
 Workers transmit accumulated gradients (the plain sum of their tau
 minibatch gradients); the server applies
 theta <- theta - eta * sum_k omega_k * g_k. Uplink policies decide what
-each worker actually puts on the wire and how the server turns it back
-into a gradient, which is the single point where vanilla FL, look-back
-recycling, and the compressor stacks differ.
+each worker actually puts on the wire, which is the single point where
+vanilla FL, look-back recycling, and the compressor stacks differ; the
+server turns every message back into a gradient with lbgm.reconstruct.
 """
 
 import math
@@ -260,16 +260,16 @@ def build_experiment(exp) -> ExperimentSetup:
     use reserved role streams, and server-side device sampling has its own.
     """
     train_ds, test_ds = build_datasets(exp)
+    part_rng = RngStream(exp.seed, STREAM_PARTITION).generator()
+    part = partition(train_ds, exp.workers, exp.partition_mode, part_rng)
+
     out_dim = train_ds.num_classes if train_ds.num_classes > 0 else 1
     model = build_model(exp.model_kind, train_ds.dim, out_dim, exp.hidden)
     if exp.model_kind == "linear_regression" and train_ds.num_classes > 0:
-        # regression on labeled data fits one-hot targets
-        model = build_model(exp.model_kind, train_ds.dim, train_ds.num_classes, exp.hidden)
+        # regression on labeled data fits one-hot targets (partitioned above
+        # by class label)
         train_ds = _one_hot_targets(train_ds)
         test_ds = _one_hot_targets(test_ds)
-
-    part_rng = RngStream(exp.seed, STREAM_PARTITION).generator()
-    part = partition(train_ds, exp.workers, exp.partition_mode, part_rng)
 
     worker_states = [
         WorkerState(k, part.shards[k], model.param_dim, RngStream(exp.seed, k).generator())
@@ -319,34 +319,16 @@ def evaluate(model: Model, theta: ParamVector, train_ds: Dataset, test_ds: Datas
 # Round engine
 # ---------------------------------------------------------------------------
 
-class VanillaPolicy:
-    """Always transmit the full accumulated gradient.
+def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> RunResult:
+    """Run T federated rounds of a built experiment with an uplink policy.
 
-    A shadow LBG is still maintained so the drift monitor column matches a
-    look-back run with delta = 0 bit for bit.
+    With a sample fraction in (0, 1], each round draws ceil(fraction * K)
+    workers without replacement from the server stream and scales the
+    update by 1/|sampled| while keeping the original data weights; the LBGs
+    of unsampled workers stay stale on both sides.
     """
-
-    server_transform = None
-
-    def process(self, worker, g: ParamVector):
-        sin2 = lbgm.lbp_error(g, worker.lbg) if worker.lbg is not None else 0.0
-        worker.lbg = g.copy()
-        return lbgm.full_gradient_message(g), sin2
-
-    def reconstruct(self, server, worker_id: int, msg) -> ParamVector:
-        return lbgm.reconstruct(server, worker_id, msg)
-
-
-def run_with_policy(exp, policy, sample_fraction: Optional[float] = None) -> RunResult:
-    """Run T federated rounds with the given uplink policy.
-
-    With a sample fraction, each round draws ceil(fraction * K) workers
-    without replacement from the server stream and scales the update by
-    1/|sampled| while keeping the original data weights.
-    """
-    setup = build_experiment(exp)
-    if hasattr(policy, "bind"):
-        policy.bind(setup)
+    if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
+        raise ValueError(f"sample fraction {sample_fraction} not in (0, 1]")
     model, rc = setup.model, setup.round_config
     server = setup.server
     k_total = len(setup.workers)
@@ -384,7 +366,7 @@ def run_with_policy(exp, policy, sample_fraction: Optional[float] = None) -> Run
                 n_scalar += 1
             if setup.monitor_delta_sq:
                 proxy = max(proxy, norm_sq(g) / (rc.tau * rc.tau) * sin2)
-            g_tilde[k] = policy.reconstruct(server, k, msg)
+            g_tilde[k] = lbgm.reconstruct(server, k, msg)
 
         aggregate(server, g_tilde, setup.weights, eta_round, transform=policy.server_transform)
         train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
@@ -400,8 +382,3 @@ def run_with_policy(exp, policy, sample_fraction: Optional[float] = None) -> Run
             )
         )
     return RunResult(metrics, ledger)
-
-
-def run_vanilla(exp) -> RunResult:
-    """Baseline federated averaging: full gradients from every worker."""
-    return run_with_policy(exp, VanillaPolicy())

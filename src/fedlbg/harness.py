@@ -1,5 +1,5 @@
-"""Experiment front door: config parsing, dispatch, ledger accounting,
-CSV emission, and the command-line interface.
+"""Experiment front door: config parsing, algorithm-to-policy mapping,
+ledger accounting, CSV emission, and the command-line interface.
 
 Config files are line-oriented ``key = value`` with ``#`` comments and
 sections ``[model] [data] [train] [lbgm] [compress]``. Every key is
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analyzer, compressors, fl_core, lbgm
 from .compressors import LowRankPayload, SignPayload, SparsePayload
-from .fl_core import CommLedger, MetricsRow, MetricsTable, build_datasets  # noqa: F401
+from .fl_core import build_datasets
 from .models import MODEL_KINDS, build_model
 from .numerics import RngStream
 
@@ -208,6 +208,35 @@ def apply_overrides(pairs: dict, overrides) -> dict:
     return merged
 
 
+def policy_for(cfg: ExperimentConfig, model):
+    """The uplink policy of a federated algorithm, built for this model:
+    raw gradients for vanilla/lbgm/lbgm_sampled, compressed payloads for
+    topk/rank_r/sign, gated by the look-back threshold in the _lbgm ones."""
+    if cfg.algorithm in ("vanilla", "lbgm", "lbgm_sampled"):
+        return lbgm.LbgmPolicy(None if cfg.algorithm == "vanilla" else cfg.delta)
+    base = cfg.algorithm.removesuffix("_lbgm")
+    delta = cfg.delta if cfg.algorithm.endswith("_lbgm") else None
+    m = model.param_dim
+    k = max(1, min(m, int(round(cfg.k_frac * m))))
+    compress = {
+        "topk": lambda g: compressors.topk(g, k),
+        "rank_r": lambda g: compressors.rank_r(g, model.layer_shapes, cfg.rank),
+        "sign": compressors.sign_compress,
+    }[base]
+    return compressors.CompressedPolicy(
+        compress, delta, error_feedback=(base == "topk" and cfg.error_feedback),
+        server_transform=(compressors.majority_sign
+                          if base == "sign" and cfg.sign_majority else None),
+    )
+
+
+def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
+    """Build the experiment and its uplink policy, then run every round."""
+    setup = fl_core.build_experiment(cfg)
+    fraction = cfg.sample_fraction if cfg.algorithm == "lbgm_sampled" else None
+    return fl_core.run_with_policy(setup, policy_for(cfg, setup.model), fraction)
+
+
 def ledger_cost(msg) -> tuple:
     """Accounting definition: (floats, bits) for one uplink message.
 
@@ -262,7 +291,7 @@ def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> str:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Dispatch one experiment, write its output files, print a summary."""
+    """Run one experiment, write its output files, print a summary."""
     try:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,15 +300,7 @@ def run(cfg: ExperimentConfig) -> int:
             print(f"centralized_analyze: {summary} -> {out_dir}")
             return 0
 
-        if cfg.algorithm == "vanilla":
-            result = fl_core.run_vanilla(cfg)
-        elif cfg.algorithm == "lbgm":
-            result = lbgm.run_lbgm(cfg)
-        elif cfg.algorithm == "lbgm_sampled":
-            result = lbgm.run_lbgm_sampled(cfg, cfg.sample_fraction)
-        else:
-            result = compressors.run_compressed(cfg)
-
+        result = simulate(cfg)
         _write(out_dir / "metrics.csv", result.metrics.to_csv())
         _write(out_dir / "ledger.csv", result.ledger.to_csv())
 

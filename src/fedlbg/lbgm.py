@@ -33,14 +33,11 @@ class UplinkMessage:
     cost_bits: float = 0.0
 
 
-@dataclass(frozen=True)
-class LbgmConfig:
-    delta_threshold: float  # gate on the squared-sine error, in [0, 1]
-    monitor_delta_sq: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta_threshold <= 1.0:
-            raise ValueError(f"delta threshold {self.delta_threshold} not in [0, 1]")
+def check_delta(delta: Optional[float]) -> Optional[float]:
+    """Return the gate threshold (None: no gate), or raise outside [0, 1]."""
+    if delta is not None and not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta threshold {delta} not in [0, 1]")
+    return delta
 
 
 def scalar_message(rho: float) -> UplinkMessage:
@@ -101,15 +98,13 @@ def _gate(g: ParamVector, lbg: Optional[ParamVector], delta: float):
     return False, 0.0
 
 
-def decide_message(
-    g: ParamVector, lbg: Optional[ParamVector], cfg: LbgmConfig
-) -> UplinkMessage:
+def decide_message(g: ParamVector, lbg: Optional[ParamVector], delta: float) -> UplinkMessage:
     """Pick scalar vs full transmission for one worker uplink.
 
     The first round (no LBG yet) always sends the full gradient. The
     caller must mirror a full send into the worker's stored LBG.
     """
-    send_scalar, rho = _gate(g, lbg, cfg.delta_threshold)
+    send_scalar, rho = _gate(g, lbg, delta)
     if send_scalar:
         return scalar_message(rho)
     return full_gradient_message(g)
@@ -140,42 +135,21 @@ def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
 
 
 class LbgmPolicy:
-    """Uplink policy running the look-back gate on raw accumulated gradients."""
+    """Uplink policy on raw accumulated gradients: the look-back gate, or
+    with delta=None always the full gradient (vanilla). Both keep the LBG,
+    so the drift monitor of a delta = 0 run matches vanilla bit for bit."""
 
     server_transform = None
 
-    def __init__(self, cfg: LbgmConfig):
-        self.cfg = cfg
+    def __init__(self, delta: Optional[float]):
+        self.delta = check_delta(delta)
 
     def process(self, worker, g: ParamVector):
         sin2 = lbp_error(g, worker.lbg) if worker.lbg is not None else 0.0
-        msg = decide_message(g, worker.lbg, self.cfg)
+        if self.delta is None:
+            msg = full_gradient_message(g)
+        else:
+            msg = decide_message(g, worker.lbg, self.delta)
         if msg.tag == TAG_FULL:
             worker.lbg = g.copy()
         return msg, sin2
-
-    def reconstruct(self, server, worker_id: int, msg: UplinkMessage) -> ParamVector:
-        return reconstruct(server, worker_id, msg)
-
-
-def run_lbgm(exp):
-    """Federated run where every uplink passes through the look-back gate."""
-    from .fl_core import run_with_policy
-
-    cfg = LbgmConfig(exp.delta, exp.monitor_delta_sq)
-    return run_with_policy(exp, LbgmPolicy(cfg))
-
-
-def run_lbgm_sampled(exp, fraction: float):
-    """Look-back run where each round samples ceil(fraction * K) workers.
-
-    Only sampled workers train and transmit; the server update scales the
-    step by 1/|sampled| while keeping the original data weights, and the
-    LBGs of unsampled workers stay stale on both sides.
-    """
-    from .fl_core import run_with_policy
-
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"sample fraction {fraction} not in (0, 1]")
-    cfg = LbgmConfig(exp.delta, exp.monitor_delta_sq)
-    return run_with_policy(exp, LbgmPolicy(cfg), sample_fraction=fraction)

@@ -69,6 +69,13 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
     return float(min(1.0, max(-1.0, c)))
 
 
+def leads_negative(v: ParamVector) -> bool:
+    """True when the first entry above 1e-12 * max(1, max|v|) is negative:
+    the sign convention that makes repeated decompositions agree."""
+    nz = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
+    return len(nz) > 0 and bool(v[nz[0]] < 0)
+
+
 def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
     """Return y + alpha * x (new array)."""
     _check_same_dim(x, y)

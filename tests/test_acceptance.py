@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from fedlbg import analyzer, compressors, fl_core, harness
+from fedlbg import analyzer, compressors, harness
 from fedlbg.data import synth_classification
-from fedlbg.fl_core import aggregate, build_experiment, local_round, run_vanilla
-from fedlbg.harness import ExperimentConfig, ledger_cost
-from fedlbg.lbgm import LbgmConfig, LbgmPolicy, lbc, lbp_error, run_lbgm, run_lbgm_sampled
+from fedlbg.fl_core import aggregate, build_experiment, local_round, run_with_policy
+from fedlbg.harness import ExperimentConfig, ledger_cost, policy_for, simulate
+from fedlbg.lbgm import LbgmPolicy, lbc, lbp_error, reconstruct
 from fedlbg.models import Batch, build_model, fd_check, gradient, init_params
 from fedlbg.numerics import RngStream, axpy, dot, norm_sq
 
@@ -90,13 +90,13 @@ def test_c03_centralized_recovery():
         centralized.append(theta.copy())
 
     replay = build_experiment(cfg)
-    policy = fl_core.VanillaPolicy()
+    policy = LbgmPolicy(None)
     ok = np.array_equal(replay.server.theta_global, centralized[0])
     for t in range(100):
         g = local_round(replay.workers[0], replay.server.theta_global,
                         replay.round_config, replay.model, replay.train_ds)
         msg, _ = policy.process(replay.workers[0], g)
-        g_tilde = policy.reconstruct(replay.server, 0, msg)
+        g_tilde = reconstruct(replay.server, 0, msg)
         aggregate(replay.server, {0: g_tilde}, replay.weights, replay.round_config.eta)
         ok = ok and np.array_equal(replay.server.theta_global, centralized[t + 1])
     _report(3, ok, "K=1 tau=1 full-batch trajectory bit-equals centralized descent (100 steps)")
@@ -121,8 +121,8 @@ def test_c04_gradient_correctness():
 
 def test_c05_standalone_savings_direction():
     start = time.monotonic()
-    vanilla = cached_run("vanilla_200", lambda: run_vanilla(standalone_config(algorithm="vanilla")))
-    gated = cached_run("lbgm_200", lambda: run_lbgm(standalone_config()))
+    vanilla = cached_run("vanilla_200", lambda: simulate(standalone_config(algorithm="vanilla")))
+    gated = cached_run("lbgm_200", lambda: simulate(standalone_config()))
     ratio = gated.metrics.final().cum_floats / vanilla.metrics.final().cum_floats
     acc_gap = abs(gated.metrics.final().test_metric - vanilla.metrics.final().test_metric)
     elapsed = time.monotonic() - start
@@ -150,7 +150,7 @@ def test_c06_delta_tradeoff_sweep():
         per_seed_frac = []
         per_seed_acc = []
         for seed in (0, 1, 2):
-            res = run_lbgm(standalone_config(seed=seed, separation=3.0, rounds=80, delta=delta))
+            res = simulate(standalone_config(seed=seed, separation=3.0, rounds=80, delta=delta))
             rows = res.metrics.rows[1:]
             per_seed_frac.append(float(np.mean([r.scalar_fraction for r in rows])))
             per_seed_acc.append(res.metrics.final().test_metric)
@@ -168,8 +168,8 @@ def test_c06_delta_tradeoff_sweep():
 def _stacking_pair(base_algo, delta, **kw):
     cfg = dict(model_kind="softmax_classifier", batch_size=0, rounds=80)
     cfg.update(kw)
-    baseline = compressors.run_compressed(standalone_config(algorithm=base_algo, **cfg))
-    stacked = compressors.run_compressed(
+    baseline = simulate(standalone_config(algorithm=base_algo, **cfg))
+    stacked = simulate(
         standalone_config(algorithm=f"{base_algo}_lbgm", delta=delta, **cfg)
     )
     return baseline.metrics.final(), stacked.metrics.final()
@@ -201,8 +201,8 @@ def test_c08_sign_stacking():
 
 
 def test_c09_device_sampling():
-    full = cached_run("lbgm_200", lambda: run_lbgm(standalone_config()))
-    sampled = run_lbgm_sampled(standalone_config(algorithm="lbgm_sampled"), 0.5)
+    full = cached_run("lbgm_200", lambda: simulate(standalone_config()))
+    sampled = simulate(standalone_config(algorithm="lbgm_sampled", sample_fraction=0.5))
     acc_gap = abs(sampled.metrics.final().test_metric - full.metrics.final().test_metric)
 
     setup = build_experiment(standalone_config())
@@ -273,22 +273,15 @@ class _RecordingPolicy:
         self.messages = []
         self.server_transform = inner.server_transform
 
-    def bind(self, setup):
-        if hasattr(self.inner, "bind"):
-            self.inner.bind(setup)
-
     def process(self, worker, g):
         msg, sin2 = self.inner.process(worker, g)
         self.messages.append(msg)
         return msg, sin2
 
-    def reconstruct(self, server, worker_id, msg):
-        return self.inner.reconstruct(server, worker_id, msg)
-
 
 def test_c12_ledger_exactness():
     cfg = standalone_config(rounds=6, n=600, test_n=100)
-    vanilla = cached_run("vanilla_small", lambda: run_vanilla(standalone_config(
+    vanilla = cached_run("vanilla_small", lambda: simulate(standalone_config(
         algorithm="vanilla", rounds=6, n=600, test_n=100)))
     setup = build_experiment(cfg)
     m = setup.model.param_dim
@@ -296,22 +289,20 @@ def test_c12_ledger_exactness():
 
     audit_ok = True
     policies = {
-        "vanilla": fl_core.VanillaPolicy(),
-        "lbgm": LbgmPolicy(LbgmConfig(0.2)),
-        "topk_lbgm": compressors.policy_for(standalone_config(
-            algorithm="topk_lbgm", rounds=6, n=600, test_n=100, delta=0.5)),
-        "sign": compressors.policy_for(standalone_config(
-            algorithm="sign", rounds=6, n=600, test_n=100)),
-        "rank_r_lbgm": compressors.policy_for(standalone_config(
-            algorithm="rank_r_lbgm", rounds=6, n=600, test_n=100, delta=0.5)),
+        "vanilla": {},
+        "lbgm": dict(delta=0.2),
+        "topk_lbgm": dict(delta=0.5),
+        "sign": {},
+        "rank_r_lbgm": dict(delta=0.5),
     }
-    for name, policy in policies.items():
-        recorder = _RecordingPolicy(policy)
+    for name, kw in policies.items():
+        run_setup = build_experiment(standalone_config(rounds=6, n=600, test_n=100))
+        recorder = _RecordingPolicy(policy_for(
+            standalone_config(algorithm=name, rounds=6, n=600, test_n=100, **kw),
+            run_setup.model,
+        ))
         fraction = 0.5 if name == "lbgm" else None  # also audit the sampled path
-        res = fl_core.run_with_policy(
-            standalone_config(algorithm="vanilla", rounds=6, n=600, test_n=100),
-            recorder, sample_fraction=fraction,
-        )
+        res = run_with_policy(run_setup, recorder, sample_fraction=fraction)
         floats = sum(ledger_cost(msg)[0] for msg in recorder.messages)
         bits = sum(ledger_cost(msg)[1] for msg in recorder.messages)
         audit_ok = audit_ok and floats == res.ledger.cum_floats and bits == res.ledger.cum_bits

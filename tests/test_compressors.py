@@ -8,14 +8,13 @@ from fedlbg.compressors import (
     SparsePayload,
     ef_wrap,
     rank_r,
-    run_compressed,
     sign_compress,
     stack_lbgm,
     topk,
 )
-from fedlbg.fl_core import run_with_policy
-from fedlbg.harness import ExperimentConfig
-from fedlbg.lbgm import LbgmConfig, TAG_COMPRESSED, TAG_SCALAR, run_lbgm
+from fedlbg.fl_core import build_experiment, run_with_policy
+from fedlbg.harness import ExperimentConfig, policy_for, simulate
+from fedlbg.lbgm import TAG_COMPRESSED, TAG_SCALAR
 from fedlbg.numerics import RngStream
 
 
@@ -199,17 +198,16 @@ def test_rank_r_rejects_bad_rank():
 
 
 def test_stack_lbgm_gate_and_costs():
-    cfg = LbgmConfig(0.2)
     g = vec(1.0, 2.0, 0.0, 0.0)
     p = topk(g, 2)
-    first = stack_lbgm(p, None, cfg)
+    first = stack_lbgm(p, None, 0.2)
     assert first.tag == TAG_COMPRESSED
     assert first.cost_floats == 4
 
-    aligned = stack_lbgm(p, topk(2.0 * g, 2), cfg)
+    aligned = stack_lbgm(p, topk(2.0 * g, 2), 0.2)
     assert aligned.tag == TAG_SCALAR and aligned.rho == pytest.approx(0.5)
 
-    rotated = stack_lbgm(p, topk(vec(0.0, 0.0, 3.0, 1.0), 2), cfg)
+    rotated = stack_lbgm(p, topk(vec(0.0, 0.0, 3.0, 1.0), 2), 0.2)
     assert rotated.tag == TAG_COMPRESSED
 
 
@@ -233,38 +231,38 @@ def test_identity_compressor_reduces_to_plain_lbgm():
         def densify(self):
             return self.g.copy()
 
-    cfg = base_config(delta=0.2)
-    stacked = run_with_policy(cfg, CompressedPolicy(IdentityPayload, delta=0.2))
-    plain = run_lbgm(base_config(algorithm="lbgm", delta=0.2))
+    setup = build_experiment(base_config(delta=0.2))
+    stacked = run_with_policy(setup, CompressedPolicy(IdentityPayload, delta=0.2))
+    plain = simulate(base_config(algorithm="lbgm", delta=0.2))
     assert stacked.metrics.to_csv() == plain.metrics.to_csv()
     assert stacked.ledger.to_csv() == plain.ledger.to_csv()
 
 
 def test_delta_zero_stacking_matches_baseline_ledger():
-    baseline = run_compressed(base_config(algorithm="topk"))
-    gated = run_compressed(base_config(algorithm="topk_lbgm", delta=0.0))
+    baseline = simulate(base_config(algorithm="topk"))
+    gated = simulate(base_config(algorithm="topk_lbgm", delta=0.0))
     assert gated.ledger.to_csv() == baseline.ledger.to_csv()
 
 
 def test_stacked_topk_saves_floats_at_matched_rounds():
     cfg = dict(model_kind="softmax_classifier", batch_size=0, rounds=20)
-    baseline = run_compressed(base_config(algorithm="topk", **cfg))
-    stacked = run_compressed(base_config(algorithm="topk_lbgm", **cfg))
+    baseline = simulate(base_config(algorithm="topk", **cfg))
+    stacked = simulate(base_config(algorithm="topk_lbgm", **cfg))
     assert stacked.metrics.final().cum_floats < baseline.metrics.final().cum_floats
 
 
 def test_sign_lbgm_bit_ledger_monotone_vs_sign():
     cfg = dict(model_kind="softmax_classifier", batch_size=0, rounds=15,
                partition_mode="iid", eta=0.01, delta=0.7)
-    baseline = run_compressed(base_config(algorithm="sign", **cfg))
-    stacked = run_compressed(base_config(algorithm="sign_lbgm", **cfg))
+    baseline = simulate(base_config(algorithm="sign", **cfg))
+    stacked = simulate(base_config(algorithm="sign_lbgm", **cfg))
     for rb, rs in zip(baseline.metrics.rows, stacked.metrics.rows):
         assert rs.cum_bits <= rb.cum_bits
 
 
 def test_sign_majority_vote_flag_changes_aggregation():
-    plain = run_compressed(base_config(algorithm="sign", partition_mode="iid", eta=0.01))
-    majority = run_compressed(
+    plain = simulate(base_config(algorithm="sign", partition_mode="iid", eta=0.01))
+    majority = simulate(
         base_config(algorithm="sign", partition_mode="iid", eta=0.01, sign_majority=True)
     )
     assert plain.metrics.to_csv() != majority.metrics.to_csv()
@@ -272,9 +270,12 @@ def test_sign_majority_vote_flag_changes_aggregation():
 
 
 def test_error_feedback_only_for_topk():
-    from fedlbg.compressors import policy_for
+    model = build_experiment(base_config()).model
 
-    assert policy_for(base_config(algorithm="topk")).error_feedback
-    assert not policy_for(base_config(algorithm="topk", error_feedback=False)).error_feedback
-    assert not policy_for(base_config(algorithm="sign")).error_feedback
-    assert not policy_for(base_config(algorithm="rank_r")).error_feedback
+    def ef(**kw):
+        return policy_for(base_config(**kw), model).error_feedback
+
+    assert ef(algorithm="topk")
+    assert not ef(algorithm="topk", error_feedback=False)
+    assert not ef(algorithm="sign")
+    assert not ef(algorithm="rank_r")

@@ -5,14 +5,13 @@ from fedlbg.data import Dataset, synth_classification
 from fedlbg.fl_core import (
     RoundConfig,
     ServerState,
-    VanillaPolicy,
     WorkerState,
     aggregate,
     build_experiment,
     local_round,
-    run_vanilla,
 )
-from fedlbg.harness import ExperimentConfig
+from fedlbg.harness import ExperimentConfig, simulate
+from fedlbg.lbgm import LbgmPolicy, reconstruct
 from fedlbg.models import build_model, gradient
 from fedlbg.numerics import RngStream, axpy
 
@@ -118,7 +117,7 @@ def base_config(**kw):
 
 
 def test_run_vanilla_zero_rounds_has_only_initial_row():
-    res = run_vanilla(base_config(rounds=0))
+    res = simulate(base_config(rounds=0))
     assert len(res.metrics.rows) == 1
     assert res.metrics.rows[0].round == 0
     assert res.metrics.rows[0].cum_floats == 0.0
@@ -126,7 +125,7 @@ def test_run_vanilla_zero_rounds_has_only_initial_row():
 
 def test_run_vanilla_ledger_is_k_m_t():
     cfg = base_config(rounds=7)
-    res = run_vanilla(cfg)
+    res = simulate(cfg)
     setup = build_experiment(cfg)
     m = setup.model.param_dim
     assert res.ledger.cum_floats == 4 * m * 7
@@ -135,8 +134,8 @@ def test_run_vanilla_ledger_is_k_m_t():
 
 
 def test_run_vanilla_deterministic_replay():
-    a = run_vanilla(base_config())
-    b = run_vanilla(base_config())
+    a = simulate(base_config())
+    b = simulate(base_config())
     assert a.metrics.to_csv() == b.metrics.to_csv()
     assert a.ledger.to_csv() == b.ledger.to_csv()
 
@@ -165,7 +164,7 @@ def test_vanilla_convergence_on_separable_data():
         workers=10, n=1000, test_n=200, classes=10, dim=10, separation=10.0,
         rounds=100, batch_size=25, model_kind="mlp1h", hidden=16,
     )
-    res = run_vanilla(cfg)
+    res = simulate(cfg)
     final = res.metrics.final()
     assert final.test_metric >= 0.95
     # train loss is reported alongside and should have dropped
@@ -182,12 +181,12 @@ def test_centralized_recovery_single_worker_full_batch():
         theta = axpy(-setup.round_config.eta, gradient(setup.model, theta, full), theta)
 
     replay = build_experiment(cfg)
-    policy = VanillaPolicy()
+    policy = LbgmPolicy(None)
     for _ in range(20):
         w = replay.workers[0]
         g = local_round(w, replay.server.theta_global, replay.round_config, replay.model, replay.train_ds)
         msg, _ = policy.process(w, g)
-        g_tilde = policy.reconstruct(replay.server, 0, msg)
+        g_tilde = reconstruct(replay.server, 0, msg)
         aggregate(replay.server, {0: g_tilde}, replay.weights, replay.round_config.eta)
     assert np.array_equal(replay.server.theta_global, theta)
 
@@ -209,3 +208,15 @@ def test_eta_rule_inv_sqrt_tau_t():
     cfg = base_config(tau=4, rounds=25, eta_rule="inv_sqrt_tau_t")
     setup = build_experiment(cfg)
     assert setup.round_config.eta == pytest.approx(0.1, rel=1e-12)  # 1/sqrt(100)
+
+
+def test_regression_on_label_shards_partitions_by_class():
+    cfg = base_config(model_kind="linear_regression", partition_mode="label_shard(3)",
+                      classes=4, rounds=3)
+    setup = build_experiment(cfg)
+    for worker in setup.workers:
+        labels = np.unique(setup.train_ds.labels[worker.shard].argmax(axis=1))
+        assert len(labels) == 3
+    res = simulate(cfg)
+    assert len(res.metrics.rows) == 4
+    assert all(np.isfinite(r.test_metric) for r in res.metrics.rows)

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from fedlbg.compressors import CompressedPolicy, sign_compress
 from fedlbg.fl_core import (
     ServerState,
     aggregate,
     build_experiment,
     local_round,
-    run_vanilla,
+    run_with_policy,
 )
-from fedlbg.harness import ExperimentConfig
+from fedlbg.harness import ExperimentConfig, simulate
 from fedlbg.lbgm import (
-    LbgmConfig,
     LbgmPolicy,
     TAG_FULL,
     TAG_SCALAR,
@@ -20,8 +20,6 @@ from fedlbg.lbgm import (
     lbc,
     lbp_error,
     reconstruct,
-    run_lbgm,
-    run_lbgm_sampled,
     scalar_message,
 )
 from fedlbg.numerics import RngStream, dot, norm_sq
@@ -94,7 +92,7 @@ def test_projection_identities():
 
 def test_decide_message_first_round_sends_full():
     g = vec(1, 2, 3)
-    msg = decide_message(g, None, LbgmConfig(0.2))
+    msg = decide_message(g, None, 0.2)
     assert msg.tag == TAG_FULL
     assert msg.cost_floats == 3
     assert np.array_equal(msg.payload, g)
@@ -103,31 +101,30 @@ def test_decide_message_first_round_sends_full():
 def test_decide_message_delta_one_always_scalar():
     g = vec(1, 2)
     lbg = vec(-5, 4)  # nearly opposite direction, still gated through
-    msg = decide_message(g, lbg, LbgmConfig(1.0))
+    msg = decide_message(g, lbg, 1.0)
     assert msg.tag == TAG_SCALAR
     assert msg.cost_floats == 1
 
 
 def test_decide_message_delta_zero_sends_full_unless_collinear():
-    cfg = LbgmConfig(0.0)
-    assert decide_message(vec(1, 2), vec(1, 0), cfg).tag == TAG_FULL
-    assert decide_message(vec(2, 4), vec(1, 2), cfg).tag == TAG_SCALAR  # exact collinear
+    assert decide_message(vec(1, 2), vec(1, 0), 0.0).tag == TAG_FULL
+    assert decide_message(vec(2, 4), vec(1, 2), 0.0).tag == TAG_SCALAR  # exact collinear
 
 
 def test_decide_message_zero_gradient_sends_zero_scalar():
-    msg = decide_message(vec(0, 0), vec(1, 2), LbgmConfig(0.0))
+    msg = decide_message(vec(0, 0), vec(1, 2), 0.0)
     assert msg.tag == TAG_SCALAR and msg.rho == 0.0
 
 
 def test_decide_message_zero_lbg_forces_full():
-    msg = decide_message(vec(1, 2), vec(0, 0), LbgmConfig(1.0))
+    msg = decide_message(vec(1, 2), vec(0, 0), 1.0)
     assert msg.tag == TAG_FULL
 
 
 def test_reconstruct_scalar_and_full():
     server = ServerState(np.zeros(2))
     g = vec(3, -1)
-    out = reconstruct(server, 0, decide_message(g, None, LbgmConfig(0.2)))
+    out = reconstruct(server, 0, decide_message(g, None, 0.2))
     assert np.array_equal(out, g)
     assert np.array_equal(server.lbg_copies[0], g)
 
@@ -152,7 +149,7 @@ def test_constant_gradient_stream_sends_exactly_one_full():
     class Holder:
         lbg = None
 
-    policy = LbgmPolicy(LbgmConfig(0.2))
+    policy = LbgmPolicy(0.2)
     worker = Holder()
     g = vec(0.5, -1.5, 2.0)
     tags = []
@@ -178,15 +175,15 @@ def base_config(**kw):
 
 
 def test_delta_zero_matches_vanilla_bit_for_bit():
-    res_v = run_vanilla(base_config(algorithm="vanilla"))
-    res_l = run_lbgm(base_config(delta=0.0))
+    res_v = simulate(base_config(algorithm="vanilla"))
+    res_l = simulate(base_config(delta=0.0))
     assert res_l.metrics.to_csv() == res_v.metrics.to_csv()
     assert res_l.ledger.to_csv() == res_v.ledger.to_csv()
 
 
 def test_ledger_monotone_vs_vanilla():
-    res_v = run_vanilla(base_config(algorithm="vanilla", rounds=15))
-    res_l = run_lbgm(base_config(rounds=15))
+    res_v = simulate(base_config(algorithm="vanilla", rounds=15))
+    res_l = simulate(base_config(rounds=15))
     for rv, rl in zip(res_v.metrics.rows, res_l.metrics.rows):
         assert rl.cum_floats <= rv.cum_floats
     # round 1 initializes every LBG (equal cost); recycling bites from round 2
@@ -197,21 +194,21 @@ def test_ledger_monotone_vs_vanilla():
 def test_server_and_worker_lbg_copies_stay_bit_identical():
     cfg = base_config(rounds=8)
     setup = build_experiment(cfg)
-    policy = LbgmPolicy(LbgmConfig(cfg.delta))
+    policy = LbgmPolicy(cfg.delta)
     for t in range(8):
         g_tilde = {}
         for k, worker in enumerate(setup.workers):
             g = local_round(worker, setup.server.theta_global, setup.round_config,
                             setup.model, setup.train_ds)
             msg, _ = policy.process(worker, g)
-            g_tilde[k] = policy.reconstruct(setup.server, k, msg)
+            g_tilde[k] = reconstruct(setup.server, k, msg)
         aggregate(setup.server, g_tilde, setup.weights, setup.round_config.eta)
         for k, worker in enumerate(setup.workers):
             assert np.array_equal(setup.server.lbg_copies[k], worker.lbg)
 
 
 def test_scalar_rounds_reduce_cost_and_log_fraction():
-    res = run_lbgm(base_config(rounds=12))
+    res = simulate(base_config(rounds=12))
     fractions = [r.scalar_fraction for r in res.metrics.rows[1:]]
     assert fractions[0] == 0.0  # first round must initialize LBGs
     assert max(fractions) > 0.0
@@ -219,11 +216,11 @@ def test_scalar_rounds_reduce_cost_and_log_fraction():
 
 
 def test_delta_sq_proxy_logged_and_finite():
-    res = run_lbgm(base_config(rounds=6))
+    res = simulate(base_config(rounds=6))
     proxies = [r.delta_sq_proxy for r in res.metrics.rows]
     assert proxies[0] == 0.0
     assert all(np.isfinite(p) and p >= 0.0 for p in proxies)
-    off = run_lbgm(base_config(rounds=6, monitor_delta_sq=False))
+    off = simulate(base_config(rounds=6, monitor_delta_sq=False))
     assert all(math.isnan(r.delta_sq_proxy) for r in off.metrics.rows)
 
 
@@ -231,15 +228,15 @@ def test_sampled_fraction_one_rescales_step_by_worker_count():
     # Algorithm-3 scaling: with every worker sampled, the update is the
     # full-participation update divided by K
     cfg = base_config(rounds=1)
-    full = run_lbgm(cfg)
-    sampled = run_lbgm_sampled(cfg, 1.0)
+    full = simulate(cfg)
+    sampled = simulate(base_config(algorithm="lbgm_sampled", sample_fraction=1.0, rounds=1))
     setup = build_experiment(cfg)
     theta0 = setup.server.theta_global
 
     # reconstruct final thetas from scratch for comparison
     def final_theta(sample_fraction):
         s = build_experiment(cfg)
-        policy = LbgmPolicy(LbgmConfig(cfg.delta))
+        policy = LbgmPolicy(cfg.delta)
         participants = list(range(4))
         eta = s.round_config.eta / (4 if sample_fraction else 1)
         g_tilde = {}
@@ -247,7 +244,7 @@ def test_sampled_fraction_one_rescales_step_by_worker_count():
             g = local_round(s.workers[k], s.server.theta_global, s.round_config,
                             s.model, s.train_ds)
             msg, _ = policy.process(s.workers[k], g)
-            g_tilde[k] = policy.reconstruct(s.server, k, msg)
+            g_tilde[k] = reconstruct(s.server, k, msg)
         aggregate(s.server, g_tilde, s.weights, eta)
         return s.server.theta_global
 
@@ -258,8 +255,9 @@ def test_sampled_fraction_one_rescales_step_by_worker_count():
 
 
 def test_sampled_participant_counts_and_first_message():
-    cfg = base_config(algorithm="lbgm_sampled", workers=10, n=600, rounds=12)
-    res = run_lbgm_sampled(cfg, 0.5)
+    cfg = base_config(algorithm="lbgm_sampled", workers=10, n=600, rounds=12,
+                      sample_fraction=0.5)
+    res = simulate(cfg)
     setup = build_experiment(cfg)
     m = setup.model.param_dim
     by_round = {}
@@ -275,8 +273,12 @@ def test_sampled_participant_counts_and_first_message():
         assert floats == m, f"worker {worker} first message was not a full gradient"
 
 
-def test_lbgm_config_validates_delta():
+def test_policies_validate_delta_and_sample_fraction():
     with pytest.raises(ValueError, match="not in"):
-        LbgmConfig(1.5)
+        LbgmPolicy(1.5)
     with pytest.raises(ValueError, match="not in"):
-        run_lbgm_sampled(base_config(), 0.0)
+        CompressedPolicy(sign_compress, delta=-0.1)
+    setup = build_experiment(base_config())
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match="not in"):
+            run_with_policy(setup, LbgmPolicy(0.2), sample_fraction=fraction)
