@@ -1,10 +1,10 @@
 """Gradient compressors (top-k, sign, per-layer low-rank) and the
 plug-and-play stacking that runs the look-back gate on compressed payloads.
 
-Every payload knows its exact wire cost and can densify itself back to a
-flat length-M vector. When stacking, the gate compares the densified
-compressed gradient against the densified compressed look-back gradient;
-a passing round costs one scalar instead of the compressor's payload.
+Every payload knows its exact wire cost in floats and can densify itself
+back to a flat length-M vector. When stacking, the gate compares the
+densified compressed gradient against the densified compressed look-back
+gradient; a passing round costs one scalar instead of the payload.
 """
 
 from dataclasses import dataclass
@@ -27,10 +27,6 @@ class SparsePayload:
     def cost_floats(self) -> float:
         return 2 * len(self.indices)  # value + index pairs
 
-    @property
-    def cost_bits(self) -> float:
-        return 2 * FLOAT_BITS * len(self.indices)
-
     def densify(self) -> ParamVector:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
@@ -45,10 +41,6 @@ class SignPayload:
     @property
     def cost_floats(self) -> float:
         return self.dim / FLOAT_BITS
-
-    @property
-    def cost_bits(self) -> float:
-        return self.dim
 
     def densify(self) -> ParamVector:
         signs = np.unpackbits(self.bits)[: self.dim]
@@ -72,10 +64,6 @@ class LowRankPayload:
             else:
                 total += parts[0].size
         return total
-
-    @property
-    def cost_bits(self) -> float:
-        return FLOAT_BITS * self.cost_floats
 
     def densify(self) -> ParamVector:
         flats = []
@@ -156,23 +144,14 @@ def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
     return LowRankPayload(tuple(blocks), tuple(layer_shapes), g.shape[0])
 
 
-def stack_lbgm(compressed_g, compressed_lbg, delta: float) -> lbgm.UplinkMessage:
-    """Run the look-back gate on densified compressed vectors.
-
-    `compressed_lbg` may be a payload, an already-densified vector, or None
-    (no look-back gradient yet, forcing a compressed transmission).
-    """
-    dense_g = compressed_g.densify()
-    if compressed_lbg is None:
-        dense_lbg = None
-    elif hasattr(compressed_lbg, "densify"):
-        dense_lbg = compressed_lbg.densify()
-    else:
-        dense_lbg = compressed_lbg
-    send_scalar, rho = lbgm._gate(dense_g, dense_lbg, delta)
+def stack_lbgm(payload, dense: ParamVector, lbg, delta: float) -> lbgm.UplinkMessage:
+    """Run the look-back gate on a compressed payload: `dense` is the
+    payload densified, `lbg` the worker's densified look-back gradient or
+    None (no transmission yet, forcing the payload)."""
+    send_scalar, rho = lbgm._gate(dense, lbg, delta)
     if send_scalar:
-        return lbgm.scalar_message(rho)
-    return lbgm.compressed_message(compressed_g)
+        return lbgm.UplinkMessage(rho=rho)
+    return lbgm.UplinkMessage(payload=payload)
 
 
 def majority_sign(acc: ParamVector) -> ParamVector:
@@ -206,9 +185,9 @@ class CompressedPolicy:
         dense = payload.densify()
         sin2 = lbgm.lbp_error(dense, worker.lbg) if worker.lbg is not None else 0.0
         if self.delta is None:
-            msg = lbgm.compressed_message(payload)
+            msg = lbgm.UplinkMessage(payload=payload)
         else:
-            msg = stack_lbgm(payload, worker.lbg, self.delta)
-        if msg.tag != lbgm.TAG_SCALAR:
+            msg = stack_lbgm(payload, dense, worker.lbg, self.delta)
+        if msg.payload is not None:
             worker.lbg = dense.copy()
         return msg, sin2

@@ -138,9 +138,12 @@ class MetricsRow:
     train_loss: float
     test_metric: float  # accuracy for classifiers, loss for regression
     cum_floats: float
-    cum_bits: float
     scalar_fraction: float
     delta_sq_proxy: float
+
+    @property
+    def cum_bits(self) -> float:
+        return lbgm.FLOAT_BITS * self.cum_floats
 
 
 METRICS_HEADER = "round,train_loss,test_metric,cum_floats,cum_bits,scalar_fraction,delta_sq_proxy"
@@ -170,19 +173,19 @@ class MetricsTable:
 
 
 class CommLedger:
-    """Append-only per-round, per-worker record of floats and bits sent."""
+    """Append-only per-round, per-worker record of the floats sent. Bits
+    are FLOAT_BITS per float for every message; scaling by a power of two
+    is exact, so the derived bit totals equal sums of per-message bits."""
 
     def __init__(self):
-        self.rows = []  # (round, worker, floats, bits)
+        self.rows = []  # (round, worker, floats)
         self._cum_floats = 0.0
-        self._cum_bits = 0.0
 
-    def append(self, round_idx: int, worker_id: int, floats: float, bits: float):
-        if floats < 0 or bits < 0:
+    def append(self, round_idx: int, worker_id: int, floats: float):
+        if floats < 0:
             raise ValueError("ledger entries must be non-negative")
-        self.rows.append((round_idx, worker_id, float(floats), float(bits)))
+        self.rows.append((round_idx, worker_id, float(floats)))
         self._cum_floats += floats
-        self._cum_bits += bits
 
     @property
     def cum_floats(self) -> float:
@@ -190,12 +193,12 @@ class CommLedger:
 
     @property
     def cum_bits(self) -> float:
-        return self._cum_bits
+        return lbgm.FLOAT_BITS * self._cum_floats
 
     def to_csv(self) -> str:
         lines = [LEDGER_HEADER]
-        for rnd, worker, floats, bits in self.rows:
-            lines.append(f"{rnd},{worker},{_fmt(floats)},{_fmt(bits)}")
+        for rnd, worker, floats in self.rows:
+            lines.append(f"{rnd},{worker},{_fmt(floats)},{_fmt(lbgm.FLOAT_BITS * floats)}")
         return "\n".join(lines) + "\n"
 
 
@@ -223,8 +226,8 @@ class ExperimentSetup:
     server_rng: np.random.Generator
 
 
-def _one_hot_targets(ds: Dataset) -> Dataset:
-    targets = np.zeros((ds.n, ds.num_classes))
+def _one_hot_targets(ds: Dataset, classes: int) -> Dataset:
+    targets = np.zeros((ds.n, classes))
     targets[np.arange(ds.n), ds.labels] = 1.0
     return Dataset(ds.inputs, targets, 0)
 
@@ -252,6 +255,18 @@ def build_datasets(exp):
     raise ValueError(f"unknown data kind {exp.data_kind!r}")
 
 
+def fit_targets(exp, datasets):
+    """Build the model a config trains and recast the datasets to the targets
+    it fits: regression on labelled data fits one-hot vectors as wide as
+    the first (training) set's class count, whatever labels the others hold."""
+    classes = datasets[0].num_classes
+    out_dim = classes if classes > 0 else 1
+    model = build_model(exp.model_kind, datasets[0].dim, out_dim, exp.hidden)
+    if exp.model_kind == "linear_regression" and classes > 0:
+        datasets = tuple(_one_hot_targets(ds, classes) for ds in datasets)
+    return model, datasets
+
+
 def build_experiment(exp) -> ExperimentSetup:
     """Build model, datasets, partition, and per-worker state for a run.
 
@@ -263,21 +278,14 @@ def build_experiment(exp) -> ExperimentSetup:
     part_rng = RngStream(exp.seed, STREAM_PARTITION).generator()
     part = partition(train_ds, exp.workers, exp.partition_mode, part_rng)
 
-    out_dim = train_ds.num_classes if train_ds.num_classes > 0 else 1
-    model = build_model(exp.model_kind, train_ds.dim, out_dim, exp.hidden)
-    if exp.model_kind == "linear_regression" and train_ds.num_classes > 0:
-        # regression on labeled data fits one-hot targets (partitioned above
-        # by class label)
-        train_ds = _one_hot_targets(train_ds)
-        test_ds = _one_hot_targets(test_ds)
+    # after partitioning: label shards need the class labels
+    model, (train_ds, test_ds) = fit_targets(exp, (train_ds, test_ds))
 
     worker_states = [
         WorkerState(k, part.shards[k], model.param_dim, RngStream(exp.seed, k).generator())
         for k in range(exp.workers)
     ]
     theta0 = init_params(model, worker_states[0].rng)
-    for w in worker_states:
-        w.theta_local = theta0.copy()
     server = ServerState(theta0.copy())
     weights = {k: float(part.weights[k]) for k in range(exp.workers)}
 
@@ -339,7 +347,7 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
 
     train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
     metrics.rows.append(
-        MetricsRow(0, train_loss, test_metric, 0.0, 0.0, 0.0,
+        MetricsRow(0, train_loss, test_metric, 0.0, 0.0,
                    0.0 if setup.monitor_delta_sq else nan)
     )
 
@@ -361,7 +369,7 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
             worker = setup.workers[k]
             g = local_round(worker, server.theta_global, rc, model, setup.train_ds)
             msg, sin2 = policy.process(worker, g)
-            ledger.append(t, k, msg.cost_floats, msg.cost_bits)
+            ledger.append(t, k, msg.cost_floats)
             if msg.tag == lbgm.TAG_SCALAR:
                 n_scalar += 1
             if setup.monitor_delta_sq:
@@ -376,7 +384,6 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
                 train_loss,
                 test_metric,
                 ledger.cum_floats,
-                ledger.cum_bits,
                 n_scalar / len(participants),
                 proxy,
             )

@@ -17,7 +17,7 @@ import numpy as np
 from . import analyzer, compressors, fl_core, lbgm
 from .compressors import LowRankPayload, SignPayload, SparsePayload
 from .fl_core import build_datasets
-from .models import MODEL_KINDS, build_model
+from .models import MODEL_KINDS
 from .numerics import RngStream
 
 ALGORITHMS = (
@@ -240,22 +240,22 @@ def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
 def ledger_cost(msg) -> tuple:
     """Accounting definition: (floats, bits) for one uplink message.
 
-    Recomputed from the message structure, independently of the costs the
-    constructors stamped, so ledgers can be audited against it.
+    Recomputed from the sizes of the message's arrays, independently of the
+    payloads' own cost_floats, so ledgers can be audited against it.
     """
-    if msg.tag == lbgm.TAG_SCALAR:
-        return 1.0, 32.0
-    if msg.tag == lbgm.TAG_FULL:
-        m = msg.payload.shape[0]
-        return float(m), 32.0 * m
     p = msg.payload
+    if p is None:
+        return 1.0, 32.0
+    if isinstance(p, lbgm.DensePayload):
+        m = p.values.shape[0]
+        return float(m), 32.0 * m
     if isinstance(p, SparsePayload):
         k = len(p.indices)
         return 2.0 * k, 64.0 * k
     if isinstance(p, SignPayload):
         return p.dim / 32.0, float(p.dim)
     if isinstance(p, LowRankPayload):
-        f = float(p.cost_floats)
+        f = float(sum(a.size for _, *arrays in p.blocks for a in arrays))
         return f, 32.0 * f
     raise ValueError(f"cannot cost message with payload {type(p).__name__}")
 
@@ -270,8 +270,7 @@ def _matrix_csv(mat: np.ndarray) -> str:
 
 def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> str:
     train_ds, _ = build_datasets(cfg)
-    out_dim = train_ds.num_classes if train_ds.num_classes > 0 else 1
-    model = build_model(cfg.model_kind, train_ds.dim, out_dim, cfg.hidden)
+    model, (train_ds,) = fl_core.fit_targets(cfg, (train_ds,))
     rng = RngStream(cfg.seed, 0).generator()
     log_, progression = analyzer.record_centralized(
         model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng

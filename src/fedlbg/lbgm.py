@@ -13,24 +13,46 @@ sides replace their LBG copy with it.
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .numerics import ParamVector, cosine_sim, dot, norm_sq
 
 TAG_SCALAR = "scalar_lbc"
-TAG_FULL = "full_gradient"
-TAG_COMPRESSED = "compressed_full"
+TAG_PAYLOAD = "payload"
 
 FLOAT_BITS = 32  # wire width used by the communication ledger
 
 
 @dataclass(frozen=True)
-class UplinkMessage:
-    """One worker-to-server transmission with its exact wire cost."""
+class DensePayload:
+    """A full gradient on the wire: M floats."""
 
-    tag: str
+    values: np.ndarray
+
+    @property
+    def cost_floats(self) -> float:
+        return self.values.shape[0]
+
+    def densify(self) -> ParamVector:
+        return self.values
+
+
+@dataclass(frozen=True)
+class UplinkMessage:
+    """One worker-to-server transmission: the scalar look-back coefficient
+    rho, or, when a payload is set, a gradient payload (dense or
+    compressed) that densifies to a length-M vector."""
+
     rho: float = 0.0
-    payload: object = None  # ndarray for full sends, compressor payload otherwise
-    cost_floats: float = 0.0
-    cost_bits: float = 0.0
+    payload: object = None
+
+    @property
+    def tag(self) -> str:
+        return TAG_SCALAR if self.payload is None else TAG_PAYLOAD
+
+    @property
+    def cost_floats(self) -> float:
+        return 1 if self.payload is None else self.payload.cost_floats
 
 
 def check_delta(delta: Optional[float]) -> Optional[float]:
@@ -38,26 +60,6 @@ def check_delta(delta: Optional[float]) -> Optional[float]:
     if delta is not None and not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta threshold {delta} not in [0, 1]")
     return delta
-
-
-def scalar_message(rho: float) -> UplinkMessage:
-    return UplinkMessage(TAG_SCALAR, rho=float(rho), cost_floats=1, cost_bits=FLOAT_BITS)
-
-
-def full_gradient_message(g: ParamVector) -> UplinkMessage:
-    m = g.shape[0]
-    return UplinkMessage(
-        TAG_FULL, payload=g.copy(), cost_floats=m, cost_bits=FLOAT_BITS * m
-    )
-
-
-def compressed_message(payload) -> UplinkMessage:
-    return UplinkMessage(
-        TAG_COMPRESSED,
-        payload=payload,
-        cost_floats=payload.cost_floats,
-        cost_bits=payload.cost_bits,
-    )
 
 
 def lbp_error(g: ParamVector, lbg: ParamVector) -> float:
@@ -106,30 +108,25 @@ def decide_message(g: ParamVector, lbg: Optional[ParamVector], delta: float) -> 
     """
     send_scalar, rho = _gate(g, lbg, delta)
     if send_scalar:
-        return scalar_message(rho)
-    return full_gradient_message(g)
+        return UplinkMessage(rho=rho)
+    return UplinkMessage(payload=DensePayload(g.copy()))
 
 
 def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
     """Recover the uplinked gradient at the server, updating its LBG copy.
 
     Scalar messages replay rho times the stored copy and leave it
-    untouched; full and compressed messages replace the stored copy with
-    the (densified) transmitted gradient.
+    untouched; payload messages replace the stored copy with the densified
+    transmitted gradient.
     """
-    if msg.tag == TAG_SCALAR:
+    if msg.payload is None:
         stored = server.lbg_copies.get(worker_id)
         if stored is None:
             raise ValueError(
                 f"scalar LBC from worker {worker_id} but no server-side LBG"
             )
         return msg.rho * stored
-    if msg.tag == TAG_FULL:
-        g = msg.payload
-    elif msg.tag == TAG_COMPRESSED:
-        g = msg.payload.densify()
-    else:
-        raise ValueError(f"unknown uplink tag {msg.tag!r}")
+    g = msg.payload.densify()
     server.lbg_copies[worker_id] = g.copy()
     return g
 
@@ -147,9 +144,9 @@ class LbgmPolicy:
     def process(self, worker, g: ParamVector):
         sin2 = lbp_error(g, worker.lbg) if worker.lbg is not None else 0.0
         if self.delta is None:
-            msg = full_gradient_message(g)
+            msg = UplinkMessage(payload=DensePayload(g.copy()))
         else:
             msg = decide_message(g, worker.lbg, self.delta)
-        if msg.tag == TAG_FULL:
+        if msg.payload is not None:
             worker.lbg = g.copy()
         return msg, sin2

@@ -20,14 +20,6 @@ STREAM_PARTITION = 2**40 + 1
 STREAM_SERVER = 2**40 + 2
 
 
-def as_vector(values) -> ParamVector:
-    """Coerce input to a 1-D float64 array (copying only when needed)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"param vector must be 1-D, got shape {v.shape}")
-    return v
-
-
 def check_finite(v: ParamVector, what: str = "vector") -> ParamVector:
     if not np.all(np.isfinite(v)):
         raise FloatingPointError(f"{what} contains non-finite entries")

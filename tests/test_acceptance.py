@@ -209,7 +209,7 @@ def test_c09_device_sampling():
     m = setup.model.param_dim
     first_messages = {}
     participants_per_round = {}
-    for rnd, worker, floats, _bits in sampled.ledger.rows:
+    for rnd, worker, floats in sampled.ledger.rows:
         first_messages.setdefault(worker, floats)
         participants_per_round.setdefault(rnd, set()).add(worker)
     first_full = all(f == m for f in first_messages.values())

@@ -14,7 +14,7 @@ from fedlbg.compressors import (
 )
 from fedlbg.fl_core import build_experiment, run_with_policy
 from fedlbg.harness import ExperimentConfig, policy_for, simulate
-from fedlbg.lbgm import TAG_COMPRESSED, TAG_SCALAR
+from fedlbg.lbgm import FLOAT_BITS, TAG_PAYLOAD, TAG_SCALAR, DensePayload
 from fedlbg.numerics import RngStream
 
 
@@ -92,19 +92,10 @@ def test_ef_conservation_exact():
 
 
 def test_ef_lossless_compressor_keeps_residual_zero():
-    class IdentityPayload:
-        def __init__(self, g):
-            self.g = g.copy()
-            self.cost_floats = g.size
-            self.cost_bits = 32 * g.size
-
-        def densify(self):
-            return self.g.copy()
-
     rng = RngStream(23, 0).generator()
     residual = np.zeros(16)
     for _ in range(5):
-        payload, residual = ef_wrap(residual, rng.standard_normal(16), IdentityPayload)
+        payload, residual = ef_wrap(residual, rng.standard_normal(16), DensePayload)
         assert np.array_equal(residual, np.zeros(16))
 
     # top-k with k = M is also lossless
@@ -116,7 +107,7 @@ def test_sign_examples():
     p = sign_compress(vec(-0.5, 2.0))
     assert np.array_equal(p.densify(), vec(-1.0, 1.0))
     assert sign_compress(np.zeros(3)).densify().tolist() == [1.0, 1.0, 1.0]
-    assert p.cost_bits == 2
+    assert FLOAT_BITS * p.cost_floats == 2
     assert p.cost_floats == 2 / 32
 
 
@@ -200,15 +191,15 @@ def test_rank_r_rejects_bad_rank():
 def test_stack_lbgm_gate_and_costs():
     g = vec(1.0, 2.0, 0.0, 0.0)
     p = topk(g, 2)
-    first = stack_lbgm(p, None, 0.2)
-    assert first.tag == TAG_COMPRESSED
+    first = stack_lbgm(p, p.densify(), None, 0.2)
+    assert first.tag == TAG_PAYLOAD and first.payload is p
     assert first.cost_floats == 4
 
-    aligned = stack_lbgm(p, topk(2.0 * g, 2), 0.2)
+    aligned = stack_lbgm(p, p.densify(), topk(2.0 * g, 2).densify(), 0.2)
     assert aligned.tag == TAG_SCALAR and aligned.rho == pytest.approx(0.5)
 
-    rotated = stack_lbgm(p, topk(vec(0.0, 0.0, 3.0, 1.0), 2), 0.2)
-    assert rotated.tag == TAG_COMPRESSED
+    rotated = stack_lbgm(p, p.densify(), topk(vec(0.0, 0.0, 3.0, 1.0), 2).densify(), 0.2)
+    assert rotated.tag == TAG_PAYLOAD
 
 
 def base_config(**kw):
@@ -222,17 +213,8 @@ def base_config(**kw):
 
 
 def test_identity_compressor_reduces_to_plain_lbgm():
-    class IdentityPayload:
-        def __init__(self, g):
-            self.g = g.copy()
-            self.cost_floats = g.size
-            self.cost_bits = 32 * g.size
-
-        def densify(self):
-            return self.g.copy()
-
     setup = build_experiment(base_config(delta=0.2))
-    stacked = run_with_policy(setup, CompressedPolicy(IdentityPayload, delta=0.2))
+    stacked = run_with_policy(setup, CompressedPolicy(DensePayload, delta=0.2))
     plain = simulate(base_config(algorithm="lbgm", delta=0.2))
     assert stacked.metrics.to_csv() == plain.metrics.to_csv()
     assert stacked.ledger.to_csv() == plain.ledger.to_csv()

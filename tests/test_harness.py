@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fedlbg import analyzer
 from fedlbg.compressors import rank_r, sign_compress, topk
+from fedlbg.fl_core import build_datasets
 from fedlbg.harness import (
     ConfigError,
     ExperimentConfig,
@@ -12,7 +14,8 @@ from fedlbg.harness import (
     run,
     _parse_pairs,
 )
-from fedlbg.lbgm import full_gradient_message, compressed_message, scalar_message
+from fedlbg.lbgm import DensePayload, UplinkMessage
+from fedlbg.models import Batch, build_model, gradient, init_params
 from fedlbg.numerics import RngStream
 
 MINIMAL = """
@@ -114,12 +117,12 @@ def test_overrides_reject_unknown_and_malformed():
 def test_ledger_cost_table():
     rng = RngStream(40, 0).generator()
     g1000 = rng.standard_normal(1000)
-    assert ledger_cost(scalar_message(0.7)) == (1.0, 32.0)
-    assert ledger_cost(full_gradient_message(g1000)) == (1000.0, 32000.0)
-    assert ledger_cost(compressed_message(topk(g1000, 100))) == (200.0, 6400.0)
-    assert ledger_cost(compressed_message(sign_compress(g1000))) == (1000 / 32, 1000.0)
+    assert ledger_cost(UplinkMessage(rho=0.7)) == (1.0, 32.0)
+    assert ledger_cost(UplinkMessage(payload=DensePayload(g1000))) == (1000.0, 32000.0)
+    assert ledger_cost(UplinkMessage(payload=topk(g1000, 100))) == (200.0, 6400.0)
+    assert ledger_cost(UplinkMessage(payload=sign_compress(g1000))) == (1000 / 32, 1000.0)
     low = rank_r(rng.standard_normal(35), [(5, 7)], 2)
-    assert ledger_cost(compressed_message(low)) == (24.0, 768.0)
+    assert ledger_cost(UplinkMessage(payload=low)) == (24.0, 768.0)
 
 
 def small_run_config(tmp_path, algorithm="vanilla", **kw):
@@ -252,6 +255,24 @@ def test_run_on_idx_dataset_with_subset(tmp_path):
     assert len(ledger) == 1 + 2 * 2
 
 
+def test_regression_on_idx_test_set_missing_a_class(tmp_path):
+    # one-hot test targets are as wide as the model's output even when the
+    # test labels stop short of the training set's highest class
+    rng = np.random.default_rng(0)
+    img, lab = write_idx_pair(
+        tmp_path, list(rng.integers(0, 256, size=30 * 4, dtype=np.uint8)),
+        [i % 3 for i in range(30)], "train")
+    timg, tlab = write_idx_pair(
+        tmp_path, list(rng.integers(0, 256, size=10 * 4, dtype=np.uint8)),
+        [i % 2 for i in range(10)], "test")
+    cfg = ExperimentConfig(
+        algorithm="vanilla", out=str(tmp_path / "out"), model_kind="linear_regression",
+        data_kind="idx", images=img, labels=lab, test_images=timg, test_labels=tlab,
+        workers=2, rounds=2, batch_size=5,
+    )
+    assert run(cfg) == 0
+
+
 def test_linear_regression_fits_one_hot_targets(tmp_path):
     cfg = small_run_config(tmp_path, model_kind="linear_regression", rounds=4)
     assert run(cfg) == 0
@@ -260,3 +281,27 @@ def test_linear_regression_fits_one_hot_targets(tmp_path):
     last = lines[-1].split(",")
     # regression reports test loss, which should decrease with training
     assert float(last[2]) < float(first[2])
+
+
+def test_analyzer_regression_fits_one_hot_targets(tmp_path, monkeypatch):
+    # the analyzer fits the targets a federated run fits: one-hot class
+    # vectors for linear regression on labelled data
+    logs = []
+    record = analyzer.record_centralized
+
+    def spy(*args):
+        log_, progression = record(*args)
+        logs.append(log_)
+        return log_, progression
+
+    monkeypatch.setattr(analyzer, "record_centralized", spy)
+    cfg = ExperimentConfig(
+        algorithm="centralized_analyze", model_kind="linear_regression", n=60, test_n=10,
+        dim=4, classes=3, rounds=1, batch_size=0, out=str(tmp_path),
+    )
+    assert run(cfg) == 0
+    train_ds, _ = build_datasets(cfg)
+    model = build_model("linear_regression", 4, 3)
+    theta0 = init_params(model, RngStream(cfg.seed, 0).generator())
+    one_hot = Batch(train_ds.inputs, np.eye(3)[train_ds.labels])
+    assert np.array_equal(logs[0].grads[0], gradient(model, theta0, one_hot))

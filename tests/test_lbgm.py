@@ -14,13 +14,13 @@ from fedlbg.fl_core import (
 from fedlbg.harness import ExperimentConfig, simulate
 from fedlbg.lbgm import (
     LbgmPolicy,
-    TAG_FULL,
+    TAG_PAYLOAD,
     TAG_SCALAR,
+    UplinkMessage,
     decide_message,
     lbc,
     lbp_error,
     reconstruct,
-    scalar_message,
 )
 from fedlbg.numerics import RngStream, dot, norm_sq
 
@@ -93,9 +93,9 @@ def test_projection_identities():
 def test_decide_message_first_round_sends_full():
     g = vec(1, 2, 3)
     msg = decide_message(g, None, 0.2)
-    assert msg.tag == TAG_FULL
+    assert msg.tag == TAG_PAYLOAD
     assert msg.cost_floats == 3
-    assert np.array_equal(msg.payload, g)
+    assert np.array_equal(msg.payload.densify(), g)
 
 
 def test_decide_message_delta_one_always_scalar():
@@ -107,7 +107,7 @@ def test_decide_message_delta_one_always_scalar():
 
 
 def test_decide_message_delta_zero_sends_full_unless_collinear():
-    assert decide_message(vec(1, 2), vec(1, 0), 0.0).tag == TAG_FULL
+    assert decide_message(vec(1, 2), vec(1, 0), 0.0).tag == TAG_PAYLOAD
     assert decide_message(vec(2, 4), vec(1, 2), 0.0).tag == TAG_SCALAR  # exact collinear
 
 
@@ -118,7 +118,7 @@ def test_decide_message_zero_gradient_sends_zero_scalar():
 
 def test_decide_message_zero_lbg_forces_full():
     msg = decide_message(vec(1, 2), vec(0, 0), 1.0)
-    assert msg.tag == TAG_FULL
+    assert msg.tag == TAG_PAYLOAD
 
 
 def test_reconstruct_scalar_and_full():
@@ -128,19 +128,19 @@ def test_reconstruct_scalar_and_full():
     assert np.array_equal(out, g)
     assert np.array_equal(server.lbg_copies[0], g)
 
-    out = reconstruct(server, 0, scalar_message(0.0))
+    out = reconstruct(server, 0, UplinkMessage(rho=0.0))
     assert np.array_equal(out, np.zeros(2))
     assert np.array_equal(server.lbg_copies[0], g)  # untouched by scalars
 
     server.lbg_copies[1] = vec(2, 4)
-    out = reconstruct(server, 1, scalar_message(0.5))
+    out = reconstruct(server, 1, UplinkMessage(rho=0.5))
     assert np.array_equal(out, vec(1, 2))
 
 
 def test_reconstruct_scalar_without_lbg_is_protocol_violation():
     server = ServerState(np.zeros(2))
     with pytest.raises(ValueError, match="no server-side LBG"):
-        reconstruct(server, 7, scalar_message(1.0))
+        reconstruct(server, 7, UplinkMessage(rho=1.0))
 
 
 def test_constant_gradient_stream_sends_exactly_one_full():
@@ -159,7 +159,7 @@ def test_constant_gradient_stream_sends_exactly_one_full():
         msg, _ = policy.process(worker, g.copy())
         tags.append(msg.tag)
         recon.append(reconstruct(server, 0, msg))
-    assert tags.count(TAG_FULL) == 1 and tags[0] == TAG_FULL
+    assert tags.count(TAG_PAYLOAD) == 1 and tags[0] == TAG_PAYLOAD
     for r in recon:
         assert np.array_equal(r, g)  # rho = 1 replays exactly
 
@@ -262,7 +262,7 @@ def test_sampled_participant_counts_and_first_message():
     m = setup.model.param_dim
     by_round = {}
     first_seen = {}
-    for rnd, worker, floats, _bits in res.ledger.rows:
+    for rnd, worker, floats in res.ledger.rows:
         by_round.setdefault(rnd, []).append(worker)
         if worker not in first_seen:
             first_seen[worker] = floats

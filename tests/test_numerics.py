@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fedlbg.numerics import RngStream, as_vector, axpy, cosine_sim, dot, norm_sq
+from fedlbg.numerics import RngStream, axpy, cosine_sim, dot, norm_sq
 
 
 def vec(*values):
-    return as_vector(values)
+    return np.asarray(values, dtype=float)
 
 
 def test_dot_examples():
@@ -95,7 +95,3 @@ def test_rng_streams_independent():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
-
-def test_as_vector_rejects_matrices():
-    with pytest.raises(ValueError, match="1-D"):
-        as_vector([[1.0, 2.0]])
