@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .fl_core import RoundConfig, WorkerState, local_round
 from .models import Model, init_params
-from .numerics import cosine_sim, leads_negative, norm_sq
+from .numerics import check_finite, cosine_sim, leads_negative, norm_sq
 
 log = logging.getLogger(__name__)
 
@@ -183,13 +183,14 @@ def record_centralized(
     progression = []
     for epoch in range(epochs):
         g = local_round(worker, theta, cfg, model, dataset)
-        theta = worker.theta_local.copy()
+        theta = worker.theta_local
         cross = np.array([float(np.dot(prev, g)) for prev in grads])
         new_gram = np.zeros((len(grads) + 1, len(grads) + 1))
         new_gram[: len(grads), : len(grads)] = gram
         new_gram[-1, : len(grads)] = cross
         new_gram[: len(grads), -1] = cross
         new_gram[-1, -1] = float(np.dot(g, g))
+        check_finite(new_gram[-1], f"Gram row of epoch {epoch}")
         gram = new_gram
         grads.append(g)
 

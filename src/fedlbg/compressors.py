@@ -83,7 +83,7 @@ def topk(g: ParamVector, k: int) -> SparsePayload:
         raise ValueError(f"k={k} out of range [1, {m}]")
     order = np.argsort(-np.abs(g), kind="stable")  # stable: ties by index
     keep = np.sort(order[:k])
-    return SparsePayload(keep.astype(np.int64), g[keep].copy(), m)
+    return SparsePayload(keep.astype(np.int64), g[keep], m)
 
 
 def ef_wrap(residual: ParamVector, g: ParamVector, compress):
@@ -144,14 +144,10 @@ def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
     return LowRankPayload(tuple(blocks), tuple(layer_shapes), g.shape[0])
 
 
-def stack_lbgm(payload, dense: ParamVector, lbg, delta: float) -> lbgm.UplinkMessage:
-    """Run the look-back gate on a compressed payload: `dense` is the
-    payload densified, `lbg` the worker's densified look-back gradient or
-    None (no transmission yet, forcing the payload)."""
-    send_scalar, rho = lbgm._gate(dense, lbg, delta)
-    if send_scalar:
-        return lbgm.UplinkMessage(rho=rho)
-    return lbgm.UplinkMessage(payload=payload)
+def stack_lbgm(worker, payload, delta):
+    """The look-back step on a compressed payload: gate its densified form
+    against the worker's densified LBG. Returns (msg, sin2)."""
+    return lbgm.look_back(worker, payload, payload.densify(), delta)
 
 
 def majority_sign(acc: ParamVector) -> ParamVector:
@@ -182,12 +178,4 @@ class CompressedPolicy:
             payload, worker.ef_residual = ef_wrap(worker.ef_residual, g, self.compress)
         else:
             payload = self.compress(g)
-        dense = payload.densify()
-        sin2 = lbgm.lbp_error(dense, worker.lbg) if worker.lbg is not None else 0.0
-        if self.delta is None:
-            msg = lbgm.UplinkMessage(payload=payload)
-        else:
-            msg = stack_lbgm(payload, dense, worker.lbg, self.delta)
-        if msg.payload is not None:
-            worker.lbg = dense.copy()
-        return msg, sin2
+        return stack_lbgm(worker, payload, self.delta)

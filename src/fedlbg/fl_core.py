@@ -25,6 +25,7 @@ from .models import (
     forward_loss,
     gradient,
     init_params,
+    one_hot,
 )
 from .numerics import (
     STREAM_DATA,
@@ -98,7 +99,7 @@ def local_round(
     """
     if len(worker.shard) == 0:
         raise ValueError(f"worker {worker.worker_id} has an empty shard")
-    theta = theta_global.copy()
+    theta = theta_global
     g_sum = np.zeros_like(theta_global)
     for _ in range(cfg.tau):
         batch = worker.next_batch(dataset, cfg.batch_size)
@@ -208,6 +209,20 @@ class RunResult:
     ledger: CommLedger
 
 
+class Diverged(FloatingPointError):
+    """A non-finite value stopped a run in `round`: inside `worker`'s local
+    round or encode step, or on the server when `worker` is None. `partial`
+    holds the metrics and ledger of the rounds completed before it."""
+
+    def __init__(self, round_idx: int, worker_id: Optional[int], cause: Exception,
+                 partial: RunResult):
+        where = f"round {round_idx}" + ("" if worker_id is None else f" (worker {worker_id})")
+        super().__init__(f"run diverged in {where}: {cause}")
+        self.round = round_idx
+        self.worker = worker_id
+        self.partial = partial
+
+
 # ---------------------------------------------------------------------------
 # Experiment setup
 # ---------------------------------------------------------------------------
@@ -224,12 +239,6 @@ class ExperimentSetup:
     rounds: int
     monitor_delta_sq: bool
     server_rng: np.random.Generator
-
-
-def _one_hot_targets(ds: Dataset, classes: int) -> Dataset:
-    targets = np.zeros((ds.n, classes))
-    targets[np.arange(ds.n), ds.labels] = 1.0
-    return Dataset(ds.inputs, targets, 0)
 
 
 def _slice(ds: Dataset, start: int, stop: int) -> Dataset:
@@ -263,7 +272,8 @@ def fit_targets(exp, datasets):
     out_dim = classes if classes > 0 else 1
     model = build_model(exp.model_kind, datasets[0].dim, out_dim, exp.hidden)
     if exp.model_kind == "linear_regression" and classes > 0:
-        datasets = tuple(_one_hot_targets(ds, classes) for ds in datasets)
+        datasets = tuple(Dataset(ds.inputs, one_hot(ds.labels, classes), 0)
+                         for ds in datasets)
     return model, datasets
 
 
@@ -285,8 +295,7 @@ def build_experiment(exp) -> ExperimentSetup:
         WorkerState(k, part.shards[k], model.param_dim, RngStream(exp.seed, k).generator())
         for k in range(exp.workers)
     ]
-    theta0 = init_params(model, worker_states[0].rng)
-    server = ServerState(theta0.copy())
+    server = ServerState(init_params(model, worker_states[0].rng))
     weights = {k: float(part.weights[k]) for k in range(exp.workers)}
 
     batch_size = exp.batch_size
@@ -333,7 +342,8 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
     With a sample fraction in (0, 1], each round draws ceil(fraction * K)
     workers without replacement from the server stream and scales the
     update by 1/|sampled| while keeping the original data weights; the LBGs
-    of unsampled workers stay stale on both sides.
+    of unsampled workers stay stale on both sides. A non-finite value raises
+    Diverged, carrying the rounds completed before it.
     """
     if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
         raise ValueError(f"sample fraction {sample_fraction} not in (0, 1]")
@@ -344,48 +354,56 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
     ledger = CommLedger()
     metrics = MetricsTable()
     nan = float("nan")
+    t, k = 0, None  # where a non-finite value stops the run
 
-    train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
-    metrics.rows.append(
-        MetricsRow(0, train_loss, test_metric, 0.0, 0.0,
-                   0.0 if setup.monitor_delta_sq else nan)
-    )
-
-    for t in range(1, setup.rounds + 1):
-        if sample_fraction is not None:
-            m = math.ceil(sample_fraction * k_total)
-            participants = sorted(
-                int(i) for i in setup.server_rng.choice(k_total, size=m, replace=False)
-            )
-            eta_round = rc.eta / m
-        else:
-            participants = list(range(k_total))
-            eta_round = rc.eta
-
-        g_tilde = {}
-        n_scalar = 0
-        proxy = 0.0 if setup.monitor_delta_sq else nan
-        for k in participants:
-            worker = setup.workers[k]
-            g = local_round(worker, server.theta_global, rc, model, setup.train_ds)
-            msg, sin2 = policy.process(worker, g)
-            ledger.append(t, k, msg.cost_floats)
-            if msg.tag == lbgm.TAG_SCALAR:
-                n_scalar += 1
-            if setup.monitor_delta_sq:
-                proxy = max(proxy, norm_sq(g) / (rc.tau * rc.tau) * sin2)
-            g_tilde[k] = lbgm.reconstruct(server, k, msg)
-
-        aggregate(server, g_tilde, setup.weights, eta_round, transform=policy.server_transform)
+    try:
         train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
         metrics.rows.append(
-            MetricsRow(
-                t,
-                train_loss,
-                test_metric,
-                ledger.cum_floats,
-                n_scalar / len(participants),
-                proxy,
-            )
+            MetricsRow(0, train_loss, test_metric, 0.0, 0.0,
+                       0.0 if setup.monitor_delta_sq else nan)
         )
+
+        for t in range(1, setup.rounds + 1):
+            if sample_fraction is not None:
+                m = math.ceil(sample_fraction * k_total)
+                participants = sorted(
+                    int(i) for i in setup.server_rng.choice(k_total, size=m, replace=False)
+                )
+                eta_round = rc.eta / m
+            else:
+                participants = list(range(k_total))
+                eta_round = rc.eta
+
+            g_tilde = {}
+            sent = []  # floats per participant, ledgered once the round completes
+            n_scalar = 0
+            proxy = 0.0 if setup.monitor_delta_sq else nan
+            for k in participants:
+                worker = setup.workers[k]
+                g = local_round(worker, server.theta_global, rc, model, setup.train_ds)
+                msg, sin2 = policy.process(worker, g)
+                sent.append(msg.cost_floats)
+                if msg.tag == lbgm.TAG_SCALAR:
+                    n_scalar += 1
+                if setup.monitor_delta_sq:
+                    proxy = max(proxy, norm_sq(g) / (rc.tau * rc.tau) * sin2)
+                g_tilde[k] = lbgm.reconstruct(server, k, msg)
+            k = None
+
+            aggregate(server, g_tilde, setup.weights, eta_round, transform=policy.server_transform)
+            train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
+            for worker_id, floats in zip(participants, sent):
+                ledger.append(t, worker_id, floats)
+            metrics.rows.append(
+                MetricsRow(
+                    t,
+                    train_loss,
+                    test_metric,
+                    ledger.cum_floats,
+                    n_scalar / len(participants),
+                    proxy,
+                )
+            )
+    except FloatingPointError as exc:
+        raise Diverged(t, k, exc, RunResult(metrics, ledger)) from exc
     return RunResult(metrics, ledger)

@@ -268,7 +268,7 @@ def _matrix_csv(mat: np.ndarray) -> str:
     return "\n".join(",".join(repr(float(v)) for v in row) for row in mat) + "\n"
 
 
-def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> str:
+def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
     train_ds, _ = build_datasets(cfg)
     model, (train_ds,) = fl_core.fit_targets(cfg, (train_ds,))
     rng = RngStream(cfg.seed, 0).generator()
@@ -286,42 +286,63 @@ def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> str:
         _write(out_dir / "overlap.csv", "")
         _write(out_dir / "similarity.csv", "")
     final = progression[-1] if progression else (0, 0, 0)
-    return f"epochs={cfg.rounds} n95={final[1]} n99={final[2]}"
+    print(f"centralized_analyze: epochs={cfg.rounds} n95={final[1]} n99={final[2]} -> {out_dir}")
+    return 0
+
+
+def _write_run(out_dir: Path, result: fl_core.RunResult):
+    _write(out_dir / "metrics.csv", result.metrics.to_csv())
+    _write(out_dir / "ledger.csv", result.ledger.to_csv())
+
+
+def _run_federated(cfg: ExperimentConfig, out_dir: Path) -> int:
+    try:
+        result = simulate(cfg)
+    except fl_core.Diverged as exc:
+        _write_run(out_dir, exc.partial)
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    _write_run(out_dir, result)
+
+    final = result.metrics.final()
+    summary = (
+        f"{cfg.algorithm}: rounds={final.round} test_metric={final.test_metric:.4f} "
+        f"total_floats={final.cum_floats:.6g}"
+    )
+    if cfg.baseline_metrics:
+        try:
+            base_floats = _final_cum_floats(Path(cfg.baseline_metrics))
+        except (OSError, ValueError, IndexError) as exc:
+            print(f"warning: cannot read baseline metrics: {exc}", file=sys.stderr)
+            base_floats = 0.0
+        if base_floats > 0:
+            savings = 1.0 - final.cum_floats / base_floats
+            summary += f" savings_vs_baseline={100.0 * savings:.1f}%"
+    print(summary + f" -> {out_dir}")
+    return 0
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Run one experiment, write its output files, print a summary."""
+    """Run one experiment, write its output files, print a summary.
+
+    Returns the exit status: 0 on success, 1 on an I/O error, 3 when the run
+    diverges (a federated run keeps the rows of its completed rounds).
+    """
     try:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if cfg.algorithm == "centralized_analyze":
-            summary = _run_analyzer(cfg, out_dir)
-            print(f"centralized_analyze: {summary} -> {out_dir}")
-            return 0
-
-        result = simulate(cfg)
-        _write(out_dir / "metrics.csv", result.metrics.to_csv())
-        _write(out_dir / "ledger.csv", result.ledger.to_csv())
-
-        final = result.metrics.final()
-        summary = (
-            f"{cfg.algorithm}: rounds={final.round} test_metric={final.test_metric:.4f} "
-            f"total_floats={final.cum_floats:.6g}"
-        )
-        if cfg.baseline_metrics:
-            try:
-                base_floats = _final_cum_floats(Path(cfg.baseline_metrics))
-            except (OSError, ValueError, IndexError) as exc:
-                print(f"warning: cannot read baseline metrics: {exc}", file=sys.stderr)
-                base_floats = 0.0
-            if base_floats > 0:
-                savings = 1.0 - final.cum_floats / base_floats
-                summary += f" savings_vs_baseline={100.0 * savings:.1f}%"
-        print(summary + f" -> {out_dir}")
-        return 0
+        # divergence is reported once, by the finite checks of the models and
+        # the round engine, not by numpy's overflow warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.algorithm == "centralized_analyze":
+                return _run_analyzer(cfg, out_dir)
+            return _run_federated(cfg, out_dir)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:  # the analyzer keeps no partial output
+        print(f"error: run diverged: {exc}", file=sys.stderr)
+        return 3
 
 
 def _final_cum_floats(metrics_path: Path) -> float:

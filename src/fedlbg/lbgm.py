@@ -87,29 +87,24 @@ def lbc(g: ParamVector, lbg: ParamVector) -> float:
     return dot(g, lbg) / denom
 
 
-def _gate(g: ParamVector, lbg: Optional[ParamVector], delta: float):
-    """Return (send_scalar, rho). Handles the zero-norm edge cases."""
-    if lbg is None:
-        return False, 0.0
-    if norm_sq(g) == 0.0:
-        return True, 0.0  # rho = 0 reconstructs the zero gradient exactly
-    if norm_sq(lbg) == 0.0:
-        return False, 0.0
-    if lbp_error(g, lbg) <= delta:
-        return True, lbc(g, lbg)
-    return False, 0.0
-
-
-def decide_message(g: ParamVector, lbg: Optional[ParamVector], delta: float) -> UplinkMessage:
-    """Pick scalar vs full transmission for one worker uplink.
-
-    The first round (no LBG yet) always sends the full gradient. The
-    caller must mirror a full send into the worker's stored LBG.
+def look_back(worker, payload, dense: ParamVector, delta: Optional[float]):
+    """The worker side of the look-back rule for one uplink of `payload`,
+    whose densified form is `dense`. Returns (msg, sin2): sin2 is the
+    look-back error against the worker's LBG (0 before its first send); msg
+    is the scalar rho when the gate passes, else the payload (always with
+    delta=None), and a payload send stores `dense`, read-only, as the LBG.
     """
-    send_scalar, rho = _gate(g, lbg, delta)
-    if send_scalar:
-        return UplinkMessage(rho=rho)
-    return UplinkMessage(payload=DensePayload(g.copy()))
+    lbg = worker.lbg
+    sin2 = 0.0 if lbg is None else lbp_error(dense, lbg)
+    # the gate repeats sin2's reductions: the benchmark's traced call counts pin them
+    if lbg is not None and delta is not None:
+        if norm_sq(dense) == 0.0:
+            return UplinkMessage(rho=0.0), sin2  # rho = 0 reconstructs zero exactly
+        if norm_sq(lbg) != 0.0 and lbp_error(dense, lbg) <= delta:  # a zero LBG forces the payload
+            return UplinkMessage(rho=lbc(dense, lbg)), sin2
+    dense.setflags(write=False)
+    worker.lbg = dense
+    return UplinkMessage(payload=payload), sin2
 
 
 def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
@@ -117,7 +112,7 @@ def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
 
     Scalar messages replay rho times the stored copy and leave it
     untouched; payload messages replace the stored copy with the densified
-    transmitted gradient.
+    transmitted gradient, read-only like the worker's.
     """
     if msg.payload is None:
         stored = server.lbg_copies.get(worker_id)
@@ -127,7 +122,8 @@ def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
             )
         return msg.rho * stored
     g = msg.payload.densify()
-    server.lbg_copies[worker_id] = g.copy()
+    g.setflags(write=False)
+    server.lbg_copies[worker_id] = g
     return g
 
 
@@ -142,11 +138,4 @@ class LbgmPolicy:
         self.delta = check_delta(delta)
 
     def process(self, worker, g: ParamVector):
-        sin2 = lbp_error(g, worker.lbg) if worker.lbg is not None else 0.0
-        if self.delta is None:
-            msg = UplinkMessage(payload=DensePayload(g.copy()))
-        else:
-            msg = decide_message(g, worker.lbg, self.delta)
-        if msg.payload is not None:
-            worker.lbg = g.copy()
-        return msg, sin2
+        return look_back(worker, DensePayload(g), g, self.delta)

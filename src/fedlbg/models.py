@@ -119,7 +119,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+    """(n, classes) indicator rows of integer class labels."""
     out = np.zeros((labels.shape[0], classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -173,7 +174,7 @@ def gradient(model: Model, theta: ParamVector, batch: Batch) -> ParamVector:
         delta = (out - targets) / n
     else:
         labels = np.asarray(batch.labels, dtype=np.int64)
-        delta = (_softmax(out) - _one_hot(labels, model.output_dim)) / n
+        delta = (_softmax(out) - one_hot(labels, model.output_dim)) / n
 
     if model.kind == "mlp1h":
         _, _, w2, _ = unpack(model, theta)

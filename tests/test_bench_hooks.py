@@ -5,6 +5,8 @@ when a rename or a move would break that run."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from fedlbg import analyzer, compressors, data, fl_core, harness, lbgm, models, numerics
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -48,3 +50,27 @@ def test_tracer_installs_and_undoes_cleanly():
         for attr, value in before[name].items():
             assert vars(mod)[attr] is value, f"{name}.{attr} not restored"
     assert [cls.__dict__[attr] for cls, attr in methods] == methods_before
+
+
+@pytest.mark.parametrize("algorithm", ["lbgm", "rank_r_lbgm"])
+def test_hooked_entry_points_fire(algorithm):
+    # a refactor that stops calling a hooked name reads 0 in the per-layer
+    # metrics without any error; here it fails
+    spans = load_spans()
+    cfg = harness.ExperimentConfig(
+        algorithm=algorithm, seed=1, n=120, test_n=40, dim=4, classes=3,
+        workers=3, rounds=2, batch_size=10, hidden=8,
+    )
+    tracer = spans.Tracer()
+    patches = tracer.install(MODULES)
+    try:
+        harness.simulate(cfg)
+    finally:
+        patches.undo()
+    calls = {name: st["calls"] for name, st in tracer.stats().items()}
+    assert tracer.counts["lbgm.uplinks"] == cfg.rounds * cfg.workers  # none counted twice
+    hooked = ["lbgm.process", "lbgm.reconstruct"]
+    if algorithm == "rank_r_lbgm":
+        hooked += ["compressors.compress", "compressors.process"]
+    for name in hooked:
+        assert calls.get(name, 0) >= 1, name

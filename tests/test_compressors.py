@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -191,15 +193,20 @@ def test_rank_r_rejects_bad_rank():
 def test_stack_lbgm_gate_and_costs():
     g = vec(1.0, 2.0, 0.0, 0.0)
     p = topk(g, 2)
-    first = stack_lbgm(p, p.densify(), None, 0.2)
-    assert first.tag == TAG_PAYLOAD and first.payload is p
+    worker = SimpleNamespace(lbg=None)
+    first, sin2 = stack_lbgm(worker, p, 0.2)
+    assert first.tag == TAG_PAYLOAD and first.payload is p and sin2 == 0.0
     assert first.cost_floats == 4
+    assert np.array_equal(worker.lbg, p.densify())  # a send becomes the LBG
 
-    aligned = stack_lbgm(p, p.densify(), topk(2.0 * g, 2).densify(), 0.2)
+    worker = SimpleNamespace(lbg=topk(2.0 * g, 2).densify())
+    aligned, sin2 = stack_lbgm(worker, p, 0.2)
     assert aligned.tag == TAG_SCALAR and aligned.rho == pytest.approx(0.5)
+    assert sin2 == pytest.approx(0.0, abs=1e-15)
 
-    rotated = stack_lbgm(p, p.densify(), topk(vec(0.0, 0.0, 3.0, 1.0), 2).densify(), 0.2)
-    assert rotated.tag == TAG_PAYLOAD
+    worker = SimpleNamespace(lbg=topk(vec(0.0, 0.0, 3.0, 1.0), 2).densify())
+    rotated, sin2 = stack_lbgm(worker, p, 0.2)
+    assert rotated.tag == TAG_PAYLOAD and sin2 == 1.0
 
 
 def base_config(**kw):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,51 @@ def test_cli_reports_config_errors(tmp_path, capsys):
 def test_cli_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+DIVERGING = """\
+algorithm = lbgm
+seed = 3
+[model]
+kind = linear_regression
+[data]
+n = 120
+test_n = 40
+dim = 4
+classes = 3
+[train]
+workers = 3
+rounds = 60
+batch_size = 10
+eta = 5
+"""
+
+
+def test_cli_diverging_run_keeps_completed_rounds(tmp_path, capsys):
+    config_path = tmp_path / "diverge.cfg"
+    config_path.write_text(DIVERGING)
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    found = re.match(r"error: run diverged in round (\d+) \(worker \d+\): ", err[0])
+    assert found, err[0]
+    t = int(found.group(1))
+    assert 1 < t < 60
+    metrics = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in metrics] == list(range(t))
+    ledger = [line.split(",") for line in (out / "ledger.csv").read_text().splitlines()[1:]]
+    assert {int(row[0]) for row in ledger} == set(range(1, t))
+    assert sum(float(row[2]) for row in ledger) == float(metrics[-1][3])
+
+
+def test_cli_diverging_analyzer_exits_3(tmp_path, capsys):
+    config_path = tmp_path / "diverge.cfg"
+    config_path.write_text(DIVERGING.replace("lbgm", "centralized_analyze")
+                           .replace("eta = 5", "eta = 50"))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run diverged: "), err
 
 
 def write_idx_pair(tmp_path, pixels, labels, stem):

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedlbg.compressors import CompressedPolicy, sign_compress
+from fedlbg.compressors import CompressedPolicy, sign_compress, topk
 from fedlbg.fl_core import (
     ServerState,
     aggregate,
@@ -13,13 +14,14 @@ from fedlbg.fl_core import (
 )
 from fedlbg.harness import ExperimentConfig, simulate
 from fedlbg.lbgm import (
+    DensePayload,
     LbgmPolicy,
     TAG_PAYLOAD,
     TAG_SCALAR,
     UplinkMessage,
-    decide_message,
     lbc,
     lbp_error,
+    look_back,
     reconstruct,
 )
 from fedlbg.numerics import RngStream, dot, norm_sq
@@ -27,6 +29,11 @@ from fedlbg.numerics import RngStream, dot, norm_sq
 
 def vec(*v):
     return np.asarray(v, dtype=np.float64)
+
+
+def decide(g, lbg, delta):
+    """The message of one look-back step on a full gradient."""
+    return look_back(SimpleNamespace(lbg=lbg), DensePayload(g), g, delta)[0]
 
 
 def test_lbp_error_collinear_is_zero():
@@ -92,7 +99,7 @@ def test_projection_identities():
 
 def test_decide_message_first_round_sends_full():
     g = vec(1, 2, 3)
-    msg = decide_message(g, None, 0.2)
+    msg = decide(g, None, 0.2)
     assert msg.tag == TAG_PAYLOAD
     assert msg.cost_floats == 3
     assert np.array_equal(msg.payload.densify(), g)
@@ -101,30 +108,30 @@ def test_decide_message_first_round_sends_full():
 def test_decide_message_delta_one_always_scalar():
     g = vec(1, 2)
     lbg = vec(-5, 4)  # nearly opposite direction, still gated through
-    msg = decide_message(g, lbg, 1.0)
+    msg = decide(g, lbg, 1.0)
     assert msg.tag == TAG_SCALAR
     assert msg.cost_floats == 1
 
 
 def test_decide_message_delta_zero_sends_full_unless_collinear():
-    assert decide_message(vec(1, 2), vec(1, 0), 0.0).tag == TAG_PAYLOAD
-    assert decide_message(vec(2, 4), vec(1, 2), 0.0).tag == TAG_SCALAR  # exact collinear
+    assert decide(vec(1, 2), vec(1, 0), 0.0).tag == TAG_PAYLOAD
+    assert decide(vec(2, 4), vec(1, 2), 0.0).tag == TAG_SCALAR  # exact collinear
 
 
 def test_decide_message_zero_gradient_sends_zero_scalar():
-    msg = decide_message(vec(0, 0), vec(1, 2), 0.0)
+    msg = decide(vec(0, 0), vec(1, 2), 0.0)
     assert msg.tag == TAG_SCALAR and msg.rho == 0.0
 
 
 def test_decide_message_zero_lbg_forces_full():
-    msg = decide_message(vec(1, 2), vec(0, 0), 1.0)
+    msg = decide(vec(1, 2), vec(0, 0), 1.0)
     assert msg.tag == TAG_PAYLOAD
 
 
 def test_reconstruct_scalar_and_full():
     server = ServerState(np.zeros(2))
     g = vec(3, -1)
-    out = reconstruct(server, 0, decide_message(g, None, 0.2))
+    out = reconstruct(server, 0, decide(g, None, 0.2))
     assert np.array_equal(out, g)
     assert np.array_equal(server.lbg_copies[0], g)
 
@@ -162,6 +169,28 @@ def test_constant_gradient_stream_sends_exactly_one_full():
     assert tags.count(TAG_PAYLOAD) == 1 and tags[0] == TAG_PAYLOAD
     for r in recon:
         assert np.array_equal(r, g)  # rho = 1 replays exactly
+
+
+def test_full_send_stores_one_read_only_vector():
+    # payload, worker LBG and server LBG may share one buffer, so none of
+    # them can be written through
+    worker = SimpleNamespace(lbg=None)
+    server = ServerState(np.zeros(3))
+    g = vec(0.5, -1.5, 2.0)
+    msg, _ = LbgmPolicy(0.2).process(worker, g)
+    reconstruct(server, 0, msg)
+    for stored in (worker.lbg, server.lbg_copies[0], msg.payload.values):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+    assert np.array_equal(worker.lbg, vec(0.5, -1.5, 2.0))
+
+    policy = CompressedPolicy(lambda v: topk(v, 2), 0.2)
+    worker = SimpleNamespace(lbg=None, ef_residual=None)
+    msg, _ = policy.process(worker, g)
+    reconstruct(server, 1, msg)
+    for stored in (worker.lbg, server.lbg_copies[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
 
 
 def base_config(**kw):
