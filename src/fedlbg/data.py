@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch
-
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
@@ -32,11 +30,8 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def batch(self, idx) -> Batch:
-        return Batch(self.inputs[idx], self.labels[idx])
-
-    def full_batch(self) -> Batch:
-        return Batch(self.inputs, self.labels)
+    def batch(self, idx) -> "Dataset":
+        return Dataset(self.inputs[idx], self.labels[idx], self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -178,16 +173,14 @@ def partition(ds: Dataset, k: int, mode: str, rng: np.random.Generator) -> Parti
             for label in range(c)
         }
         shard_lists = [[] for _ in range(k)]
-        for label in range(c):
+        for label in range(c):  # the coverage check above gives every label a holder
             workers = holders[label]
-            if not workers:
-                continue
             for worker, chunk in zip(workers, _deal_evenly(per_label[label], len(workers))):
                 shard_lists[worker].append(chunk)
-        shards = [
-            np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-            for parts in shard_lists
-        ]
+        shards = [np.sort(np.concatenate(parts)) for parts in shard_lists]
+        empty = [worker for worker, sh in enumerate(shards) if len(sh) == 0]
+        if empty:
+            raise ValueError(f"label_shard({s}) leaves worker {empty[0]} without samples")
 
     shards = tuple(np.asarray(sh, dtype=np.int64) for sh in shards)
     weights = np.array([len(sh) for sh in shards], dtype=np.float64) / ds.n

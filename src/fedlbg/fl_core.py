@@ -17,16 +17,7 @@ import numpy as np
 
 from . import lbgm
 from .data import Dataset, partition, synth_classification, load_idx
-from .models import (
-    Batch,
-    Model,
-    accuracy,
-    build_model,
-    forward_loss,
-    gradient,
-    init_params,
-    one_hot,
-)
+from .models import Model, accuracy, build_model, forward_loss, gradient, init_params, one_hot
 from .numerics import (
     STREAM_DATA,
     STREAM_PARTITION,
@@ -64,7 +55,7 @@ class WorkerState:
         self._order: Optional[np.ndarray] = None  # current epoch-pass permutation
         self._cursor = 0
 
-    def next_batch(self, dataset: Dataset, batch_size: int) -> Batch:
+    def next_batch(self, dataset: Dataset, batch_size: int) -> Dataset:
         """Next minibatch: one shuffle per shard pass, consumed in slices."""
         n = len(self.shard)
         if self._order is None or self._cursor >= n:
@@ -260,6 +251,10 @@ def build_datasets(exp):
             train = _slice(train, 0, exp.subset)
         if exp.test_subset > 0:
             test = _slice(test, 0, exp.test_subset)
+        unknown = test.labels[test.labels >= train.num_classes]
+        if unknown.size:
+            raise ValueError(f"{exp.test_labels}: label {unknown[0]} is not one of the "
+                             f"{train.num_classes} training classes")
         return train, test
     raise ValueError(f"unknown data kind {exp.data_kind!r}")
 
@@ -324,11 +319,11 @@ def build_experiment(exp) -> ExperimentSetup:
 
 
 def evaluate(model: Model, theta: ParamVector, train_ds: Dataset, test_ds: Dataset):
-    train_loss = forward_loss(model, theta, train_ds.full_batch())
+    train_loss = forward_loss(model, theta, train_ds)
     if test_ds.num_classes > 0:
-        test_metric = accuracy(model, theta, test_ds.full_batch())
+        test_metric = accuracy(model, theta, test_ds)
     else:
-        test_metric = forward_loss(model, theta, test_ds.full_batch())
+        test_metric = forward_loss(model, theta, test_ds)
     return train_loss, test_metric
 
 

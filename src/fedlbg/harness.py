@@ -4,11 +4,13 @@ ledger accounting, CSV emission, and the command-line interface.
 Config files are line-oriented ``key = value`` with ``#`` comments and
 sections ``[model] [data] [train] [lbgm] [compress]``. Every key is
 validated against a schema; unknown or duplicate keys and out-of-range
-values are rejected with the offending key and line number.
+values are rejected with the offending key and line number (or the
+command-line override that set it).
 """
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,7 +144,7 @@ _SECTIONS = ("model", "data", "train", "lbgm", "compress")
 
 
 def _parse_pairs(text: str) -> dict:
-    """Split config text into {(section, key): (raw value, line number)}."""
+    """Split config text into {(section, key): (raw value, where it was set)}."""
     pairs = {}
     section = ""
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -162,22 +164,22 @@ def _parse_pairs(text: str) -> dict:
             raise ConfigError(f"unknown key {where}{key} (line {lineno})")
         if (section, key) in pairs:
             raise ConfigError(f"duplicate key {key} (line {lineno})")
-        pairs[(section, key)] = (raw, lineno)
+        pairs[(section, key)] = (raw, f"line {lineno}")
     return pairs
 
 
 def _build_config(pairs: dict) -> ExperimentConfig:
     values = {}
-    for (section, key), (raw, lineno) in pairs.items():
+    for (section, key), (raw, where) in pairs.items():
         field, parser, check, req = _SCHEMA[(section, key)]
         try:
             value = parser(raw)
         except ValueError:
             raise ConfigError(
-                f"{key}: cannot parse {raw!r} as {parser.__name__} (line {lineno})"
+                f"{key}: cannot parse {raw!r} as {parser.__name__} ({where})"
             ) from None
         if not check(value):
-            raise ConfigError(f"{key}: value {raw!r} must be {req} (line {lineno})")
+            raise ConfigError(f"{key}: value {raw!r} must be {req} ({where})")
         values[field] = value
     if "algorithm" not in values:
         raise ConfigError("missing required key: algorithm")
@@ -204,7 +206,7 @@ def apply_overrides(pairs: dict, overrides) -> dict:
         section, _, key = path.rpartition(".")
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"override names unknown key {path!r}")
-        merged[(section, key)] = (raw, 0)
+        merged[(section, key)] = (raw, f"--override {item}")
     return merged
 
 
@@ -230,9 +232,21 @@ def policy_for(cfg: ExperimentConfig, model):
     )
 
 
+@contextmanager
+def _building():
+    """Report a ValueError raised while an experiment is built from its
+    config (bad data, or settings that do not fit it) as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
-    """Build the experiment and its uplink policy, then run every round."""
-    setup = fl_core.build_experiment(cfg)
+    """Build the experiment and its uplink policy, then run every round.
+    Errors found while building raise ConfigError."""
+    with _building():
+        setup = fl_core.build_experiment(cfg)
     fraction = cfg.sample_fraction if cfg.algorithm == "lbgm_sampled" else None
     return fl_core.run_with_policy(setup, policy_for(cfg, setup.model), fraction)
 
@@ -269,19 +283,20 @@ def _matrix_csv(mat: np.ndarray) -> str:
 
 
 def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
-    train_ds, _ = build_datasets(cfg)
-    model, (train_ds,) = fl_core.fit_targets(cfg, (train_ds,))
+    with _building():
+        train_ds, _ = build_datasets(cfg)
+        model, (train_ds,) = fl_core.fit_targets(cfg, (train_ds,))
     rng = RngStream(cfg.seed, 0).generator()
-    log_, progression = analyzer.record_centralized(
+    grads, progression = analyzer.record_centralized(
         model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng
     )
     lines = ["epoch,n95,n99"]
     lines += [f"{e},{n95},{n99}" for e, n95, n99 in progression]
     _write(out_dir / "npca.csv", "\n".join(lines) + "\n")
-    if log_.grads:
-        dirs = analyzer.pgd(log_, 0.99)
-        _write(out_dir / "overlap.csv", _matrix_csv(analyzer.overlap_matrix(log_, dirs)))
-        _write(out_dir / "similarity.csv", _matrix_csv(analyzer.similarity_matrix(log_)))
+    if len(grads):
+        dirs = analyzer.pgd(grads, 0.99)
+        _write(out_dir / "overlap.csv", _matrix_csv(analyzer.overlap_matrix(grads, dirs)))
+        _write(out_dir / "similarity.csv", _matrix_csv(analyzer.similarity_matrix(grads)))
     else:
         _write(out_dir / "overlap.csv", "")
         _write(out_dir / "similarity.csv", "")
@@ -325,8 +340,9 @@ def _run_federated(cfg: ExperimentConfig, out_dir: Path) -> int:
 def run(cfg: ExperimentConfig) -> int:
     """Run one experiment, write its output files, print a summary.
 
-    Returns the exit status: 0 on success, 1 on an I/O error, 3 when the run
-    diverges (a federated run keeps the rows of its completed rounds).
+    Returns the exit status: 0 on success, 1 on an I/O error, 2 on bad data
+    or settings found while building the experiment, 3 when the run diverges
+    (a federated run keeps the rows of its completed rounds).
     """
     try:
         out_dir = Path(cfg.out)
@@ -340,6 +356,9 @@ def run(cfg: ExperimentConfig) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except FloatingPointError as exc:  # the analyzer keeps no partial output
         print(f"error: run diverged: {exc}", file=sys.stderr)
         return 3
@@ -366,13 +385,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        pairs = _parse_pairs(Path(args.config).read_text())
-        overrides = list(args.override)
+        pairs = apply_overrides(_parse_pairs(Path(args.config).read_text()), args.override)
         if args.seed is not None:
-            overrides.append(f"seed={args.seed}")
+            pairs[("", "seed")] = (str(args.seed), f"--seed {args.seed}")
         if args.out is not None:
-            overrides.append(f"out={args.out}")
-        cfg = _build_config(apply_overrides(pairs, overrides))
+            pairs[("", "out")] = (args.out, f"--out {args.out}")
+        cfg = _build_config(pairs)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

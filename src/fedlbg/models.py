@@ -8,9 +8,8 @@ Three kinds are supported:
 * ``mlp1h`` — one tanh hidden layer followed by softmax cross-entropy.
 
 Parameters live in a single flat float64 vector. The flatten order is
-fixed: layer by layer, weight matrix (row-major) then bias. Both the
-gradient-space analyzer and the per-layer compressors rely on these
-stable index blocks.
+fixed: layer by layer, weight matrix (row-major) then bias. The
+per-layer compressors rely on these stable index blocks.
 
 Per-sample contributions are reduced in a canonical order derived from
 the sample content (bytewise sort of label + input rows), so loss and
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset
 from .numerics import ParamVector, check_finite
 
 MODEL_KINDS = ("linear_regression", "softmax_classifier", "mlp1h")
@@ -34,12 +34,6 @@ class Model:
     hidden_dim: int
     param_dim: int
     layer_shapes: tuple  # ((rows, cols), ...) in flatten order
-
-
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray  # (n, input_dim) float64
-    labels: np.ndarray  # (n,) int64 class indices or (n, output_dim) float64 targets
 
 
 def build_model(kind: str, input_dim: int, output_dim: int, hidden_dim: int = 64) -> Model:
@@ -91,7 +85,7 @@ def init_params(model: Model, rng: np.random.Generator) -> ParamVector:
     return pack(blocks)
 
 
-def _canonical_order(batch: Batch) -> np.ndarray:
+def _canonical_order(batch: Dataset) -> np.ndarray:
     """Permutation putting samples into a content-derived canonical order.
 
     Sorting rows bytewise (labels first, then inputs) gives a total order
@@ -108,9 +102,10 @@ def _canonical_order(batch: Batch) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _ordered(batch: Batch) -> Batch:
+def _ordered(batch: Dataset):
+    """(inputs, labels) of the batch, sorted into canonical order."""
     order = _canonical_order(batch)
-    return Batch(batch.inputs[order], np.asarray(batch.labels)[order])
+    return batch.inputs[order], np.asarray(batch.labels)[order]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -137,22 +132,16 @@ def _forward(model: Model, theta: ParamVector, inputs: np.ndarray):
     return None, inputs @ w + b
 
 
-def predictions(model: Model, theta: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Raw model outputs (logits for classifiers, fitted values otherwise)."""
-    _, out = _forward(model, theta, np.asarray(inputs, dtype=np.float64))
-    return out
-
-
-def forward_loss(model: Model, theta: ParamVector, batch: Batch) -> float:
+def forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
     """Mean loss over the batch (MSE or cross-entropy by model kind)."""
-    batch = _ordered(batch)
-    n = batch.inputs.shape[0]
-    _, out = _forward(model, theta, batch.inputs)
+    x, y = _ordered(batch)
+    n = x.shape[0]
+    _, out = _forward(model, theta, x)
     if model.kind == "linear_regression":
-        targets = np.asarray(batch.labels, dtype=np.float64).reshape(n, -1)
+        targets = np.asarray(y, dtype=np.float64).reshape(n, -1)
         per_sample = 0.5 * np.sum((out - targets) ** 2, axis=1)
     else:
-        labels = np.asarray(batch.labels, dtype=np.int64)
+        labels = np.asarray(y, dtype=np.int64)
         z = out - out.max(axis=1, keepdims=True)
         log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         per_sample = -log_probs[np.arange(n), labels]
@@ -162,18 +151,17 @@ def forward_loss(model: Model, theta: ParamVector, batch: Batch) -> float:
     return loss
 
 
-def gradient(model: Model, theta: ParamVector, batch: Batch) -> ParamVector:
+def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
     """Gradient of forward_loss w.r.t. the flat parameter vector."""
-    batch = _ordered(batch)
-    n = batch.inputs.shape[0]
-    x = batch.inputs
+    x, y = _ordered(batch)
+    n = x.shape[0]
     hidden, out = _forward(model, theta, x)
 
     if model.kind == "linear_regression":
-        targets = np.asarray(batch.labels, dtype=np.float64).reshape(n, -1)
+        targets = np.asarray(y, dtype=np.float64).reshape(n, -1)
         delta = (out - targets) / n
     else:
-        labels = np.asarray(batch.labels, dtype=np.int64)
+        labels = np.asarray(y, dtype=np.int64)
         delta = (_softmax(out) - one_hot(labels, model.output_dim)) / n
 
     if model.kind == "mlp1h":
@@ -191,7 +179,7 @@ def gradient(model: Model, theta: ParamVector, batch: Batch) -> ParamVector:
     return check_finite(g, "gradient")
 
 
-def fd_check(model: Model, theta: ParamVector, batch: Batch, eps: float) -> float:
+def fd_check(model: Model, theta: ParamVector, batch: Dataset, eps: float) -> float:
     """Max relative error of the analytic gradient vs central differences."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -208,8 +196,8 @@ def fd_check(model: Model, theta: ParamVector, batch: Batch, eps: float) -> floa
     return float(np.max(np.abs(g - fd) / denom))
 
 
-def accuracy(model: Model, theta: ParamVector, batch: Batch) -> float:
+def accuracy(model: Model, theta: ParamVector, batch: Dataset) -> float:
     """Fraction of correctly classified samples (classifiers only)."""
-    logits = predictions(model, theta, batch.inputs)
+    _, logits = _forward(model, theta, batch.inputs)
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == np.asarray(batch.labels, dtype=np.int64)))

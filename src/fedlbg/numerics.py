@@ -6,6 +6,7 @@ accumulation order is fixed for a given shape/layout, so repeated runs of
 the same configuration are bit-identical.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,20 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
 
     The denominator is sqrt(na * nb) rather than sqrt(na) * sqrt(nb): with
     round-to-nearest, sqrt(x * x) == x, so the self-similarity of any
-    nonzero vector is exactly 1. Zero-norm inputs are a hard error; callers
-    that can see zero gradients must handle them before asking for an angle.
+    nonzero vector is exactly 1. When na * nb under- or overflows, both
+    vectors are first scaled by powers of two to a largest entry in
+    [0.5, 1), which is exact and leaves the angle unchanged. Zero-norm
+    inputs are a hard error; callers that can see zero gradients must
+    handle them before asking for an angle.
     """
     na = norm_sq(a)
     nb = norm_sq(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine_sim is undefined for zero-norm vectors")
+    if not sys.float_info.min <= na * nb <= sys.float_info.max:  # not a normal float
+        a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+        b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
+        na, nb = norm_sq(a), norm_sq(b)
     c = dot(a, b) / np.sqrt(na * nb)
     return float(min(1.0, max(-1.0, c)))
 

@@ -11,11 +11,11 @@ import time
 import numpy as np
 
 from fedlbg import analyzer, compressors, harness
-from fedlbg.data import synth_classification
+from fedlbg.data import Dataset, synth_classification
 from fedlbg.fl_core import aggregate, build_experiment, local_round, run_with_policy
 from fedlbg.harness import ExperimentConfig, ledger_cost, policy_for, simulate
 from fedlbg.lbgm import LbgmPolicy, lbc, lbp_error, reconstruct
-from fedlbg.models import Batch, build_model, fd_check, gradient, init_params
+from fedlbg.models import build_model, fd_check, gradient, init_params
 from fedlbg.numerics import RngStream, axpy, dot, norm_sq
 
 _cache = {}
@@ -83,10 +83,9 @@ def test_c03_centralized_recovery():
                             batch_size=0, n=500, test_n=100, partition_mode="iid")
     setup = build_experiment(cfg)
     theta = setup.server.theta_global.copy()
-    full = setup.train_ds.full_batch()
     centralized = [theta.copy()]
     for _ in range(100):
-        theta = axpy(-setup.round_config.eta, gradient(setup.model, theta, full), theta)
+        theta = axpy(-setup.round_config.eta, gradient(setup.model, theta, setup.train_ds), theta)
         centralized.append(theta.copy())
 
     replay = build_experiment(cfg)
@@ -112,7 +111,8 @@ def test_c04_gradient_correctness():
             theta = init_params(model, rng)
             ds = synth_classification(6, 5, 3, 3.0, rng)
             labels = ds.labels if kind != "linear_regression" else rng.standard_normal((6, 3))
-            err = fd_check(model, theta, Batch(ds.inputs, labels), 1e-5)
+            classes = 0 if kind == "linear_regression" else 3
+            err = fd_check(model, theta, Dataset(ds.inputs, labels, classes), 1e-5)
             worst[kind] = max(worst[kind], err)
     ok = all(v < 1e-4 for v in worst.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
@@ -225,22 +225,22 @@ def test_c10_low_rank_gradient_space():
     data_rng = RngStream(0, 2**40).generator()
     ds = synth_classification(1500, 20, 10, 6.0, data_rng)
     model = build_model("mlp1h", 20, 10, 32)
-    log, progression = analyzer.record_centralized(
+    grads, progression = analyzer.record_centralized(
         model, ds, 100, 0.05, 512, RngStream(0, 0).generator()
     )
-    n95 = analyzer.n_pca(log, 0.95)
-    n99 = analyzer.n_pca(log, 0.99)
+    n95 = analyzer.n_pca(grads, 0.95)
+    n99 = analyzer.n_pca(grads, 0.99)
 
     prefix_ok = True
     for t, p95, p99 in progression:
-        prefix = analyzer.GradientLog(log.grads[: t + 1])
+        prefix = grads[: t + 1]
         prefix_ok = prefix_ok and (p95 == analyzer.n_pca(prefix, 0.95))
         prefix_ok = prefix_ok and (p99 == analyzer.n_pca(prefix, 0.99))
         prefix_ok = prefix_ok and (p95 <= p99 <= min(t + 1, model.param_dim))
     n99s = [p99 for _, _, p99 in progression]
     grows_weakly = all(b >= a for a, b in zip(n99s[:-1], n99s[1:]))
 
-    dirs = analyzer.pgd(log, 0.99)
+    dirs = analyzer.pgd(grads, 0.99)
     v = np.stack(dirs)
     ortho = float(np.abs(v @ v.T - np.eye(len(dirs))).max())
 

@@ -10,7 +10,7 @@ from fedlbg.data import (
     partition,
     synth_classification,
 )
-from fedlbg.models import Batch, build_model, gradient, accuracy
+from fedlbg.models import build_model, gradient, accuracy
 from fedlbg.numerics import RngStream, axpy
 
 
@@ -73,22 +73,20 @@ def test_synth_separated_blobs_are_learnable():
     ds = synth_classification(200, 2, 2, 10.0, RngStream(1, 9).generator())
     model = build_model("softmax_classifier", 2, 2)
     theta = np.zeros(model.param_dim)
-    batch = Batch(ds.inputs, ds.labels)
     for _ in range(200):
-        theta = axpy(-0.5, gradient(model, theta, batch), theta)
-    assert accuracy(model, theta, batch) >= 0.99
+        theta = axpy(-0.5, gradient(model, theta, ds), theta)
+    assert accuracy(model, theta, ds) >= 0.99
 
 
 def test_synth_zero_separation_is_chance_level():
     ds = synth_classification(400, 3, 4, 0.0, RngStream(2, 9).generator())
     model = build_model("softmax_classifier", 3, 4)
     theta = np.zeros(model.param_dim)
-    batch = Batch(ds.inputs, ds.labels)
     for _ in range(200):
-        theta = axpy(-0.5, gradient(model, theta, batch), theta)
+        theta = axpy(-0.5, gradient(model, theta, ds), theta)
     # no signal: accuracy hovers at 1/classes on fresh data
     fresh = synth_classification(400, 3, 4, 0.0, RngStream(3, 9).generator())
-    acc = accuracy(model, theta, Batch(fresh.inputs, fresh.labels))
+    acc = accuracy(model, theta, fresh)
     assert acc < 0.40
 
 
@@ -161,6 +159,8 @@ def test_partition_errors():
         partition(ds, 2, "label_shard(6)", rng)
     with pytest.raises(ValueError, match="covers only"):
         partition(ds, 2, "label_shard(2)", rng)  # 4 of 5 labels
+    with pytest.raises(ValueError, match="leaves worker 5 without samples"):
+        partition(ds, 10, "label_shard(2)", rng)  # 2 samples per label, 4 holders
     regression = Dataset(ds.inputs, ds.inputs.copy(), 0)
     with pytest.raises(ValueError, match="classification"):
         partition(regression, 2, "label_shard(2)", rng)

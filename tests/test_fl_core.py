@@ -36,7 +36,7 @@ def test_local_round_tau_one_full_batch_is_single_gradient():
     worker = make_worker(2)
     theta0 = np.array([1.0, 0.0])
     g = local_round(worker, theta0, RoundConfig(0.1, 1, 0), model, ds)
-    expected = gradient(model, theta0, ds.full_batch())
+    expected = gradient(model, theta0, ds)
     assert np.array_equal(g, expected)
     assert np.array_equal(worker.theta_local, axpy(-0.1, expected, theta0))
 
@@ -176,9 +176,8 @@ def test_centralized_recovery_single_worker_full_batch():
     cfg = base_config(workers=1, rounds=20, tau=1, batch_size=0, model_kind="mlp1h")
     setup = build_experiment(cfg)
     theta = setup.server.theta_global.copy()
-    full = setup.train_ds.full_batch()
     for _ in range(20):
-        theta = axpy(-setup.round_config.eta, gradient(setup.model, theta, full), theta)
+        theta = axpy(-setup.round_config.eta, gradient(setup.model, theta, setup.train_ds), theta)
 
     replay = build_experiment(cfg)
     policy = LbgmPolicy(None)

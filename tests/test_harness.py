@@ -1,10 +1,12 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedlbg import analyzer
 from fedlbg.compressors import rank_r, sign_compress, topk
+from fedlbg.data import Dataset
 from fedlbg.fl_core import build_datasets
 from fedlbg.harness import (
     ConfigError,
@@ -14,11 +16,14 @@ from fedlbg.harness import (
     main,
     parse_config,
     run,
+    _build_config,
     _parse_pairs,
 )
 from fedlbg.lbgm import DensePayload, UplinkMessage
-from fedlbg.models import Batch, build_model, gradient, init_params
+from fedlbg.models import build_model, gradient, init_params
 from fedlbg.numerics import RngStream
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 algorithm = lbgm
@@ -102,8 +107,6 @@ def test_overrides_replace_values():
     cfg = parse_config(MINIMAL)
     assert cfg.rounds == 2
     merged = apply_overrides(pairs, ["train.rounds=9", "seed=3", "lbgm.delta=0.5"])
-    from fedlbg.harness import _build_config
-
     cfg2 = _build_config(merged)
     assert cfg2.rounds == 9 and cfg2.seed == 3 and cfg2.delta == 0.5
 
@@ -114,6 +117,25 @@ def test_overrides_reject_unknown_and_malformed():
         apply_overrides(pairs, ["train.momentum=0.9"])
     with pytest.raises(ConfigError, match="not key=value"):
         apply_overrides(pairs, ["trainrounds9"])
+    # a bad value names the override that set it, not a line of the file
+    pairs = apply_overrides(_parse_pairs(MINIMAL), ["train.eta=-1"])
+    with pytest.raises(ConfigError, match=r"eta: value '-1' must be > 0 \(--override train.eta=-1\)$"):
+        _build_config(pairs)
+    pairs = apply_overrides(_parse_pairs(MINIMAL), ["train.workers=ten"])
+    with pytest.raises(ConfigError, match=r"cannot parse 'ten' as int \(--override train.workers=ten\)$"):
+        _build_config(pairs)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--override", "train.eta=-1"], "eta: value '-1' must be > 0 (--override train.eta=-1)"),
+    (["--seed", "-1"], "seed: value '-1' must be >= 0 (--seed -1)"),
+    (["--out", ""], "out: value '' must be non-empty (--out )"),
+])
+def test_cli_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(MINIMAL)
+    assert main(["run", str(config_path), *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_ledger_cost_table():
@@ -302,6 +324,63 @@ def test_run_on_idx_dataset_with_subset(tmp_path):
     assert len(ledger) == 1 + 2 * 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    ([str(CONFIGS / "vanilla_noniid.cfg"), "--override", "data.n=5"],
+     "cannot split 5 samples across 10 workers"),
+    ([str(CONFIGS / "vanilla_noniid.cfg"), "--override", "data.n=10"],
+     "label_shard(3) leaves worker 4 without samples"),
+    (["--override", "train.partition=label_shard(5)"],
+     "label_shard(5) exceeds the 3 available labels"),
+    (["--override", "train.workers=50", "--override", "data.n=20"],
+     "cannot split 20 samples across 50 workers"),
+    (["--override", "algorithm=centralized_analyze", "--override", "data.n=1",
+      "--override", "data.test_n=1"], "need n >= classes, got n=2 classes=3"),
+])
+def test_cli_bad_setup_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    # errors found while building the experiment are bad input, not crashes
+    if not argv[0].endswith(".cfg"):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(MINIMAL)
+        argv = [str(config_path), *argv]
+    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def idx_argv(tmp_path, train_labels, test_labels, images=None):
+    """`run` arguments for a vanilla config on an IDX pair of 2x2 images."""
+    rng = np.random.default_rng(0)
+    img, lab = write_idx_pair(
+        tmp_path, list(rng.integers(0, 256, size=4 * len(train_labels), dtype=np.uint8)),
+        train_labels, "train")
+    timg, tlab = write_idx_pair(
+        tmp_path, list(rng.integers(0, 256, size=4 * len(test_labels), dtype=np.uint8)),
+        test_labels, "test")
+    config_path = tmp_path / "idx.cfg"
+    config_path.write_text(
+        f"algorithm = vanilla\nout = {tmp_path / 'out'}\n[data]\nkind = idx\n"
+        f"images = {images or img}\nlabels = {lab}\n"
+        f"test_images = {timg}\ntest_labels = {tlab}\n"
+        "[train]\nworkers = 2\nrounds = 1\nbatch_size = 5\n"
+    )
+    return ["run", str(config_path)], tlab
+
+
+def test_cli_idx_bad_magic_exits_2_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad-images.idx"
+    bad.write_bytes(b"\x00\x00\x08\x01" + bytes(12))
+    argv, _ = idx_argv(tmp_path, [0, 1] * 5, [0, 1], images=bad)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}: bad magic 0x00000801 at byte 0, expected 0x00000803"]
+
+
+def test_cli_idx_test_label_outside_training_classes_exits_2(tmp_path, capsys):
+    argv, tlab = idx_argv(tmp_path, [0, 1, 2] * 4, [0, 1, 2, 5, 4])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tlab}: label 5 is not one of the 3 training classes"]
+
+
 def test_regression_on_idx_test_set_missing_a_class(tmp_path):
     # one-hot test targets are as wide as the model's output even when the
     # test labels stop short of the training set's highest class
@@ -333,13 +412,13 @@ def test_linear_regression_fits_one_hot_targets(tmp_path):
 def test_analyzer_regression_fits_one_hot_targets(tmp_path, monkeypatch):
     # the analyzer fits the targets a federated run fits: one-hot class
     # vectors for linear regression on labelled data
-    logs = []
+    stacks = []
     record = analyzer.record_centralized
 
     def spy(*args):
-        log_, progression = record(*args)
-        logs.append(log_)
-        return log_, progression
+        grads, progression = record(*args)
+        stacks.append(grads)
+        return grads, progression
 
     monkeypatch.setattr(analyzer, "record_centralized", spy)
     cfg = ExperimentConfig(
@@ -350,5 +429,5 @@ def test_analyzer_regression_fits_one_hot_targets(tmp_path, monkeypatch):
     train_ds, _ = build_datasets(cfg)
     model = build_model("linear_regression", 4, 3)
     theta0 = init_params(model, RngStream(cfg.seed, 0).generator())
-    one_hot = Batch(train_ds.inputs, np.eye(3)[train_ds.labels])
-    assert np.array_equal(logs[0].grads[0], gradient(model, theta0, one_hot))
+    one_hot = Dataset(train_ds.inputs, np.eye(3)[train_ds.labels], 0)
+    assert np.array_equal(stacks[0][0], gradient(model, theta0, one_hot))

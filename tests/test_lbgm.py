@@ -116,6 +116,11 @@ def test_decide_message_delta_one_always_scalar():
 def test_decide_message_delta_zero_sends_full_unless_collinear():
     assert decide(vec(1, 2), vec(1, 0), 0.0).tag == TAG_PAYLOAD
     assert decide(vec(2, 4), vec(1, 2), 0.0).tag == TAG_SCALAR  # exact collinear
+    # ||g||^2 * ||lbg||^2 under- or overflows; the angle is still 45 degrees
+    for scale in (1e-100, 1e80):
+        g, lbg = scale * vec(1, 0), scale * vec(1, 1)
+        assert lbp_error(g, lbg) == pytest.approx(0.5, rel=1e-15)
+        assert decide(g, lbg, 0.0).tag == TAG_PAYLOAD
 
 
 def test_decide_message_zero_gradient_sends_zero_scalar():

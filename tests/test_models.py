@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fedlbg.data import synth_classification
+from fedlbg.data import Dataset, synth_classification
 from fedlbg.models import (
-    Batch,
     accuracy,
     build_model,
     fd_check,
@@ -23,8 +22,7 @@ MLP_FIXTURE_LOSS = 1.0258429857810363
 
 
 def small_batch(rng, n, d, classes):
-    ds = synth_classification(n, d, classes, 4.0, rng)
-    return Batch(ds.inputs, ds.labels)
+    return synth_classification(n, d, classes, 4.0, rng)
 
 
 def test_param_dim_and_layer_shapes():
@@ -49,7 +47,7 @@ def test_pack_unpack_roundtrip():
 def test_linear_zero_loss_at_zero_targets():
     m = build_model("linear_regression", 3, 2)
     theta = np.zeros(m.param_dim)
-    batch = Batch(np.ones((4, 3)), np.zeros((4, 2)))
+    batch = Dataset(np.ones((4, 3)), np.zeros((4, 2)), 0)
     assert forward_loss(m, theta, batch) == 0.0
 
 
@@ -63,8 +61,7 @@ def test_softmax_uniform_loss_is_ln2():
 def test_mlp_forward_matches_straightline_oracle():
     model = build_model("mlp1h", 6, 3, 5)
     theta = init_params(model, RngStream(0, 0).generator())
-    ds = synth_classification(4, 6, 3, 4.0, RngStream(0, 1).generator())
-    batch = Batch(ds.inputs, ds.labels)
+    batch = synth_classification(4, 6, 3, 4.0, RngStream(0, 1).generator())
 
     w1, b1, w2, b2 = unpack(model, theta)
     total = 0.0
@@ -92,7 +89,7 @@ def test_gradient_zero_at_consistent_optimum():
     inputs = rng.standard_normal((5, 3))
     w, b = unpack(m, theta)
     targets = inputs @ w + b
-    g = gradient(m, theta, Batch(inputs, targets))
+    g = gradient(m, theta, Dataset(inputs, targets, 0))
     assert np.array_equal(g, np.zeros(m.param_dim))
 
 
@@ -104,11 +101,11 @@ def test_gradient_mean_invariant_under_duplication():
         theta = init_params(m, RngStream(3, 0).generator())
         x = np.array([[1.0, 2.0, -1.0]])
         y = np.array([[1.0, 0.0]]) if kind == "linear_regression" else np.array([0])
-        single = gradient(m, theta, Batch(x, y))
+        classes = 0 if kind == "linear_regression" else 2
+        single = gradient(m, theta, Dataset(x, y, classes))
         for copies in (2, 3, 8):
-            dup = gradient(
-                m, theta, Batch(np.repeat(x, copies, axis=0), np.repeat(y, copies, axis=0))
-            )
+            dup = gradient(m, theta, Dataset(np.repeat(x, copies, axis=0),
+                                             np.repeat(y, copies, axis=0), classes))
             np.testing.assert_allclose(dup, single, rtol=1e-12, atol=1e-15, err_msg=kind)
 
 
@@ -119,9 +116,10 @@ def test_loss_and_gradient_invariant_under_batch_permutation():
         theta = init_params(m, rng)
         ds = synth_classification(12, 4, 3, 3.0, rng)
         labels = ds.labels if kind != "linear_regression" else rng.standard_normal((12, 3))
-        batch = Batch(ds.inputs, labels)
+        classes = 0 if kind == "linear_regression" else 3
+        batch = Dataset(ds.inputs, labels, classes)
         perm = rng.permutation(12)
-        shuffled = Batch(ds.inputs[perm], np.asarray(labels)[perm])
+        shuffled = Dataset(ds.inputs[perm], np.asarray(labels)[perm], classes)
         assert forward_loss(m, theta, batch) == forward_loss(m, theta, shuffled)
         assert np.array_equal(gradient(m, theta, batch), gradient(m, theta, shuffled))
 
@@ -132,8 +130,8 @@ def test_gradient_scales_with_targets_at_origin():
     rng = RngStream(5, 0).generator()
     inputs = rng.standard_normal((6, 3))
     targets = rng.standard_normal((6, 2))
-    g1 = gradient(m, theta, Batch(inputs, targets))
-    g3 = gradient(m, theta, Batch(inputs, 3.0 * targets))
+    g1 = gradient(m, theta, Dataset(inputs, targets, 0))
+    g3 = gradient(m, theta, Dataset(inputs, 3.0 * targets, 0))
     np.testing.assert_allclose(g3, 3.0 * g1, rtol=1e-12, atol=1e-15)
 
 
@@ -147,14 +145,15 @@ def test_fd_check_bounds(kind, bound):
         theta = init_params(m, rng)
         ds = synth_classification(6, 5, 3, 3.0, rng)
         labels = ds.labels if kind != "linear_regression" else rng.standard_normal((6, 3))
-        err = fd_check(m, theta, Batch(ds.inputs, labels), 1e-5)
+        classes = 0 if kind == "linear_regression" else 3
+        err = fd_check(m, theta, Dataset(ds.inputs, labels, classes), 1e-5)
         assert err < bound, f"{kind} draw {draw}: fd error {err}"
 
 
 def test_fd_check_rejects_bad_eps():
     m = build_model("linear_regression", 2, 1)
     with pytest.raises(ValueError, match="eps"):
-        fd_check(m, np.zeros(m.param_dim), Batch(np.ones((1, 2)), np.zeros((1, 1))), 0.0)
+        fd_check(m, np.zeros(m.param_dim), Dataset(np.ones((1, 2)), np.zeros((1, 1)), 0), 0.0)
 
 
 def test_theta_dimension_checked():
@@ -174,6 +173,6 @@ def test_init_params_deterministic_and_bounded():
 
 def test_accuracy_on_separable_data():
     m = build_model("softmax_classifier", 2, 2)
-    batch = Batch(np.array([[5.0, 0.0], [-5.0, 0.0]]), np.array([0, 1]))
+    batch = Dataset(np.array([[5.0, 0.0], [-5.0, 0.0]]), np.array([0, 1]), 2)
     theta = pack([np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros((1, 2))])
     assert accuracy(m, theta, batch) == 1.0

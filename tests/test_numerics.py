@@ -34,6 +34,12 @@ def test_cosine_examples():
     assert cosine_sim(vec(2, 0), vec(5, 0)) == 1.0
     assert cosine_sim(vec(1, 0), vec(0, 3)) == 0.0
     assert cosine_sim(vec(1, 1), vec(1, 0)) == 0.7071067811865475  # 1/sqrt(2)
+    # na * nb under- and overflows; the powers of ten themselves round, so
+    # the scaled cases agree to an ulp
+    for scale in (1e-100, 1e80):
+        for a, b in ((vec(1, 1), vec(1, 0)), (vec(1, 0), vec(1, 1))):
+            c = cosine_sim(scale * a, scale * b)
+            assert c == pytest.approx(0.7071067811865475, rel=1e-15, abs=0.0)
 
 
 def test_cosine_zero_norm_is_hard_error():
@@ -46,6 +52,8 @@ def test_cosine_self_similarity_is_exactly_one():
     for _ in range(200):
         a = rng.standard_normal(int(rng.integers(1, 40))) * 10 ** float(rng.integers(-6, 7))
         assert cosine_sim(a, a.copy()) == 1.0
+        for scale in (1e-100, 1e80):  # na * nb under- and overflows
+            assert cosine_sim(scale * a, scale * a) == 1.0
 
 
 def test_cosine_bounded():
