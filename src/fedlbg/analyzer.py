@@ -144,7 +144,7 @@ def record_centralized(
     row per epoch so the per-epoch PCA costs stay linear in M.
     """
     n = dataset.n
-    worker = WorkerState(0, np.arange(n), model.param_dim, rng)
+    worker = WorkerState(0, np.arange(n), rng)
     theta = init_params(model, rng)
     size = n if batch_size <= 0 else batch_size
     cfg = RoundConfig(eta, max(1, math.ceil(n / size)), batch_size)
@@ -153,9 +153,8 @@ def record_centralized(
     gram = np.zeros((epochs, epochs))
     progression = []
     for epoch in range(epochs):
-        grads[epoch] = local_round(worker, theta, cfg, model, dataset)
+        grads[epoch], theta = local_round(worker, theta, cfg, model, dataset)
         g = grads[epoch]
-        theta = worker.theta_local
         cross = [float(np.dot(prev, g)) for prev in grads[:epoch]]
         gram[epoch, :epoch] = gram[:epoch, epoch] = cross
         gram[epoch, epoch] = float(np.dot(g, g))

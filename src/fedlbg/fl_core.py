@@ -24,7 +24,7 @@ from .numerics import (
     STREAM_SERVER,
     ParamVector,
     RngStream,
-    axpy,
+    check_finite,
     norm_sq,
 )
 
@@ -43,12 +43,11 @@ class RoundConfig:
 
 
 class WorkerState:
-    """Per-worker mutable state: shard, local model, LBG, EF residual, RNG."""
+    """Per-worker mutable state: shard, LBG, EF residual, RNG."""
 
-    def __init__(self, worker_id: int, shard: np.ndarray, dim: int, rng: np.random.Generator):
+    def __init__(self, worker_id: int, shard: np.ndarray, rng: np.random.Generator):
         self.worker_id = worker_id
         self.shard = np.asarray(shard, dtype=np.int64)
-        self.theta_local = np.zeros(dim)
         self.lbg: Optional[ParamVector] = None
         self.ef_residual: Optional[ParamVector] = None
         self.rng = rng
@@ -72,7 +71,6 @@ class ServerState:
     def __init__(self, theta_global: ParamVector):
         self.theta_global = theta_global
         self.lbg_copies: dict = {}
-        self.round = 0
 
 
 def local_round(
@@ -81,12 +79,13 @@ def local_round(
     cfg: RoundConfig,
     model: Model,
     dataset: Dataset,
-) -> ParamVector:
+) -> tuple:
     """Run tau local SGD steps from the broadcast model.
 
-    Returns the accumulated stochastic gradient (sum, not mean, of the tau
-    minibatch gradients) and leaves the stepped parameters in
-    worker.theta_local.
+    Returns (g_sum, theta): the accumulated stochastic gradient (sum, not
+    mean, of the tau minibatch gradients) and the stepped parameters. A
+    non-finite value stays non-finite in both running sums, so they are
+    checked once, after the last step.
     """
     if len(worker.shard) == 0:
         raise ValueError(f"worker {worker.worker_id} has an empty shard")
@@ -95,10 +94,9 @@ def local_round(
     for _ in range(cfg.tau):
         batch = worker.next_batch(dataset, cfg.batch_size)
         g = gradient(model, theta, batch)
-        theta = axpy(-cfg.eta, g, theta)
+        theta = theta - cfg.eta * g
         g_sum = g_sum + g
-    worker.theta_local = theta
-    return g_sum
+    return check_finite(g_sum, "accumulated gradient"), check_finite(theta, "local model")
 
 
 def aggregate(server: ServerState, grads: dict, weights, eta: float, transform=None) -> ParamVector:
@@ -115,8 +113,7 @@ def aggregate(server: ServerState, grads: dict, weights, eta: float, transform=N
         acc = acc + weights[k] * g
     if transform is not None:
         acc = transform(acc)
-    server.theta_global = axpy(-eta, acc, server.theta_global)
-    server.round += 1
+    server.theta_global = check_finite(server.theta_global - eta * acc, "server model")
     return server.theta_global
 
 
@@ -228,7 +225,6 @@ class ExperimentSetup:
     weights: dict
     round_config: RoundConfig
     rounds: int
-    monitor_delta_sq: bool
     server_rng: np.random.Generator
 
 
@@ -287,7 +283,7 @@ def build_experiment(exp) -> ExperimentSetup:
     model, (train_ds, test_ds) = fit_targets(exp, (train_ds, test_ds))
 
     worker_states = [
-        WorkerState(k, part.shards[k], model.param_dim, RngStream(exp.seed, k).generator())
+        WorkerState(k, part.shards[k], RngStream(exp.seed, k).generator())
         for k in range(exp.workers)
     ]
     server = ServerState(init_params(model, worker_states[0].rng))
@@ -313,7 +309,6 @@ def build_experiment(exp) -> ExperimentSetup:
         weights=weights,
         round_config=RoundConfig(eta, tau, batch_size),
         rounds=exp.rounds,
-        monitor_delta_sq=exp.monitor_delta_sq,
         server_rng=RngStream(exp.seed, STREAM_SERVER).generator(),
     )
 
@@ -348,15 +343,11 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
 
     ledger = CommLedger()
     metrics = MetricsTable()
-    nan = float("nan")
     t, k = 0, None  # where a non-finite value stops the run
 
     try:
         train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
-        metrics.rows.append(
-            MetricsRow(0, train_loss, test_metric, 0.0, 0.0,
-                       0.0 if setup.monitor_delta_sq else nan)
-        )
+        metrics.rows.append(MetricsRow(0, train_loss, test_metric, 0.0, 0.0, 0.0))
 
         for t in range(1, setup.rounds + 1):
             if sample_fraction is not None:
@@ -372,16 +363,15 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
             g_tilde = {}
             sent = []  # floats per participant, ledgered once the round completes
             n_scalar = 0
-            proxy = 0.0 if setup.monitor_delta_sq else nan
+            proxy = 0.0
             for k in participants:
                 worker = setup.workers[k]
-                g = local_round(worker, server.theta_global, rc, model, setup.train_ds)
+                g, _ = local_round(worker, server.theta_global, rc, model, setup.train_ds)
                 msg, sin2 = policy.process(worker, g)
                 sent.append(msg.cost_floats)
                 if msg.tag == lbgm.TAG_SCALAR:
                     n_scalar += 1
-                if setup.monitor_delta_sq:
-                    proxy = max(proxy, norm_sq(g) / (rc.tau * rc.tau) * sin2)
+                proxy = max(proxy, norm_sq(g) / (rc.tau * rc.tau) * sin2)
                 g_tilde[k] = lbgm.reconstruct(server, k, msg)
             k = None
 

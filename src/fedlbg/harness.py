@@ -72,7 +72,6 @@ class ExperimentConfig:
     partition_mode: str = "iid"
     # [lbgm]
     delta: float = 0.2
-    monitor_delta_sq: bool = True
     sample_fraction: float = 0.5
     # [compress]
     k_frac: float = 0.1
@@ -132,7 +131,6 @@ _SCHEMA = {
     ("train", "eta_rule"): ("eta_rule", str, *_choice("constant", "inv_sqrt_tau_t")),
     ("train", "partition"): ("partition_mode", str, _partition_ok, "iid or label_shard(s)"),
     ("lbgm", "delta"): ("delta", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    ("lbgm", "monitor_delta_sq"): ("monitor_delta_sq", _parse_bool, lambda v: True, ""),
     ("lbgm", "sample_fraction"): ("sample_fraction", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("compress", "k_frac"): ("k_frac", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("compress", "rank"): ("rank", int, lambda v: v >= 1, ">= 1"),

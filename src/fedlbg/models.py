@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numerics import ParamVector, check_finite
+from .numerics import ParamVector
 
 MODEL_KINDS = ("linear_regression", "softmax_classifier", "mlp1h")
 
@@ -171,29 +171,10 @@ def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
         d_hidden = (delta @ w2.T) * (1.0 - hidden**2)
         d_w1 = x.T @ d_hidden
         d_b1 = d_hidden.sum(axis=0, keepdims=True)
-        g = pack([d_w1, d_b1, d_w2, d_b2])
-    else:
-        d_w = x.T @ delta
-        d_b = delta.sum(axis=0, keepdims=True)
-        g = pack([d_w, d_b])
-    return check_finite(g, "gradient")
-
-
-def fd_check(model: Model, theta: ParamVector, batch: Dataset, eps: float) -> float:
-    """Max relative error of the analytic gradient vs central differences."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    g = gradient(model, theta, batch)
-    fd = np.empty_like(g)
-    for i in range(theta.shape[0]):
-        step = np.zeros_like(theta)
-        step[i] = eps
-        fd[i] = (
-            forward_loss(model, theta + step, batch)
-            - forward_loss(model, theta - step, batch)
-        ) / (2.0 * eps)
-    denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
-    return float(np.max(np.abs(g - fd) / denom))
+        return pack([d_w1, d_b1, d_w2, d_b2])
+    d_w = x.T @ delta
+    d_b = delta.sum(axis=0, keepdims=True)
+    return pack([d_w, d_b])
 
 
 def accuracy(model: Model, theta: ParamVector, batch: Dataset) -> float:

@@ -51,14 +51,18 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
 
     The denominator is sqrt(na * nb) rather than sqrt(na) * sqrt(nb): with
     round-to-nearest, sqrt(x * x) == x, so the self-similarity of any
-    nonzero vector is exactly 1. When na * nb under- or overflows, both
-    vectors are first scaled by powers of two to a largest entry in
-    [0.5, 1), which is exact and leaves the angle unchanged. Zero-norm
-    inputs are a hard error; callers that can see zero gradients must
-    handle them before asking for an angle.
+    nonzero vector is exactly 1. When na * nb under- or overflows, or na
+    or nb itself overflows, both vectors are first scaled by powers of two
+    to a largest entry in [0.5, 1), which is exact and leaves the angle
+    unchanged. Zero-norm inputs are a hard error; callers that can see
+    zero gradients must handle them before asking for an angle.
     """
-    na = norm_sq(a)
-    nb = norm_sq(b)
+    try:
+        na, nb = norm_sq(a), norm_sq(b)
+    except FloatingPointError:  # an overflowing squared norm, or a non-finite entry
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise
+        na = nb = np.inf if a.any() and b.any() else 0.0  # inf takes the rescale path
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine_sim is undefined for zero-norm vectors")
     if not sys.float_info.min <= na * nb <= sys.float_info.max:  # not a normal float
@@ -74,13 +78,6 @@ def leads_negative(v: ParamVector) -> bool:
     the sign convention that makes repeated decompositions agree."""
     nz = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
     return len(nz) > 0 and bool(v[nz[0]] < 0)
-
-
-def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """Return y + alpha * x (new array)."""
-    _check_same_dim(x, y)
-    out = y + alpha * x
-    return check_finite(out, "axpy result")
 
 
 @dataclass(frozen=True)

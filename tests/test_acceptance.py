@@ -15,8 +15,9 @@ from fedlbg.data import Dataset, synth_classification
 from fedlbg.fl_core import aggregate, build_experiment, local_round, run_with_policy
 from fedlbg.harness import ExperimentConfig, ledger_cost, policy_for, simulate
 from fedlbg.lbgm import LbgmPolicy, lbc, lbp_error, reconstruct
-from fedlbg.models import build_model, fd_check, gradient, init_params
-from fedlbg.numerics import RngStream, axpy, dot, norm_sq
+from fedlbg.models import build_model, gradient, init_params
+from fedlbg.numerics import RngStream, dot, norm_sq
+from gradcheck import fd_check
 
 _cache = {}
 
@@ -85,15 +86,15 @@ def test_c03_centralized_recovery():
     theta = setup.server.theta_global.copy()
     centralized = [theta.copy()]
     for _ in range(100):
-        theta = axpy(-setup.round_config.eta, gradient(setup.model, theta, setup.train_ds), theta)
+        theta = theta - setup.round_config.eta * gradient(setup.model, theta, setup.train_ds)
         centralized.append(theta.copy())
 
     replay = build_experiment(cfg)
     policy = LbgmPolicy(None)
     ok = np.array_equal(replay.server.theta_global, centralized[0])
     for t in range(100):
-        g = local_round(replay.workers[0], replay.server.theta_global,
-                        replay.round_config, replay.model, replay.train_ds)
+        g, _ = local_round(replay.workers[0], replay.server.theta_global,
+                           replay.round_config, replay.model, replay.train_ds)
         msg, _ = policy.process(replay.workers[0], g)
         g_tilde = reconstruct(replay.server, 0, msg)
         aggregate(replay.server, {0: g_tilde}, replay.weights, replay.round_config.eta)

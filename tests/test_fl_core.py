@@ -13,7 +13,7 @@ from fedlbg.fl_core import (
 from fedlbg.harness import ExperimentConfig, simulate
 from fedlbg.lbgm import LbgmPolicy, reconstruct
 from fedlbg.models import build_model, gradient
-from fedlbg.numerics import RngStream, axpy
+from fedlbg.numerics import RngStream
 
 
 def quadratic_fixture():
@@ -27,43 +27,50 @@ def quadratic_fixture():
     return model, ds
 
 
-def make_worker(n, seed=0, dim=2):
-    return WorkerState(0, np.arange(n), dim, RngStream(seed, 0).generator())
+def make_worker(n, seed=0):
+    return WorkerState(0, np.arange(n), RngStream(seed, 0).generator())
 
 
 def test_local_round_tau_one_full_batch_is_single_gradient():
     model, ds = quadratic_fixture()
     worker = make_worker(2)
     theta0 = np.array([1.0, 0.0])
-    g = local_round(worker, theta0, RoundConfig(0.1, 1, 0), model, ds)
+    g, theta = local_round(worker, theta0, RoundConfig(0.1, 1, 0), model, ds)
     expected = gradient(model, theta0, ds)
     assert np.array_equal(g, expected)
-    assert np.array_equal(worker.theta_local, axpy(-0.1, expected, theta0))
+    assert np.array_equal(theta, theta0 - 0.1 * expected)
 
 
 def test_local_round_stationary_point():
     model, ds = quadratic_fixture()
     worker = make_worker(2)
     theta0 = np.zeros(2)
-    g = local_round(worker, theta0, RoundConfig(0.1, 3, 0), model, ds)
+    g, theta = local_round(worker, theta0, RoundConfig(0.1, 3, 0), model, ds)
     assert np.array_equal(g, np.zeros(2))
-    assert np.array_equal(worker.theta_local, theta0)
+    assert np.array_equal(theta, theta0)
 
 
 def test_local_round_two_step_quadratic_oracle():
     # hand-rolled: w0 = 1, g1 = 1, w1 = 0.9, g2 = 0.9, accumulated 1.9
     model, ds = quadratic_fixture()
     worker = make_worker(2)
-    g = local_round(worker, np.array([1.0, 0.0]), RoundConfig(0.1, 2, 0), model, ds)
+    g, theta = local_round(worker, np.array([1.0, 0.0]), RoundConfig(0.1, 2, 0), model, ds)
     assert np.array_equal(g, np.array([1.9, 0.0]))
-    assert np.array_equal(worker.theta_local, np.array([1.0 - 0.1 - 0.09, 0.0]))
+    assert np.array_equal(theta, np.array([1.0 - 0.1 - 0.09, 0.0]))
 
 
 def test_local_round_empty_shard_errors():
     model, ds = quadratic_fixture()
-    worker = WorkerState(3, np.array([], dtype=np.int64), 2, RngStream(0, 3).generator())
+    worker = WorkerState(3, np.array([], dtype=np.int64), RngStream(0, 3).generator())
     with pytest.raises(ValueError, match="empty shard"):
         local_round(worker, np.zeros(2), RoundConfig(0.1, 1, 0), model, ds)
+
+
+def test_local_round_rejects_overflowing_step():
+    # the gradient (1e300) is finite; the step 1e300 * 1e300 is not
+    model, ds = quadratic_fixture()
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="local model"):
+        local_round(make_worker(2), np.array([1e300, 0.0]), RoundConfig(1e300, 1, 0), model, ds)
 
 
 def test_local_round_minibatches_cover_epoch_without_replacement():
@@ -84,7 +91,6 @@ def test_aggregate_identical_gradients():
     g = np.array([2.0, -4.0])
     theta = aggregate(server, {0: g, 1: g}, {0: 0.5, 1: 0.5}, 0.1)
     assert np.array_equal(theta, np.array([1.0, 1.0]) - 0.1 * g)
-    assert server.round == 1
 
 
 def test_aggregate_zero_gradients_fixed_point():
@@ -104,6 +110,12 @@ def test_aggregate_dimension_mismatch():
     server = ServerState(np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
         aggregate(server, {0: np.zeros(3)}, {0: 1.0}, 0.1)
+
+
+def test_aggregate_rejects_overflowing_step():
+    server = ServerState(np.array([-1e308, 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="server model"):
+        aggregate(server, {0: np.array([1e308, 0.0])}, {0: 1.0}, 1.0)
 
 
 def base_config(**kw):
@@ -146,15 +158,15 @@ def test_identical_shards_equal_weights_match_single_worker():
     model, ds = quadratic_fixture()
     theta0 = np.array([1.0, 0.0])
 
-    workers = [WorkerState(k, np.arange(2), 2, RngStream(9, k).generator()) for k in range(3)]
+    workers = [WorkerState(k, np.arange(2), RngStream(9, k).generator()) for k in range(3)]
     server = ServerState(theta0.copy())
     cfg = RoundConfig(0.1, 2, 0)
-    grads = {k: local_round(w, theta0, cfg, model, ds) for k, w in enumerate(workers)}
+    grads = {k: local_round(w, theta0, cfg, model, ds)[0] for k, w in enumerate(workers)}
     aggregate(server, grads, {k: 1.0 / 3.0 for k in range(3)}, 0.1)
 
-    solo_worker = WorkerState(0, np.arange(2), 2, RngStream(10, 0).generator())
+    solo_worker = WorkerState(0, np.arange(2), RngStream(10, 0).generator())
     solo_server = ServerState(theta0.copy())
-    g = local_round(solo_worker, theta0, cfg, model, ds)
+    g, _ = local_round(solo_worker, theta0, cfg, model, ds)
     aggregate(solo_server, {0: g}, {0: 1.0}, 0.1)
     assert np.array_equal(server.theta_global, solo_server.theta_global)
 
@@ -177,13 +189,14 @@ def test_centralized_recovery_single_worker_full_batch():
     setup = build_experiment(cfg)
     theta = setup.server.theta_global.copy()
     for _ in range(20):
-        theta = axpy(-setup.round_config.eta, gradient(setup.model, theta, setup.train_ds), theta)
+        theta = theta - setup.round_config.eta * gradient(setup.model, theta, setup.train_ds)
 
     replay = build_experiment(cfg)
     policy = LbgmPolicy(None)
     for _ in range(20):
         w = replay.workers[0]
-        g = local_round(w, replay.server.theta_global, replay.round_config, replay.model, replay.train_ds)
+        g, _ = local_round(w, replay.server.theta_global, replay.round_config, replay.model,
+                           replay.train_ds)
         msg, _ = policy.process(w, g)
         g_tilde = reconstruct(replay.server, 0, msg)
         aggregate(replay.server, {0: g_tilde}, replay.weights, replay.round_config.eta)

@@ -7,7 +7,6 @@ from fedlbg.data import Dataset, synth_classification
 from fedlbg.models import (
     accuracy,
     build_model,
-    fd_check,
     forward_loss,
     gradient,
     init_params,
@@ -15,6 +14,7 @@ from fedlbg.models import (
     unpack,
 )
 from fedlbg.numerics import RngStream
+from gradcheck import fd_check
 
 # forward pass of the fixed mlp1h fixture below, recomputed by the
 # straight-line oracle in test_mlp_forward_matches_straightline_oracle

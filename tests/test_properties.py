@@ -1,4 +1,5 @@
-"""Property tests for the look-back step and the ledger's cost oracle."""
+"""Property tests for the look-back step, the ledger's cost oracle and the
+models' invariance under batch order."""
 
 import math
 from fractions import Fraction
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedlbg.compressors import rank_r, sign_compress, topk
+from fedlbg.data import Dataset
 from fedlbg.fl_core import ServerState
 from fedlbg.harness import ledger_cost
 from fedlbg.lbgm import DensePayload, UplinkMessage, lbp_error, look_back, reconstruct
-from fedlbg.numerics import dot, norm_sq
+from fedlbg.models import MODEL_KINDS, build_model, forward_loss, gradient, init_params
+from fedlbg.numerics import RngStream, dot, norm_sq
 
 # zero, or of a size whose square is a normal float; products of two
 # squared norms still under- and overflow
@@ -87,3 +90,28 @@ def test_ledger_cost_is_the_message_cost(rows, cols, rank, data):
     for payload in payloads:
         msg = UplinkMessage(rho=0.5, payload=payload)
         assert ledger_cost(msg) == (msg.cost_floats, 32 * msg.cost_floats)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_loss_and_gradient_invariant_under_batch_permutation_with_ties(kind, data):
+    # few distinct values, and more rows than distinct samples: batches hold
+    # whole duplicate samples and inputs shared across labels
+    dim, classes = 3, 3
+    value = st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0])
+    distinct = data.draw(st.integers(1, 5))
+    inputs = data.draw(hnp.arrays(np.float64, (distinct, dim), elements=value))
+    if kind == "linear_regression":
+        labels = data.draw(hnp.arrays(np.float64, (distinct, classes), elements=value))
+    else:
+        labels = data.draw(hnp.arrays(np.int64, distinct, elements=st.integers(0, classes - 1)))
+    rows = np.array(data.draw(st.lists(st.integers(0, distinct - 1),
+                                       min_size=distinct + 1, max_size=12)))
+    perm = np.array(data.draw(st.permutations(range(len(rows)))))
+    model = build_model(kind, dim, classes, 4)
+    theta = init_params(model, RngStream(data.draw(st.integers(0, 2**16)), 0).generator())
+    batch = Dataset(inputs[rows], labels[rows], 0 if kind == "linear_regression" else classes)
+    shuffled = batch.batch(perm)
+    assert forward_loss(model, theta, batch) == forward_loss(model, theta, shuffled)
+    assert np.array_equal(gradient(model, theta, batch), gradient(model, theta, shuffled))
