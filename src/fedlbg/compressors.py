@@ -49,31 +49,17 @@ class SignPayload:
 
 @dataclass(frozen=True)
 class LowRankPayload:
-    # per block: ("lowrank", U, V) with block ~= U @ V.T, or ("dense", values)
+    # per layer block: a (U, V) pair with block ~= U @ V.T, or the 2-D block itself
     blocks: tuple
-    shapes: tuple  # (rows, cols) per block, matching the model's layout
-    dim: int
 
     @property
     def cost_floats(self) -> float:
-        total = 0
-        for kind, *parts in self.blocks:
-            if kind == "lowrank":
-                u, v = parts
-                total += u.size + v.size
-            else:
-                total += parts[0].size
-        return total
+        return sum(a.size for b in self.blocks for a in (b if isinstance(b, tuple) else (b,)))
 
     def densify(self) -> ParamVector:
-        flats = []
-        for (kind, *parts), (rows, cols) in zip(self.blocks, self.shapes):
-            if kind == "lowrank":
-                u, v = parts
-                flats.append((u @ v.T).reshape(rows * cols))
-            else:
-                flats.append(parts[0].reshape(rows * cols))
-        return np.concatenate(flats)
+        return np.concatenate([
+            (b[0] @ b[1].T if isinstance(b, tuple) else b).ravel() for b in self.blocks
+        ])
 
 
 def topk(g: ParamVector, k: int) -> SparsePayload:
@@ -131,17 +117,17 @@ def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
         block = g[off : off + size].reshape(rows, cols)
         off += size
         if min(rows, cols) <= 1:
-            blocks.append(("dense", block.copy()))
+            blocks.append(block.copy())
             continue
         u, s, vt = np.linalg.svd(block, full_matrices=False)
         r_eff = min(r, rows, cols)
         u_r = u[:, :r_eff] * s[:r_eff]
         v_r = vt[:r_eff].T.copy()
         u_r, v_r = _fix_signs(u_r, v_r)
-        blocks.append(("lowrank", u_r, v_r))
+        blocks.append((u_r, v_r))
     if off != g.shape[0]:
         raise ValueError("layer shapes do not cover the gradient vector")
-    return LowRankPayload(tuple(blocks), tuple(layer_shapes), g.shape[0])
+    return LowRankPayload(tuple(blocks))
 
 
 def stack_lbgm(worker, payload, delta):

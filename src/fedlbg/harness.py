@@ -2,22 +2,25 @@
 ledger accounting, CSV emission, and the command-line interface.
 
 Config files are line-oriented ``key = value`` with ``#`` comments and
-sections ``[model] [data] [train] [lbgm] [compress]``. Every key is
-validated against a schema; unknown or duplicate keys and out-of-range
-values are rejected with the offending key and line number (or the
-command-line override that set it).
+sections ``[model] [data] [train] [lbgm] [compress]``. Every key is one
+field of ExperimentConfig, which gives its section, default, type and
+check; unknown or duplicate keys and unparsable, out-of-range or
+non-finite values are rejected with the offending key and line number (or
+the command-line override that set it).
 """
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analyzer, compressors, fl_core, lbgm
 from .compressors import LowRankPayload, SignPayload, SparsePayload
+from .data import parse_partition_mode
 from .fl_core import build_datasets
 from .models import MODEL_KINDS
 from .numerics import RngStream
@@ -40,44 +43,60 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(section, default, check=lambda v: True, req="", key=None):
+    """A config key, declared once as an ExperimentConfig field: its default,
+    its section, the check on its parsed value and that check's requirement
+    text. `key` names the key where it differs from the field."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "check": check, "req": req})
+
+
+def _one_of(*options):
+    return (lambda v: v in options), f"one of {{{', '.join(options)}}}"
+
+
+def _partition_ok(v):
+    try:
+        parse_partition_mode(v)
+        return True
+    except ValueError:
+        return False
+
+
 @dataclass
 class ExperimentConfig:
-    algorithm: str
-    seed: int = 0
-    out: str = "out"
-    baseline_metrics: str = ""
-    # [model]
-    model_kind: str = "mlp1h"
-    hidden: int = 64
-    # [data]
-    data_kind: str = "synth"
-    n: int = 2000
-    test_n: int = 500
-    dim: int = 20
-    classes: int = 10
-    separation: float = 6.0
-    images: str = ""
-    labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    subset: int = 0
-    test_subset: int = 0
-    # [train]
-    workers: int = 10
-    rounds: int = 200
-    tau: int = 0  # 0: one shard pass
-    batch_size: int = 32  # 0: full shard
-    eta: float = 0.05
-    eta_rule: str = "constant"
-    partition_mode: str = "iid"
-    # [lbgm]
-    delta: float = 0.2
-    sample_fraction: float = 0.5
-    # [compress]
-    k_frac: float = 0.1
-    rank: int = 2
-    sign_majority: bool = False
-    error_feedback: bool = True
+    algorithm: str = _key("", MISSING, *_one_of(*ALGORITHMS))
+    seed: int = _key("", 0, lambda v: v >= 0, ">= 0")
+    out: str = _key("", "out", lambda v: bool(v), "non-empty")
+    baseline_metrics: str = _key("", "")
+    model_kind: str = _key("model", "mlp1h", *_one_of(*MODEL_KINDS), key="kind")
+    hidden: int = _key("model", 64, lambda v: v >= 1, ">= 1")
+    data_kind: str = _key("data", "synth", *_one_of("synth", "idx"), key="kind")
+    n: int = _key("data", 2000, lambda v: v >= 1, ">= 1")
+    test_n: int = _key("data", 500, lambda v: v >= 1, ">= 1")
+    dim: int = _key("data", 20, lambda v: v >= 1, ">= 1")
+    classes: int = _key("data", 10, lambda v: v >= 2, ">= 2")
+    separation: float = _key("data", 6.0, lambda v: v >= 0, ">= 0")
+    images: str = _key("data", "")
+    labels: str = _key("data", "")
+    test_images: str = _key("data", "")
+    test_labels: str = _key("data", "")
+    subset: int = _key("data", 0, lambda v: v >= 0, ">= 0")
+    test_subset: int = _key("data", 0, lambda v: v >= 0, ">= 0")
+    workers: int = _key("train", 10, lambda v: v >= 1, ">= 1")
+    rounds: int = _key("train", 200, lambda v: v >= 0, ">= 0")
+    tau: int = _key("train", 0, lambda v: v >= 0, ">= 0 (0 = one shard pass)")
+    batch_size: int = _key("train", 32, lambda v: v >= 0, ">= 0 (0 = full shard)")
+    eta: float = _key("train", 0.05, lambda v: v > 0, "> 0")
+    eta_rule: str = _key("train", "constant", *_one_of("constant", "inv_sqrt_tau_t"))
+    partition_mode: str = _key("train", "iid", _partition_ok, "iid or label_shard(s)",
+                               key="partition")
+    delta: float = _key("lbgm", 0.2, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+    sample_fraction: float = _key("lbgm", 0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    k_frac: float = _key("compress", 0.1, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    rank: int = _key("compress", 2, lambda v: v >= 1, ">= 1")
+    sign_majority: bool = _key("compress", False)
+    error_feedback: bool = _key("compress", True)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -88,57 +107,10 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError("expected a boolean")
 
 
-def _choice(*options):
-    def check(v):
-        return v in options
-    return check, f"one of {{{', '.join(options)}}}"
-
-
-def _partition_ok(v):
-    try:
-        from .data import parse_partition_mode
-        parse_partition_mode(v)
-        return True
-    except ValueError:
-        return False
-
-
-# (section, key) -> (config field, parser, validator, requirement text)
-_SCHEMA = {
-    ("", "algorithm"): ("algorithm", str, *_choice(*ALGORITHMS)),
-    ("", "seed"): ("seed", int, lambda v: v >= 0, ">= 0"),
-    ("", "out"): ("out", str, lambda v: bool(v), "non-empty"),
-    ("", "baseline_metrics"): ("baseline_metrics", str, lambda v: True, ""),
-    ("model", "kind"): ("model_kind", str, *_choice(*MODEL_KINDS)),
-    ("model", "hidden"): ("hidden", int, lambda v: v >= 1, ">= 1"),
-    ("data", "kind"): ("data_kind", str, *_choice("synth", "idx")),
-    ("data", "n"): ("n", int, lambda v: v >= 1, ">= 1"),
-    ("data", "test_n"): ("test_n", int, lambda v: v >= 1, ">= 1"),
-    ("data", "dim"): ("dim", int, lambda v: v >= 1, ">= 1"),
-    ("data", "classes"): ("classes", int, lambda v: v >= 2, ">= 2"),
-    ("data", "separation"): ("separation", float, lambda v: v >= 0, ">= 0"),
-    ("data", "images"): ("images", str, lambda v: True, ""),
-    ("data", "labels"): ("labels", str, lambda v: True, ""),
-    ("data", "test_images"): ("test_images", str, lambda v: True, ""),
-    ("data", "test_labels"): ("test_labels", str, lambda v: True, ""),
-    ("data", "subset"): ("subset", int, lambda v: v >= 0, ">= 0"),
-    ("data", "test_subset"): ("test_subset", int, lambda v: v >= 0, ">= 0"),
-    ("train", "workers"): ("workers", int, lambda v: v >= 1, ">= 1"),
-    ("train", "rounds"): ("rounds", int, lambda v: v >= 0, ">= 0"),
-    ("train", "tau"): ("tau", int, lambda v: v >= 0, ">= 0 (0 = one shard pass)"),
-    ("train", "batch_size"): ("batch_size", int, lambda v: v >= 0, ">= 0 (0 = full shard)"),
-    ("train", "eta"): ("eta", float, lambda v: v > 0, "> 0"),
-    ("train", "eta_rule"): ("eta_rule", str, *_choice("constant", "inv_sqrt_tau_t")),
-    ("train", "partition"): ("partition_mode", str, _partition_ok, "iid or label_shard(s)"),
-    ("lbgm", "delta"): ("delta", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    ("lbgm", "sample_fraction"): ("sample_fraction", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ("compress", "k_frac"): ("k_frac", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ("compress", "rank"): ("rank", int, lambda v: v >= 1, ">= 1"),
-    ("compress", "sign_majority"): ("sign_majority", _parse_bool, lambda v: True, ""),
-    ("compress", "error_feedback"): ("error_feedback", _parse_bool, lambda v: True, ""),
-}
-
-_SECTIONS = ("model", "data", "train", "lbgm", "compress")
+# (section, key) -> the ExperimentConfig field that declares it
+_SCHEMA = {(f.metadata["section"], f.metadata["key"] or f.name): f
+           for f in fields(ExperimentConfig)}
+_SECTIONS = {section for section, _ in _SCHEMA if section}
 
 
 def _parse_pairs(text: str) -> dict:
@@ -169,23 +141,26 @@ def _parse_pairs(text: str) -> dict:
 def _build_config(pairs: dict) -> ExperimentConfig:
     values = {}
     for (section, key), (raw, where) in pairs.items():
-        field, parser, check, req = _SCHEMA[(section, key)]
+        f = _SCHEMA[(section, key)]
+        parse = _parse_bool if f.type is bool else f.type
         try:
-            value = parser(raw)
+            value = parse(raw)
         except ValueError:
             raise ConfigError(
-                f"{key}: cannot parse {raw!r} as {parser.__name__} ({where})"
+                f"{key}: cannot parse {raw!r} as {f.type.__name__} ({where})"
             ) from None
-        if not check(value):
-            raise ConfigError(f"{key}: value {raw!r} must be {req} ({where})")
-        values[field] = value
+        if not f.metadata["check"](value):
+            raise ConfigError(f"{key}: value {raw!r} must be {f.metadata['req']} ({where})")
+        if f.type is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: value {raw!r} must be finite ({where})")
+        values[f.name] = value
     if "algorithm" not in values:
         raise ConfigError("missing required key: algorithm")
     cfg = ExperimentConfig(**values)
     if cfg.data_kind == "idx":
-        for field in ("images", "labels", "test_images", "test_labels"):
-            if not getattr(cfg, field):
-                raise ConfigError(f"{field}: required when data kind = idx")
+        for name in ("images", "labels", "test_images", "test_labels"):
+            if not getattr(cfg, name):
+                raise ConfigError(f"{name}: required when data kind = idx")
     return cfg
 
 
@@ -267,7 +242,8 @@ def ledger_cost(msg) -> tuple:
     if isinstance(p, SignPayload):
         return p.dim / 32.0, float(p.dim)
     if isinstance(p, LowRankPayload):
-        f = float(sum(a.size for _, *arrays in p.blocks for a in arrays))
+        f = float(sum(sum(a.size for a in b) if isinstance(b, tuple) else b.size
+                      for b in p.blocks))
         return f, 32.0 * f
     raise ValueError(f"cannot cost message with payload {type(p).__name__}")
 

@@ -177,7 +177,7 @@ def test_rank_r_deterministic_sign_convention():
     g = rng.standard_normal(30)
     a = rank_r(g, [(5, 6)], 2)
     b = rank_r(g.copy(), [(5, 6)], 2)
-    for (ka, ua, va), (kb, ub, vb) in zip(a.blocks, b.blocks):
+    for (ua, va), (ub, vb) in zip(a.blocks, b.blocks):
         assert np.array_equal(ua, ub) and np.array_equal(va, vb)
         for col in range(ua.shape[1]):
             nz = np.flatnonzero(np.abs(ua[:, col]) > 1e-12)

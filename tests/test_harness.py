@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,19 @@ def test_parse_ignores_comments_and_blanks():
     assert cfg.eta == 0.1
 
 
+def test_parse_every_key_at_its_default():
+    # each field's key, written at the field's default under its section,
+    # lands in that field and passes that field's check
+    sections = {}
+    for f in fields(ExperimentConfig):
+        value = "lbgm" if f.name == "algorithm" else f.default
+        key = f.metadata["key"] or f.name
+        sections.setdefault(f.metadata["section"], []).append(f"{key} = {value}\n")
+    text = "".join((f"[{section}]\n" if section else "") + "".join(lines)
+                   for section, lines in sections.items())
+    assert parse_config(text) == ExperimentConfig(algorithm="lbgm")
+
+
 def test_overrides_replace_values():
     pairs = _parse_pairs(MINIMAL)
     cfg = parse_config(MINIMAL)
@@ -131,6 +145,11 @@ def test_overrides_reject_unknown_and_malformed():
     (["--override", "train.eta=-1"], "eta: value '-1' must be > 0 (--override train.eta=-1)"),
     (["--seed", "-1"], "seed: value '-1' must be >= 0 (--seed -1)"),
     (["--out", ""], "out: value '' must be non-empty (--out )"),
+    (["--override", "compress.sign_majority=maybe"],
+     "sign_majority: cannot parse 'maybe' as bool (--override compress.sign_majority=maybe)"),
+    (["--override", "train.eta=inf"], "eta: value 'inf' must be finite (--override train.eta=inf)"),
+    (["--override", "data.separation=inf"],
+     "separation: value 'inf' must be finite (--override data.separation=inf)"),
 ])
 def test_cli_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
     config_path = tmp_path / "exp.cfg"
