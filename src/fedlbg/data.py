@@ -8,7 +8,8 @@ a count, then one byte per label.
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -16,11 +17,24 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
+def content_rank(inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Dense rank of each (label, input) row in bytewise order: equal rows
+    share a rank, so a stable argsort of ranks is a stable sort of rows."""
+    rows = np.column_stack([np.asarray(labels, dtype=np.float64), inputs])
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return np.unique(keys, return_inverse=True)[1]
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """Samples as rows. `rank` is content_rank, carried by a batch() and
+    computed on first use otherwise; a dataset holding its ranks has
+    read-only inputs and labels, so a write cannot leave them stale."""
+
     inputs: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 classes, or (n, out) float64 targets
     num_classes: int  # 0 for regression
+    _rank: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -30,8 +44,19 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
+    @property
+    def rank(self) -> np.ndarray:
+        if self._rank is None:
+            object.__setattr__(self, "_rank", content_rank(self.inputs, self.labels))
+            self.inputs.setflags(write=False)
+            self.labels.setflags(write=False)
+        return self._rank
+
     def batch(self, idx) -> "Dataset":
-        return Dataset(self.inputs[idx], self.labels[idx], self.num_classes)
+        inputs, labels = self.inputs[idx], self.labels[idx]
+        inputs.setflags(write=False)
+        labels.setflags(write=False)
+        return Dataset(inputs, labels, self.num_classes, self.rank[idx])
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """Experiment front door: config parsing, algorithm-to-policy mapping,
 ledger accounting, CSV emission, and the command-line interface.
 
-Config files are line-oriented ``key = value`` with ``#`` comments and
-sections ``[model] [data] [train] [lbgm] [compress]``. Every key is one
-field of ExperimentConfig, which gives its section, default, type and
-check; unknown or duplicate keys and unparsable, out-of-range or
-non-finite values are rejected with the offending key and line number (or
+Config files are line-oriented ``key = value`` with ``#`` comments (from
+a ``#`` that starts a line or follows whitespace) and sections
+``[model] [data] [train] [lbgm] [compress]``. Every key is one field of
+ExperimentConfig, which gives its section, default, type and check;
+unknown or duplicate keys and unparsable, out-of-range or non-finite values are rejected with the offending key and line number (or
 the command-line override that set it).
 """
 
 import argparse
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
@@ -113,12 +114,15 @@ _SCHEMA = {(f.metadata["section"], f.metadata["key"] or f.name): f
 _SECTIONS = {section for section, _ in _SCHEMA if section}
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _parse_pairs(text: str) -> dict:
     """Split config text into {(section, key): (raw value, where it was set)}."""
     pairs = {}
     section = ""
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw_line, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

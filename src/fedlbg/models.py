@@ -13,7 +13,9 @@ per-layer compressors rely on these stable index blocks.
 
 Per-sample contributions are reduced in a canonical order derived from
 the sample content (bytewise sort of label + input rows), so loss and
-gradient are exactly invariant under batch permutation.
+gradient are exactly invariant under batch permutation. Each dataset
+ranks its rows by content once (data.content_rank) and a minibatch
+carries its rows' ranks, so ordering a batch is an integer argsort.
 """
 
 from dataclasses import dataclass
@@ -88,30 +90,17 @@ def init_params(model: Model, rng: np.random.Generator) -> ParamVector:
 def _canonical_order(batch: Dataset) -> np.ndarray:
     """Permutation putting samples into a content-derived canonical order.
 
-    Sorting rows bytewise (labels first, then inputs) gives a total order
-    that does not depend on how the batch was assembled, which is what
-    makes the batch-permutation invariance of loss/gradient exact.
+    A stable argsort of the content ranks sorts rows bytewise (labels
+    first, then inputs): an order that does not depend on how the batch
+    was assembled, which makes loss/gradient exactly permutation-invariant.
     """
-    labels = np.asarray(batch.labels)
-    if labels.ndim == 1:
-        lab = labels.astype(np.float64).reshape(-1, 1)
-    else:
-        lab = labels.astype(np.float64)
-    rows = np.ascontiguousarray(np.hstack([lab, batch.inputs]))
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    return np.argsort(keys, kind="stable")
+    return np.argsort(batch.rank, kind="stable")
 
 
 def _ordered(batch: Dataset):
     """(inputs, labels) of the batch, sorted into canonical order."""
     order = _canonical_order(batch)
     return batch.inputs[order], np.asarray(batch.labels)[order]
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -121,30 +110,35 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     return out
 
 
-def _forward(model: Model, theta: ParamVector, inputs: np.ndarray):
-    """Return per-layer activations needed by both loss and gradient."""
-    blocks = unpack(model, theta)
+def _forward(model: Model, blocks: list, inputs: np.ndarray):
+    """Return per-layer activations needed by both loss and gradient, as
+    fresh arrays the caller may overwrite."""
     if model.kind == "mlp1h":
         w1, b1, w2, b2 = blocks
-        hidden = np.tanh(inputs @ w1 + b1)
-        return hidden, hidden @ w2 + b2
+        hidden = inputs @ w1
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        out = hidden @ w2
+        out += b2
+        return hidden, out
     w, b = blocks
-    return None, inputs @ w + b
+    out = inputs @ w
+    out += b
+    return None, out
 
 
 def forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
     """Mean loss over the batch (MSE or cross-entropy by model kind)."""
     x, y = _ordered(batch)
     n = x.shape[0]
-    _, out = _forward(model, theta, x)
+    _, out = _forward(model, unpack(model, theta), x)
     if model.kind == "linear_regression":
-        targets = np.asarray(y, dtype=np.float64).reshape(n, -1)
-        per_sample = 0.5 * np.sum((out - targets) ** 2, axis=1)
+        out -= np.asarray(y, dtype=np.float64).reshape(n, -1)
+        per_sample = 0.5 * np.sum(out**2, axis=1)
     else:
-        labels = np.asarray(y, dtype=np.int64)
-        z = out - out.max(axis=1, keepdims=True)
-        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        per_sample = -log_probs[np.arange(n), labels]
+        out -= out.max(axis=1, keepdims=True)
+        log_norm = np.log(np.exp(out).sum(axis=1))
+        per_sample = -(out[np.arange(n), np.asarray(y, dtype=np.int64)] - log_norm)
     loss = float(np.sum(per_sample) / n)
     if not np.isfinite(loss):
         raise FloatingPointError("loss is not finite")
@@ -155,30 +149,34 @@ def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
     """Gradient of forward_loss w.r.t. the flat parameter vector."""
     x, y = _ordered(batch)
     n = x.shape[0]
-    hidden, out = _forward(model, theta, x)
+    blocks = unpack(model, theta)
+    hidden, delta = _forward(model, blocks, x)
 
     if model.kind == "linear_regression":
-        targets = np.asarray(y, dtype=np.float64).reshape(n, -1)
-        delta = (out - targets) / n
-    else:
-        labels = np.asarray(y, dtype=np.int64)
-        delta = (_softmax(out) - one_hot(labels, model.output_dim)) / n
+        delta -= np.asarray(y, dtype=np.float64).reshape(n, -1)
+    else:  # softmax minus one-hot
+        delta -= delta.max(axis=1, keepdims=True)
+        np.exp(delta, out=delta)
+        delta /= delta.sum(axis=1, keepdims=True)
+        delta[np.arange(n), np.asarray(y, dtype=np.int64)] -= 1.0
+    delta /= n
 
+    grad = np.empty(model.param_dim)
+    grad_blocks = unpack(model, grad)
     if model.kind == "mlp1h":
-        _, _, w2, _ = unpack(model, theta)
-        d_w2 = hidden.T @ delta
-        d_b2 = delta.sum(axis=0, keepdims=True)
-        d_hidden = (delta @ w2.T) * (1.0 - hidden**2)
-        d_w1 = x.T @ d_hidden
-        d_b1 = d_hidden.sum(axis=0, keepdims=True)
-        return pack([d_w1, d_b1, d_w2, d_b2])
-    d_w = x.T @ delta
-    d_b = delta.sum(axis=0, keepdims=True)
-    return pack([d_w, d_b])
+        np.matmul(hidden.T, delta, out=grad_blocks[2])
+        np.add.reduce(delta, axis=0, keepdims=True, out=grad_blocks[3])
+        delta = delta @ blocks[2].T  # back through tanh: * (1 - hidden**2)
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        delta *= hidden
+    np.matmul(x.T, delta, out=grad_blocks[0])
+    np.add.reduce(delta, axis=0, keepdims=True, out=grad_blocks[1])
+    return grad
 
 
 def accuracy(model: Model, theta: ParamVector, batch: Dataset) -> float:
     """Fraction of correctly classified samples (classifiers only)."""
-    _, logits = _forward(model, theta, batch.inputs)
+    _, logits = _forward(model, unpack(model, theta), batch.inputs)
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == np.asarray(batch.labels, dtype=np.int64)))

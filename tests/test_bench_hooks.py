@@ -63,12 +63,19 @@ def test_hooked_entry_points_fire(algorithm):
     )
     tracer = spans.Tracer()
     patches = tracer.install(MODULES)
+    # forward_loss has no span; count it to check the canonical order below
+    patches.function(models, "forward_loss", lambda f: tracer.count_calls("forward_loss", f))
     try:
         harness.simulate(cfg)
     finally:
         patches.undo()
     calls = {name: st["calls"] for name, st in tracer.stats().items()}
     assert tracer.counts["lbgm.uplinks"] == cfg.rounds * cfg.workers  # none counted twice
+    # one canonical order per loss or gradient, one minibatch per gradient
+    assert tracer.counts["forward_loss"] >= 1
+    assert calls["models._canonical_order"] == (calls["models.gradient"]
+                                                + tracer.counts["forward_loss"])
+    assert calls["data.batch"] == calls["models.gradient"]
     hooked = ["lbgm.process", "lbgm.reconstruct"]
     if algorithm == "rank_r_lbgm":
         hooked += ["compressors.compress", "compressors.process"]

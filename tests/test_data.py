@@ -5,6 +5,7 @@ import pytest
 
 from fedlbg.data import (
     Dataset,
+    content_rank,
     load_idx,
     parse_partition_mode,
     partition,
@@ -172,3 +173,22 @@ def test_partition_deterministic():
     b = partition(ds, 5, "label_shard(2)", RngStream(10, 10).generator())
     for sa, sb in zip(a.shards, b.shards):
         assert np.array_equal(sa, sb)
+
+
+def test_content_rank_is_dense_and_bytewise():
+    inputs = np.array([[1.0], [0.0], [-0.0], [1.0], [0.0]])
+    labels = np.array([0, 0, 0, 0, 1])
+    # -0.0 differs from 0.0 only in its sign bit and sorts after it bytewise;
+    # equal rows share a rank and ranks leave no gaps
+    assert content_rank(inputs, labels).tolist() == [2, 0, 1, 2, 3]
+
+
+def test_taking_the_ranks_makes_a_dataset_read_only():
+    ds = synth_classification(30, 2, 3, 1.0, RngStream(11, 0).generator())
+    assert ds.inputs.flags.writeable and ds.labels.flags.writeable
+    batch = ds.batch(np.array([4, 1, 4]))
+    assert np.array_equal(batch.rank, ds.rank[[4, 1, 4]])
+    assert ds.rank is ds.rank  # computed once
+    for a in (ds.inputs, ds.labels, batch.inputs, batch.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0

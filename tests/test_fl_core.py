@@ -216,6 +216,14 @@ def test_default_tau_is_one_shard_pass():
     assert setup.round_config.tau == 5
 
 
+def test_content_ranks_wait_for_the_first_batch():
+    # ranking the training set is left to the run: building stays cheap
+    setup = build_experiment(base_config())
+    assert setup.train_ds.inputs.flags.writeable
+    setup.workers[0].next_batch(setup.train_ds, 10)
+    assert not setup.train_ds.inputs.flags.writeable
+
+
 def test_eta_rule_inv_sqrt_tau_t():
     cfg = base_config(tau=4, rounds=25, eta_rule="inv_sqrt_tau_t")
     setup = build_experiment(cfg)

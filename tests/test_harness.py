@@ -126,6 +126,18 @@ def test_overrides_replace_values():
     assert cfg2.rounds == 9 and cfg2.seed == 3 and cfg2.delta == 0.5
 
 
+def test_hash_inside_a_value_is_not_a_comment():
+    text = ("# data paths\n[data]\nkind = idx  # comment\n"
+            "images = run#1/img.idx\n\tlabels = lab.idx\t# tab before the comment\n")
+    pairs = _parse_pairs(text)
+    assert pairs[("data", "kind")][0] == "idx"
+    assert pairs[("data", "labels")][0] == "lab.idx"
+    # the file keeps the same value as the command line
+    from_file = pairs[("data", "images")][0]
+    overridden = apply_overrides(pairs, ["data.images=run#1/img.idx"])[("data", "images")][0]
+    assert from_file == overridden == "run#1/img.idx"
+
+
 def test_overrides_reject_unknown_and_malformed():
     pairs = _parse_pairs(MINIMAL)
     with pytest.raises(ConfigError, match="unknown key"):

@@ -176,3 +176,25 @@ def test_accuracy_on_separable_data():
     batch = Dataset(np.array([[5.0, 0.0], [-5.0, 0.0]]), np.array([0, 1]), 2)
     theta = pack([np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros((1, 2))])
     assert accuracy(m, theta, batch) == 1.0
+
+
+@pytest.mark.parametrize("kind", ["linear_regression", "softmax_classifier", "mlp1h"])
+def test_model_functions_never_write_their_inputs(kind):
+    ds = small_batch(RngStream(12, 0).generator(), 9, 3, 3)
+    labels = np.eye(3)[ds.labels] if kind == "linear_regression" else ds.labels
+    m = build_model(kind, 3, 3, 4)
+    theta = init_params(m, RngStream(12, 1).generator())
+    arrays = (theta, ds.inputs, labels)
+    for a in arrays:
+        a.flags.writeable = False
+    copies = [a.copy() for a in arrays]
+    batch = Dataset(ds.inputs, labels, 0 if kind == "linear_regression" else 3)
+    g = gradient(m, theta, batch)
+    forward_loss(m, theta, batch)
+    if kind != "linear_regression":
+        accuracy(m, theta, batch)
+    for a, before in zip(arrays, copies):
+        assert np.array_equal(a, before)
+    assert g.flags.writeable and g.flags.owndata
+    assert not np.shares_memory(g, theta)
+    assert g.shape == theta.shape

@@ -1,5 +1,5 @@
-"""Property tests for the look-back step, the ledger's cost oracle and the
-models' invariance under batch order."""
+"""Property tests for the look-back step, the ledger's cost oracle, the
+models' canonical sample order and their invariance under batch order."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,14 @@ from fedlbg.data import Dataset
 from fedlbg.fl_core import ServerState
 from fedlbg.harness import ledger_cost
 from fedlbg.lbgm import DensePayload, UplinkMessage, lbp_error, look_back, reconstruct
-from fedlbg.models import MODEL_KINDS, build_model, forward_loss, gradient, init_params
+from fedlbg.models import (
+    MODEL_KINDS,
+    _canonical_order,
+    build_model,
+    forward_loss,
+    gradient,
+    init_params,
+)
 from fedlbg.numerics import RngStream, dot, norm_sq
 
 # zero, or of a size whose square is a normal float; products of two
@@ -115,3 +122,46 @@ def test_loss_and_gradient_invariant_under_batch_permutation_with_ties(kind, dat
     shuffled = batch.batch(perm)
     assert forward_loss(model, theta, batch) == forward_loss(model, theta, shuffled)
     assert np.array_equal(gradient(model, theta, batch), gradient(model, theta, shuffled))
+
+
+def bytewise_order(batch):
+    """The canonical order as a sort of the batch's own rows: a stable
+    argsort of each row's bytes, labels (as float64) first, then inputs."""
+    labels = np.asarray(batch.labels)
+    if labels.ndim == 1:
+        lab = labels.astype(np.float64).reshape(-1, 1)
+    else:
+        lab = labels.astype(np.float64)
+    rows = np.ascontiguousarray(np.hstack([lab, batch.inputs]))
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return np.argsort(keys, kind="stable")
+
+
+@st.composite
+def datasets_with_ties(draw):
+    """(dataset, idx): few distinct values, signed zeros among them, rows
+    repeated within the dataset and within the batch, and class labels or
+    one-hot regression targets."""
+    dim, classes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    distinct = draw(st.integers(1, 5))
+    value = st.sampled_from([-0.0, 0.0, -1.5, 0.5])
+    inputs = draw(hnp.arrays(np.float64, (distinct, dim), elements=value))
+    labels = draw(hnp.arrays(np.int64, distinct, elements=st.integers(0, classes - 1)))
+    rows = np.array(draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=10)))
+    if draw(st.booleans()):
+        ds = Dataset(inputs[rows], labels[rows], classes)
+    else:
+        ds = Dataset(inputs[rows], np.eye(classes)[labels[rows]], 0)
+    idx = np.array(draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12)))
+    return ds, idx
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=datasets_with_ties())
+# 0.0 and -0.0 differ only in their bytes: a numeric sort would tie them
+@example(case=(Dataset(np.array([[0.0], [-0.0], [0.0]]), np.zeros(3, dtype=np.int64), 1),
+               np.array([1, 0, 2, 1])))
+def test_canonical_order_is_the_bytewise_order_of_the_batch(case):
+    ds, idx = case
+    batch = ds.batch(idx)
+    assert np.array_equal(_canonical_order(batch), bytewise_order(batch))
