@@ -29,12 +29,15 @@ def content_rank(inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class Dataset:
     """Samples as rows. `rank` is content_rank, carried by a batch() and
     computed on first use otherwise; a dataset holding its ranks has
-    read-only inputs and labels, so a write cannot leave them stale."""
+    read-only inputs and labels, so a write cannot leave them stale.
+    `canonical` is (inputs, labels) sorted by rank, gathered once on first
+    use and read-only, so it cannot go stale either."""
 
     inputs: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 classes, or (n, out) float64 targets
     num_classes: int  # 0 for regression
     _rank: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _canonical: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -51,6 +54,16 @@ class Dataset:
             self.inputs.setflags(write=False)
             self.labels.setflags(write=False)
         return self._rank
+
+    @property
+    def canonical(self) -> tuple:
+        if self._canonical is None:
+            order = np.argsort(self.rank, kind="stable")
+            rows = self.inputs[order], self.labels[order]
+            for a in rows:
+                a.setflags(write=False)
+            object.__setattr__(self, "_canonical", rows)
+        return self._canonical
 
     def batch(self, idx) -> "Dataset":
         inputs, labels = self.inputs[idx], self.labels[idx]

@@ -92,8 +92,8 @@ def local_round(
     theta = theta_global
     g_sum = np.zeros_like(theta_global)
     for _ in range(cfg.tau):
-        batch = worker.next_batch(dataset, cfg.batch_size)
-        g = gradient(model, theta, batch)
+        # unnamed, the batch and its sorted rows are freed with the gradient call
+        g = gradient(model, theta, worker.next_batch(dataset, cfg.batch_size))
         theta = theta - cfg.eta * g
         g_sum = g_sum + g
     return check_finite(g_sum, "accumulated gradient"), check_finite(theta, "local model")

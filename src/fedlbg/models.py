@@ -15,7 +15,9 @@ Per-sample contributions are reduced in a canonical order derived from
 the sample content (bytewise sort of label + input rows), so loss and
 gradient are exactly invariant under batch permutation. Each dataset
 ranks its rows by content once (data.content_rank) and a minibatch
-carries its rows' ranks, so ordering a batch is an integer argsort.
+carries its rows' ranks, so ordering a batch is an integer argsort. A
+dataset keeps its rows in that order once sorted (read-only), so the
+per-round evaluation on the training set does not sort it again.
 """
 
 from dataclasses import dataclass
@@ -87,20 +89,15 @@ def init_params(model: Model, rng: np.random.Generator) -> ParamVector:
     return pack(blocks)
 
 
-def _canonical_order(batch: Dataset) -> np.ndarray:
-    """Permutation putting samples into a content-derived canonical order.
+def _canonical_order(batch: Dataset) -> tuple:
+    """(inputs, labels) of the batch in a content-derived canonical order.
 
-    A stable argsort of the content ranks sorts rows bytewise (labels
-    first, then inputs): an order that does not depend on how the batch
-    was assembled, which makes loss/gradient exactly permutation-invariant.
+    Rows are sorted bytewise (labels first, then inputs) by a stable
+    argsort of the content ranks: an order that does not depend on how the
+    batch was assembled, which makes loss/gradient exactly
+    permutation-invariant. The dataset keeps the sorted rows, read-only.
     """
-    return np.argsort(batch.rank, kind="stable")
-
-
-def _ordered(batch: Dataset):
-    """(inputs, labels) of the batch, sorted into canonical order."""
-    order = _canonical_order(batch)
-    return batch.inputs[order], np.asarray(batch.labels)[order]
+    return batch.canonical
 
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -129,7 +126,7 @@ def _forward(model: Model, blocks: list, inputs: np.ndarray):
 
 def forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
     """Mean loss over the batch (MSE or cross-entropy by model kind)."""
-    x, y = _ordered(batch)
+    x, y = _canonical_order(batch)
     n = x.shape[0]
     _, out = _forward(model, unpack(model, theta), x)
     if model.kind == "linear_regression":
@@ -147,7 +144,7 @@ def forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
 
 def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
     """Gradient of forward_loss w.r.t. the flat parameter vector."""
-    x, y = _ordered(batch)
+    x, y = _canonical_order(batch)
     n = x.shape[0]
     blocks = unpack(model, theta)
     hidden, delta = _forward(model, blocks, x)

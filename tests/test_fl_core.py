@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedlbg import models
 from fedlbg.data import Dataset, synth_classification
 from fedlbg.fl_core import (
     RoundConfig,
@@ -8,6 +9,7 @@ from fedlbg.fl_core import (
     WorkerState,
     aggregate,
     build_experiment,
+    evaluate,
     local_round,
 )
 from fedlbg.harness import ExperimentConfig, simulate
@@ -222,6 +224,27 @@ def test_content_ranks_wait_for_the_first_batch():
     assert setup.train_ds.inputs.flags.writeable
     setup.workers[0].next_batch(setup.train_ds, 10)
     assert not setup.train_ds.inputs.flags.writeable
+
+
+def test_evaluation_sorts_the_training_set_once(monkeypatch):
+    # like the ranks, the sorted rows are left to the run and then kept
+    setup = build_experiment(base_config())
+    assert setup.train_ds._canonical is None
+    seen = []
+    order = models._canonical_order
+
+    def spy(ds):
+        seen.append(order(ds))
+        return seen[-1]
+
+    monkeypatch.setattr(models, "_canonical_order", spy)
+    for _ in range(2):
+        evaluate(setup.model, setup.server.theta_global, setup.train_ds, setup.test_ds)
+    (x1, y1), (x2, y2) = seen
+    assert x1 is x2 and y1 is y2
+    for a in (x1, y1):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_eta_rule_inv_sqrt_tau_t():

@@ -1,5 +1,6 @@
 """Property tests for the look-back step, the ledger's cost oracle, the
-models' canonical sample order and their invariance under batch order."""
+compressors' round trips and error feedback, the models' canonical sample
+order and their invariance under batch order."""
 
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedlbg.compressors import rank_r, sign_compress, topk
+from fedlbg.compressors import ef_wrap, rank_r, sign_compress, topk
 from fedlbg.data import Dataset
 from fedlbg.fl_core import ServerState
 from fedlbg.harness import ledger_cost
@@ -99,6 +100,52 @@ def test_ledger_cost_is_the_message_cost(rows, cols, rank, data):
         assert ledger_cost(msg) == (msg.cost_floats, 32 * msg.cost_floats)
 
 
+# few repeated values, signed zeros among them, mixed with ENTRY: ties in
+# magnitude and in sign
+TIED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), ENTRY)
+
+
+def tied_vectors(dim):
+    return hnp.arrays(np.float64, dim, elements=TIED)
+
+
+@st.composite
+def error_feedback_cases(draw):
+    dim = draw(st.integers(1, 12))
+    return draw(tied_vectors(dim)), draw(tied_vectors(dim)), draw(st.integers(1, dim))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=error_feedback_cases())
+@example(case=(np.array([-0.0, 2.0, -0.0]), np.array([-0.0, 0.0, -0.0]), 2))  # -0.0 kept and dropped
+def test_topk_error_feedback_conserves_mass(case):
+    g, residual, k = case
+    payload, new_residual = ef_wrap(residual, g, lambda v: topk(v, k))
+    sent, carried = payload.densify() + new_residual, g + residual
+    assert np.array_equal(sent, carried)
+    # bit for bit, except that -0.0 comes back as 0.0: x - x and 0.0 + x
+    # round to +0.0 when x is -0.0
+    differ = sent.view(np.int64) != carried.view(np.int64)
+    assert not sent[differ].any() and not carried[differ].any()
+
+
+@settings(deadline=None, max_examples=100)
+@given(g=st.integers(1, 40).flatmap(tied_vectors))
+def test_sign_densifies_to_the_signs(g):
+    # M need not be a multiple of 8: the packed bits' padding is dropped
+    dense = sign_compress(g).densify()
+    assert dense.tobytes() == np.where(g >= 0, 1.0, -1.0).tobytes()  # sign(-0.0) = +1
+
+
+@settings(deadline=None, max_examples=100)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), extra=st.integers(0, 3), data=st.data())
+def test_full_rank_r_densifies_back_to_the_gradient(rows, cols, extra, data):
+    g = data.draw(tied_vectors(rows * cols + cols))
+    dense = rank_r(g, [(rows, cols), (1, cols)], min(rows, cols) + extra).densify()
+    assert dense.shape == g.shape
+    assert np.linalg.norm(dense - g) <= 1e-12 * np.linalg.norm(g)
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
@@ -164,4 +211,8 @@ def datasets_with_ties(draw):
 def test_canonical_order_is_the_bytewise_order_of_the_batch(case):
     ds, idx = case
     batch = ds.batch(idx)
-    assert np.array_equal(_canonical_order(batch), bytewise_order(batch))
+    order = bytewise_order(batch)
+    inputs, labels = _canonical_order(batch)
+    # compare bytes: array_equal would take 0.0 and -0.0 for equal
+    assert inputs.tobytes() == batch.inputs[order].tobytes()
+    assert labels.tobytes() == batch.labels[order].tobytes()
