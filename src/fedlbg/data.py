@@ -27,11 +27,12 @@ def content_rank(inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Samples as rows. `rank` is content_rank, carried by a batch() and
-    computed on first use otherwise; a dataset holding its ranks has
-    read-only inputs and labels, so a write cannot leave them stale.
-    `canonical` is (inputs, labels) sorted by rank, gathered once on first
-    use and read-only, so it cannot go stale either."""
+    """Samples as rows. `rank` is content_rank, computed on first use; a
+    dataset holding its ranks has read-only inputs and labels, so a write
+    cannot leave them stale. `canonical` is (inputs, labels) sorted by
+    rank, gathered once on first use and read-only, so it cannot go stale
+    either. A batch() is gathered once, already in canonical order: its
+    rows are its own `canonical` pair and it carries their sorted ranks."""
 
     inputs: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 classes, or (n, out) float64 targets
@@ -66,10 +67,13 @@ class Dataset:
         return self._canonical
 
     def batch(self, idx) -> "Dataset":
-        inputs, labels = self.inputs[idx], self.labels[idx]
+        rank = self.rank[idx]
+        order = np.argsort(rank, kind="stable")
+        rows = np.asarray(idx)[order]
+        inputs, labels = self.inputs[rows], self.labels[rows]
         inputs.setflags(write=False)
         labels.setflags(write=False)
-        return Dataset(inputs, labels, self.num_classes, self.rank[idx])
+        return Dataset(inputs, labels, self.num_classes, rank[order], (inputs, labels))
 
 
 @dataclass(frozen=True)

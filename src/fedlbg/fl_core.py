@@ -89,13 +89,14 @@ def local_round(
     """
     if len(worker.shard) == 0:
         raise ValueError(f"worker {worker.worker_id} has an empty shard")
-    theta = theta_global
+    theta = theta_global.copy()
     g_sum = np.zeros_like(theta_global)
     for _ in range(cfg.tau):
-        # unnamed, the batch and its sorted rows are freed with the gradient call
+        # unnamed, the batch is freed with the gradient call
         g = gradient(model, theta, worker.next_batch(dataset, cfg.batch_size))
-        theta = theta - cfg.eta * g
-        g_sum = g_sum + g
+        g_sum += g
+        g *= cfg.eta
+        theta -= g
     return check_finite(g_sum, "accumulated gradient"), check_finite(theta, "local model")
 
 

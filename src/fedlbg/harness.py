@@ -257,7 +257,8 @@ def _write(path: Path, text: str):
 
 
 def _matrix_csv(mat: np.ndarray) -> str:
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in mat) + "\n"
+    # one row at a time: a whole-matrix tolist() holds every float at once
+    return "\n".join(",".join(map(repr, row.tolist())) for row in mat) + "\n"
 
 
 def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -14,13 +14,16 @@ per-layer compressors rely on these stable index blocks.
 Per-sample contributions are reduced in a canonical order derived from
 the sample content (bytewise sort of label + input rows), so loss and
 gradient are exactly invariant under batch permutation. Each dataset
-ranks its rows by content once (data.content_rank) and a minibatch
-carries its rows' ranks, so ordering a batch is an integer argsort. A
-dataset keeps its rows in that order once sorted (read-only), so the
-per-round evaluation on the training set does not sort it again.
+ranks its rows by content once (data.content_rank), so ordering rows is
+an integer argsort. A minibatch is gathered once, already in that order,
+and a dataset keeps its rows in that order once sorted (read-only), so
+neither a gradient nor the per-round evaluation on the training set
+sorts or copies rows again.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,6 +41,12 @@ class Model:
     hidden_dim: int
     param_dim: int
     layer_shapes: tuple  # ((rows, cols), ...) in flatten order
+    _blocks: tuple = field(init=False, repr=False, compare=False)  # ((slice, shape), ...)
+
+    def __post_init__(self):
+        ends = list(accumulate(r * c for r, c in self.layer_shapes))
+        slices = map(slice, [0] + ends, ends)
+        object.__setattr__(self, "_blocks", tuple(zip(slices, self.layer_shapes)))
 
 
 def build_model(kind: str, input_dim: int, output_dim: int, hidden_dim: int = 64) -> Model:
@@ -62,13 +71,7 @@ def unpack(model: Model, theta: ParamVector) -> list:
         raise ValueError(
             f"theta has dim {theta.shape}, model expects ({model.param_dim},)"
         )
-    blocks = []
-    off = 0
-    for rows, cols in model.layer_shapes:
-        size = rows * cols
-        blocks.append(theta[off : off + size].reshape(rows, cols))
-        off += size
-    return blocks
+    return [theta[s].reshape(shape) for s, shape in model._blocks]
 
 
 def pack(blocks) -> ParamVector:
@@ -137,7 +140,7 @@ def forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
         log_norm = np.log(np.exp(out).sum(axis=1))
         per_sample = -(out[np.arange(n), np.asarray(y, dtype=np.int64)] - log_norm)
     loss = float(np.sum(per_sample) / n)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise FloatingPointError("loss is not finite")
     return loss
 

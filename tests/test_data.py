@@ -186,8 +186,16 @@ def test_content_rank_is_dense_and_bytewise():
 def test_taking_the_ranks_makes_a_dataset_read_only():
     ds = synth_classification(30, 2, 3, 1.0, RngStream(11, 0).generator())
     assert ds.inputs.flags.writeable and ds.labels.flags.writeable
-    batch = ds.batch(np.array([4, 1, 4]))
-    assert np.array_equal(batch.rank, ds.rank[[4, 1, 4]])
+    idx = np.array([4, 1, 4])
+    batch = ds.batch(idx)
+    # one gather, already in canonical order: the rows of idx in bytewise
+    # order, which are also the batch's own canonical pair
+    keys = [np.float64(y).tobytes() + x.tobytes() for y, x in zip(ds.labels[idx], ds.inputs[idx])]
+    order = sorted(range(len(idx)), key=keys.__getitem__)
+    assert batch.inputs.tobytes() == ds.inputs[idx][order].tobytes()
+    assert batch.labels.tobytes() == ds.labels[idx][order].tobytes()
+    assert np.array_equal(batch.rank, np.sort(ds.rank[idx]))
+    assert batch.canonical[0] is batch.inputs and batch.canonical[1] is batch.labels
     assert ds.rank is ds.rank  # computed once
     for a in (ds.inputs, ds.labels, batch.inputs, batch.labels):
         with pytest.raises(ValueError, match="read-only"):

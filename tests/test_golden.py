@@ -23,6 +23,7 @@ FL_FILES = ("metrics.csv", "ledger.csv")
 ANALYZER_FILES = ("npca.csv", "overlap.csv", "similarity.csv")
 
 # name -> (shipped config, overrides); every case runs 5 rounds or epochs
+# unless its overrides say otherwise
 CASES = {
     "vanilla": ("vanilla_noniid.cfg", []),
     "lbgm": ("lbgm_noniid.cfg", []),
@@ -39,6 +40,8 @@ CASES = {
         "lbgm_noniid.cfg", ["model.kind=linear_regression", "train.partition=iid"]
     ),
     "analyze": ("analyze.cfg", []),
+    # a 40x40 similarity matrix and a 40-row overlap matrix
+    "analyze_40": ("analyze.cfg", ["train.rounds=40"]),
 }
 
 DIGESTS = {
@@ -46,6 +49,11 @@ DIGESTS = {
         "npca.csv": "f540ccf2c4909f4f7bd67dae4a3f1f4ae0ca21a2cf1a9e4df7062f982f1a2de0",
         "overlap.csv": "5896aaa59aa396b908552fe6752ae2de0242c4c088dbe0febbc37638937ad9f0",
         "similarity.csv": "329eedbb977063eeef7cdbfa565b68c3f7a4087f90760dd541b60f94d9787c16",
+    },
+    "analyze_40": {
+        "npca.csv": "fd272da5023199b1ffed36cf250714824e30f5ee36f083ad403dff13f4249b9a",
+        "overlap.csv": "0cd3057967c7dd021798bf29668f70895a7e39f059c548a69e82a58866dfff1c",
+        "similarity.csv": "3ca5c4b8791a64ec0fe0cdb32635debe283e78ee3154eca5456ab8b0c6d6b5c0",
     },
     "lbgm": {
         "metrics.csv": "a78a77481a1c0e01a8f8082fc4a5dbf514ff567c149a87f85542ee9f1a82ee4e",
@@ -106,7 +114,7 @@ def run_case(name, out_dir) -> dict:
     for item in overrides:
         argv += ["--override", item]
     assert harness.main(argv) == 0
-    files = ANALYZER_FILES if name == "analyze" else FL_FILES
+    files = ANALYZER_FILES if config == "analyze.cfg" else FL_FILES
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in files}
 
 

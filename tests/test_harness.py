@@ -17,6 +17,7 @@ from fedlbg.harness import (
     parse_config,
     run,
     _build_config,
+    _matrix_csv,
     _parse_pairs,
 )
 from fedlbg.lbgm import DensePayload, UplinkMessage
@@ -234,6 +235,18 @@ def test_run_centralized_analyze_outputs(tmp_path, capsys):
     assert similarity.shape == (5, 5)
     assert overlap.shape[0] == 5
     assert "centralized_analyze" in capsys.readouterr().out
+
+
+def test_matrix_csv_is_repr_of_each_float_byte_for_byte():
+    mat = np.array([
+        [-0.0, 5e-324, 1.7976931348623157e308],
+        [0.1, 1 / 3, -2.5e-300],
+        [0.0, 0.0, 0.0],
+    ])
+    # the writer before rows went through tolist()
+    old = "\n".join(",".join(repr(float(v)) for v in row) for row in mat) + "\n"
+    assert _matrix_csv(mat).encode() == old.encode()
+    assert _matrix_csv(mat).startswith("-0.0,5e-324,1.7976931348623157e+308\n")
 
 
 def test_run_centralized_analyze_zero_epochs(tmp_path):

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from fedlbg.numerics import RngStream, cosine_sim, dot, norm_sq
+from fedlbg.numerics import RngStream, check_finite, cosine_sim, dot, norm_sq
 
 
 def vec(*values):
@@ -22,6 +24,28 @@ def test_dot_dimension_mismatch():
 def test_dot_rejects_nan():
     with pytest.raises(FloatingPointError):
         dot(vec(float("nan"), 1.0), vec(1.0, 1.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dot(vec(1, 2), vec(1, 2, 3)), ValueError, "dimension mismatch: (2,) vs (3,)"),
+    (lambda: dot(np.ones((2, 1)), np.ones(2)), ValueError, "dimension mismatch: (2, 1) vs (2,)"),
+    (lambda: dot(vec(float("nan"), 1), vec(1, 1)), FloatingPointError, "dot product is not finite"),
+    (lambda: dot(vec(1, 1), vec(float("inf"), 1)), FloatingPointError, "dot product is not finite"),
+    (lambda: dot(vec(1e200, 1), vec(1e200, 1)), FloatingPointError, "dot product is not finite"),
+    (lambda: norm_sq(vec(-1e155, 0)), FloatingPointError, "dot product is not finite"),
+    (lambda: cosine_sim(vec(0, 0), vec(1, 0)), ValueError,
+     "cosine_sim is undefined for zero-norm vectors"),
+    (lambda: cosine_sim(vec(1e-200, 0), vec(0, 0)), ValueError,
+     "cosine_sim is undefined for zero-norm vectors"),
+    (lambda: cosine_sim(vec(1, 2), vec(1, 2, 3)), ValueError, "dimension mismatch: (2,) vs (3,)"),
+    (lambda: cosine_sim(vec(float("inf"), 1), vec(1, 1)), FloatingPointError,
+     "dot product is not finite"),
+    (lambda: check_finite(vec(1, float("nan")), "local model"), FloatingPointError,
+     "local model contains non-finite entries"),
+])
+def test_errors_keep_their_types_and_messages(call, error, message):
+    with np.errstate(over="ignore"), pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_norm_sq_examples():

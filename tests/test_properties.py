@@ -1,8 +1,10 @@
-"""Property tests for the look-back step, the ledger's cost oracle, the
+"""Property tests for the look-back step, the scalar numerics against
+their earlier numpy-scalar form, the ledger's cost oracle, the
 compressors' round trips and error feedback, the models' canonical sample
 order and their invariance under batch order."""
 
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,7 +27,7 @@ from fedlbg.models import (
     gradient,
     init_params,
 )
-from fedlbg.numerics import RngStream, dot, norm_sq
+from fedlbg.numerics import RngStream, cosine_sim, dot, norm_sq
 
 # zero, or of a size whose square is a normal float; products of two
 # squared norms still under- and overflow
@@ -85,6 +87,85 @@ def test_look_back_gates_on_the_look_back_error(kind, case):
     else:
         assert msg.payload is payload
         assert np.array_equal(worker.lbg, dense)
+
+
+def reference_dot(a, b):
+    """numerics.dot as it was written with numpy scalars: the oracle for
+    the math-based form."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    out = float(np.dot(a, b))
+    if not np.isfinite(out):
+        raise FloatingPointError("dot product is not finite")
+    return out
+
+
+def reference_cosine_sim(a, b):
+    """numerics.cosine_sim as it was written with numpy scalars."""
+    try:
+        na, nb = reference_dot(a, a), reference_dot(b, b)
+    except FloatingPointError:
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise
+        na = nb = np.inf if a.any() and b.any() else 0.0
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine_sim is undefined for zero-norm vectors")
+    if not sys.float_info.min <= na * nb <= sys.float_info.max:
+        a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+        b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
+        na, nb = reference_dot(a, a), reference_dot(b, b)
+    c = reference_dot(a, b) / np.sqrt(na * nb)
+    return float(min(1.0, max(-1.0, c)))
+
+
+def reference_lbp_error(g, lbg):
+    """lbgm.lbp_error on the reference numerics."""
+    if g.shape != lbg.shape:
+        raise ValueError(f"dimension mismatch: {g.shape} vs {lbg.shape}")
+    if reference_dot(g, g) == 0.0:
+        return 0.0
+    if reference_dot(lbg, lbg) == 0.0:
+        return 1.0
+    c = reference_cosine_sim(g, lbg)
+    return 1.0 - c * c
+
+
+def outcome(f, *args):
+    """A result as (type, bits), or an error as (type, message)."""
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            out = f(*args)
+    except (ValueError, FloatingPointError) as e:
+        return type(e), str(e)
+    return type(out), out.hex()  # hex tells -0.0 from 0.0
+
+
+# normal, rescale (squared norms under- or overflow) and, drawn per
+# vector, mixed scales; entries near 1 keep many 1e-160 vectors nonzero in
+# their squared norm, ENTRY spreads them over 200 decades
+SCALE = st.sampled_from([1.0, 1e-160, 1e160])
+NEAR_ONE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def scaled_pairs(draw):
+    dim = draw(st.integers(1, 8))
+    vectors = hnp.arrays(np.float64, dim, elements=draw(st.sampled_from([NEAR_ONE, ENTRY])))
+    return draw(vectors) * draw(SCALE), draw(vectors) * draw(SCALE)
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=scaled_pairs())
+@example(pair=(np.array([1e160, 0.0]), np.array([1e160, 1e160])))  # a squared norm overflows
+@example(pair=(np.array([1e-100, 0.0]), np.array([1e-100, 1e-100])))  # na * nb underflows
+@example(pair=(np.array([3.0, -4.0]), np.array([-3.0, 4.0])))  # antiparallel: exactly -1
+def test_dot_cosine_and_look_back_error_are_bit_identical_to_the_reference(pair):
+    a, b = pair
+    for f, ref in ((dot, reference_dot), (cosine_sim, reference_cosine_sim),
+                   (lbp_error, reference_lbp_error)):
+        got = outcome(f, a, b)
+        assert got == outcome(ref, a, b)
+        assert got[0] in (float, ValueError, FloatingPointError)
 
 
 @settings(deadline=None, max_examples=100)
@@ -210,9 +291,10 @@ def datasets_with_ties(draw):
                np.array([1, 0, 2, 1])))
 def test_canonical_order_is_the_bytewise_order_of_the_batch(case):
     ds, idx = case
-    batch = ds.batch(idx)
-    order = bytewise_order(batch)
-    inputs, labels = _canonical_order(batch)
+    # the rows of idx as gathered, without ranks: a batch comes sorted
+    gathered = Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes)
+    order = bytewise_order(gathered)
+    inputs, labels = _canonical_order(ds.batch(idx))
     # compare bytes: array_equal would take 0.0 and -0.0 for equal
-    assert inputs.tobytes() == batch.inputs[order].tobytes()
-    assert labels.tobytes() == batch.labels[order].tobytes()
+    assert inputs.tobytes() == gathered.inputs[order].tobytes()
+    assert labels.tobytes() == gathered.labels[order].tobytes()
