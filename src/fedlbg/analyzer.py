@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .data import Dataset
-from .fl_core import RoundConfig, WorkerState, local_round
+from .fl_core import RoundConfig, WorkerState, local_round, one_pass_steps
 from .models import Model, init_params
 from .numerics import check_finite, cosine_sim, leads_negative, norm_sq
 
@@ -49,6 +49,8 @@ def _singular_values(stack: np.ndarray, gram=None) -> np.ndarray:
 
 
 def _count_for_mass(s: np.ndarray, variance: float, squared: bool) -> int:
+    if not 0.0 < variance <= 1.0:
+        raise ValueError(f"variance {variance} not in (0, 1]")
     vals = s**2 if squared else s
     total = vals.sum()
     if total == 0.0:
@@ -62,8 +64,6 @@ def _count_for_mass(s: np.ndarray, variance: float, squared: bool) -> int:
 def n_pca(grads: np.ndarray, variance: float, squared: bool = False) -> int:
     """Smallest component count reaching the target singular-value mass of
     a (T, M) gradient stack."""
-    if not 0.0 < variance <= 1.0:
-        raise ValueError(f"variance {variance} not in (0, 1]")
     return _count_for_mass(_singular_values(grads), variance, squared)
 
 
@@ -76,12 +76,13 @@ def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
     unit right-singular vectors.
 
     Sign convention: the first nonzero coordinate of each direction is
-    positive, so repeated analyses agree bit for bit.
+    positive, so repeated analyses agree bit for bit. A wide stack's Gram
+    matrix is formed once, for both the count and the directions.
     """
-    count = n_pca(grads, variance, squared)
     t, m = grads.shape
     if m > t:
         gram = grads @ grads.T
+        count = _count_for_mass(_singular_values(grads, gram), variance, squared)
         w, u = np.linalg.eigh(gram)
         order = np.argsort(w)[::-1]
         w = np.clip(w[order], 0.0, None)
@@ -91,6 +92,7 @@ def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
             sigma = math.sqrt(w[i])
             dirs.append(_fix_sign(grads.T @ u[:, i] / sigma))
         return dirs
+    count = n_pca(grads, variance, squared)
     _, _, vt = np.linalg.svd(grads, full_matrices=False)
     return [_fix_sign(vt[i].copy()) for i in range(count)]
 
@@ -146,8 +148,7 @@ def record_centralized(
     n = dataset.n
     worker = WorkerState(0, np.arange(n), rng)
     theta = init_params(model, rng)
-    size = n if batch_size <= 0 else batch_size
-    cfg = RoundConfig(eta, max(1, math.ceil(n / size)), batch_size)
+    cfg = RoundConfig(eta, one_pass_steps(n, batch_size), batch_size)
 
     grads = np.empty((epochs, model.param_dim))
     gram = np.zeros((epochs, epochs))

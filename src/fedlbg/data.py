@@ -6,6 +6,7 @@ images carry magic 0x00000803 followed by [n, rows, cols] as unsigned
 a count, then one byte per label.
 """
 
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -90,37 +91,32 @@ def _read_exact(buf: bytes, offset: int, count: int, path: str) -> bytes:
     return buf[offset : offset + count]
 
 
+def _read_idx(path: str, magic: int, ndim: int) -> tuple:
+    """(dims, payload) of one IDX file: the magic at byte 0, `ndim`
+    big-endian sizes, then one byte per entry and nothing after them."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    (found,) = struct.unpack(">I", _read_exact(buf, 0, 4, path))
+    if found != magic:
+        raise ValueError(f"{path}: bad magic 0x{found:08x} at byte 0, expected 0x{magic:08x}")
+    dims = struct.unpack(f">{ndim}I", _read_exact(buf, 4, 4 * ndim, path))
+    start = 4 + 4 * ndim
+    end = start + math.prod(dims)
+    payload = _read_exact(buf, start, end - start, path)
+    if len(buf) != end:
+        raise ValueError(f"{path}: {len(buf) - end} trailing bytes at byte {end}")
+    return dims, payload
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label file pair, scaling pixels into [0, 1]."""
-    with open(images_path, "rb") as f:
-        img_buf = f.read()
-    with open(labels_path, "rb") as f:
-        lab_buf = f.read()
-
-    (magic,) = struct.unpack(">I", _read_exact(img_buf, 0, 4, images_path))
-    if magic != IMAGES_MAGIC:
-        raise ValueError(
-            f"{images_path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IMAGES_MAGIC:08x}"
-        )
-    n, rows, cols = struct.unpack(">III", _read_exact(img_buf, 4, 12, images_path))
-    pixels = _read_exact(img_buf, 16, n * rows * cols, images_path)
-    if len(img_buf) != 16 + n * rows * cols:
-        raise ValueError(
-            f"{images_path}: {len(img_buf) - 16 - n * rows * cols} trailing bytes at byte {16 + n * rows * cols}"
-        )
-
-    (magic,) = struct.unpack(">I", _read_exact(lab_buf, 0, 4, labels_path))
-    if magic != LABELS_MAGIC:
-        raise ValueError(
-            f"{labels_path}: bad magic 0x{magic:08x} at byte 0, expected 0x{LABELS_MAGIC:08x}"
-        )
-    (n_labels,) = struct.unpack(">I", _read_exact(lab_buf, 4, 4, labels_path))
+    (n, rows, cols), pixels = _read_idx(images_path, IMAGES_MAGIC, 3)
+    (n_labels,), raw_labels = _read_idx(labels_path, LABELS_MAGIC, 1)
     if n_labels != n:
         raise ValueError(
             f"count mismatch at byte 4: {images_path} has {n} images, "
             f"{labels_path} has {n_labels} labels"
         )
-    raw_labels = _read_exact(lab_buf, 8, n, labels_path)
 
     inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
     inputs = inputs.reshape(n, rows * cols)

@@ -73,6 +73,12 @@ class ServerState:
         self.lbg_copies: dict = {}
 
 
+def one_pass_steps(n: int, batch_size: int) -> int:
+    """Minibatch steps in one pass over n samples, at least one; a
+    batch_size <= 0 takes the whole shard in one step."""
+    return max(1, math.ceil(n / batch_size)) if batch_size > 0 else 1
+
+
 def local_round(
     worker: WorkerState,
     theta_global: ParamVector,
@@ -140,8 +146,12 @@ METRICS_HEADER = "round,train_loss,test_metric,cum_floats,cum_bits,scalar_fracti
 LEDGER_HEADER = "round,worker,floats,bits"
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def csv_text(rows, header=None) -> str:
+    """CSV text of rows of Python ints and floats, one line per row after
+    the optional header. Each cell is its repr: the shortest string that
+    reads back to the same value, so every digit of a float is kept."""
+    lines = [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines if header is None else [header, *lines]) + "\n"
 
 
 @dataclass
@@ -149,14 +159,9 @@ class MetricsTable:
     rows: list = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [METRICS_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.round},{_fmt(r.train_loss)},{_fmt(r.test_metric)},"
-                f"{_fmt(r.cum_floats)},{_fmt(r.cum_bits)},"
-                f"{_fmt(r.scalar_fraction)},{_fmt(r.delta_sq_proxy)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(((r.round, r.train_loss, r.test_metric, r.cum_floats, r.cum_bits,
+                          r.scalar_fraction, r.delta_sq_proxy) for r in self.rows),
+                        METRICS_HEADER)
 
     def final(self) -> MetricsRow:
         return self.rows[-1]
@@ -186,10 +191,8 @@ class CommLedger:
         return lbgm.FLOAT_BITS * self._cum_floats
 
     def to_csv(self) -> str:
-        lines = [LEDGER_HEADER]
-        for rnd, worker, floats in self.rows:
-            lines.append(f"{rnd},{worker},{_fmt(floats)},{_fmt(lbgm.FLOAT_BITS * floats)}")
-        return "\n".join(lines) + "\n"
+        return csv_text(((rnd, worker, floats, lbgm.FLOAT_BITS * floats)
+                         for rnd, worker, floats in self.rows), LEDGER_HEADER)
 
 
 @dataclass
@@ -294,8 +297,7 @@ def build_experiment(exp) -> ExperimentSetup:
     if exp.tau > 0:
         tau = exp.tau
     else:
-        max_shard = max(len(sh) for sh in part.shards)
-        tau = max(1, math.ceil(max_shard / (batch_size if batch_size > 0 else max_shard)))
+        tau = one_pass_steps(max(len(sh) for sh in part.shards), batch_size)
     if exp.eta_rule == "inv_sqrt_tau_t":
         eta = 1.0 / math.sqrt(tau * max(exp.rounds, 1))
     else:

@@ -1,5 +1,5 @@
 """Experiment front door: config parsing, algorithm-to-policy mapping,
-ledger accounting, CSV emission, and the command-line interface.
+output files, and the command-line interface.
 
 Config files are line-oriented ``key = value`` with ``#`` comments (from
 a ``#`` that starts a line or follows whitespace) and sections
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analyzer, compressors, fl_core, lbgm
-from .compressors import LowRankPayload, SignPayload, SparsePayload
 from .data import parse_partition_mode
 from .fl_core import build_datasets
 from .models import MODEL_KINDS
@@ -228,37 +227,13 @@ def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
     return fl_core.run_with_policy(setup, policy_for(cfg, setup.model), fraction)
 
 
-def ledger_cost(msg) -> tuple:
-    """Accounting definition: (floats, bits) for one uplink message.
-
-    Recomputed from the sizes of the message's arrays, independently of the
-    payloads' own cost_floats, so ledgers can be audited against it.
-    """
-    p = msg.payload
-    if p is None:
-        return 1.0, 32.0
-    if isinstance(p, lbgm.DensePayload):
-        m = p.values.shape[0]
-        return float(m), 32.0 * m
-    if isinstance(p, SparsePayload):
-        k = len(p.indices)
-        return 2.0 * k, 64.0 * k
-    if isinstance(p, SignPayload):
-        return p.dim / 32.0, float(p.dim)
-    if isinstance(p, LowRankPayload):
-        f = float(sum(sum(a.size for a in b) if isinstance(b, tuple) else b.size
-                      for b in p.blocks))
-        return f, 32.0 * f
-    raise ValueError(f"cannot cost message with payload {type(p).__name__}")
-
-
 def _write(path: Path, text: str):
     path.write_text(text)
 
 
 def _matrix_csv(mat: np.ndarray) -> str:
     # one row at a time: a whole-matrix tolist() holds every float at once
-    return "\n".join(",".join(map(repr, row.tolist())) for row in mat) + "\n"
+    return fl_core.csv_text(row.tolist() for row in mat)
 
 
 def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -269,9 +244,7 @@ def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
     grads, progression = analyzer.record_centralized(
         model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng
     )
-    lines = ["epoch,n95,n99"]
-    lines += [f"{e},{n95},{n99}" for e, n95, n99 in progression]
-    _write(out_dir / "npca.csv", "\n".join(lines) + "\n")
+    _write(out_dir / "npca.csv", fl_core.csv_text(progression, "epoch,n95,n99"))
     if len(grads):
         dirs = analyzer.pgd(grads, 0.99)
         _write(out_dir / "overlap.csv", _matrix_csv(analyzer.overlap_matrix(grads, dirs)))

@@ -65,13 +65,15 @@ def check_delta(delta: Optional[float]) -> Optional[float]:
 def lbp_error(g: ParamVector, lbg: ParamVector) -> float:
     """Squared sine of the angle between g and the look-back gradient.
 
-    Zero current gradient has no direction to miss, so the error is 0;
-    a zero LBG cannot represent a nonzero gradient, so the error is 1,
-    which forces a full transmission through any gate with delta < 1.
+    Zero current gradient has no direction to miss, so the error is 0; a
+    nonzero one whose squared norm underflows still has an angle. A zero
+    LBG, or one whose squared norm underflows, cannot give a coefficient,
+    so the error is 1, which forces a full transmission through any gate
+    with delta < 1.
     """
     if g.shape != lbg.shape:
         raise ValueError(f"dimension mismatch: {g.shape} vs {lbg.shape}")
-    if norm_sq(g) == 0.0:
+    if norm_sq(g) == 0.0 and not g.any():
         return 0.0
     if norm_sq(lbg) == 0.0:
         return 1.0
@@ -98,7 +100,7 @@ def look_back(worker, payload, dense: ParamVector, delta: Optional[float]):
     sin2 = 0.0 if lbg is None else lbp_error(dense, lbg)
     # the gate repeats sin2's reductions: the benchmark's traced call counts pin them
     if lbg is not None and delta is not None:
-        if norm_sq(dense) == 0.0:
+        if norm_sq(dense) == 0.0 and not dense.any():
             return UplinkMessage(rho=0.0), sin2  # rho = 0 reconstructs zero exactly
         if norm_sq(lbg) != 0.0 and lbp_error(dense, lbg) <= delta:  # a zero LBG forces the payload
             return UplinkMessage(rho=lbc(dense, lbg)), sin2

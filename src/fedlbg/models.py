@@ -36,16 +36,14 @@ MODEL_KINDS = ("linear_regression", "softmax_classifier", "mlp1h")
 @dataclass(frozen=True)
 class Model:
     kind: str
-    input_dim: int
-    output_dim: int
-    hidden_dim: int
-    param_dim: int
     layer_shapes: tuple  # ((rows, cols), ...) in flatten order
+    param_dim: int = field(init=False)
     _blocks: tuple = field(init=False, repr=False, compare=False)  # ((slice, shape), ...)
 
     def __post_init__(self):
         ends = list(accumulate(r * c for r, c in self.layer_shapes))
         slices = map(slice, [0] + ends, ends)
+        object.__setattr__(self, "param_dim", ends[-1])
         object.__setattr__(self, "_blocks", tuple(zip(slices, self.layer_shapes)))
 
 
@@ -61,8 +59,7 @@ def build_model(kind: str, input_dim: int, output_dim: int, hidden_dim: int = 64
         )
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    m = sum(r * c for r, c in shapes)
-    return Model(kind, input_dim, output_dim, hidden_dim, m, shapes)
+    return Model(kind, shapes)
 
 
 def unpack(model: Model, theta: ParamVector) -> list:
@@ -74,22 +71,18 @@ def unpack(model: Model, theta: ParamVector) -> list:
     return [theta[s].reshape(shape) for s, shape in model._blocks]
 
 
-def pack(blocks) -> ParamVector:
-    return np.concatenate([np.asarray(b, dtype=np.float64).ravel() for b in blocks])
-
-
 def init_params(model: Model, rng: np.random.Generator) -> ParamVector:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per block, in flatten order.
 
     Blocks come in (weight, bias) pairs; both use the layer's fan_in, i.e.
     the weight matrix's row count.
     """
-    blocks = []
-    for j, (rows, cols) in enumerate(model.layer_shapes):
+    theta = np.empty(model.param_dim)
+    for j, block in enumerate(unpack(model, theta)):
         fan_in = model.layer_shapes[j - j % 2][0]
         bound = 1.0 / np.sqrt(fan_in)
-        blocks.append(rng.uniform(-bound, bound, size=(rows, cols)))
-    return pack(blocks)
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return theta
 
 
 def _canonical_order(batch: Dataset) -> tuple:

@@ -55,18 +55,19 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
     nonzero vector is exactly 1. When na * nb under- or overflows, or na
     or nb itself overflows, both vectors are first scaled by powers of two
     to a largest entry in [0.5, 1), which is exact and leaves the angle
-    unchanged. Zero-norm inputs are a hard error; callers that can see
-    zero gradients must handle them before asking for an angle.
+    unchanged; so a nonzero vector whose squared norm underflows to 0 still
+    has an angle. Zero vectors are a hard error; callers that can see zero
+    gradients must handle them before asking for an angle.
     """
     try:
         na, nb = norm_sq(a), norm_sq(b)
     except FloatingPointError:  # an overflowing squared norm, or a non-finite entry
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise
-        na = nb = np.inf if a.any() and b.any() else 0.0  # inf takes the rescale path
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine_sim is undefined for zero-norm vectors")
+        na = nb = np.inf  # takes the rescale path
     if not _FLOAT_MIN <= na * nb <= _FLOAT_MAX:  # not a normal float
+        if not (a.any() and b.any()):
+            raise ValueError("cosine_sim is undefined for zero-norm vectors")
         a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
         b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
         na, nb = norm_sq(a), norm_sq(b)

@@ -13,11 +13,12 @@ import numpy as np
 from fedlbg import analyzer, compressors, harness
 from fedlbg.data import Dataset, synth_classification
 from fedlbg.fl_core import aggregate, build_experiment, local_round, run_with_policy
-from fedlbg.harness import ExperimentConfig, ledger_cost, policy_for, simulate
+from fedlbg.harness import ExperimentConfig, policy_for, simulate
 from fedlbg.lbgm import LbgmPolicy, lbc, lbp_error, reconstruct
 from fedlbg.models import build_model, gradient, init_params
 from fedlbg.numerics import RngStream, dot, norm_sq
 from gradcheck import fd_check
+from ledger_oracle import ledger_cost
 
 _cache = {}
 

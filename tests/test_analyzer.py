@@ -53,6 +53,17 @@ def test_n_pca_validates_variance():
         n_pca(grads, 1.5)
 
 
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6)])  # wide (Gram) and tall (SVD) routes
+def test_pgd_keeps_n_pca_directions_and_validates_variance(shape):
+    grads = RngStream(32, 0).generator().standard_normal(shape)
+    for variance in (0.5, 0.95, 1.0):
+        assert len(pgd(grads, variance)) == n_pca(grads, variance)
+        assert len(pgd(grads, variance, squared=True)) == n_pca(grads, variance, squared=True)
+    for variance in (0.0, 1.5):
+        with pytest.raises(ValueError, match="variance"):
+            pgd(grads, variance)
+
+
 def test_n_pca_ordering_invariant():
     rng = RngStream(31, 0).generator()
     grads = rng.standard_normal((12, 40))

@@ -56,6 +56,18 @@ def test_idx_truncated_reports_offset(tmp_path):
         load_idx(str(img), lab)
 
 
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_idx_trailing_bytes_are_rejected_in_either_file(tmp_path, which):
+    img, lab = write_idx_pair(tmp_path, [0] * 8, [1, 0])
+    path = img if which == "images" else lab
+    with open(path, "ab") as f:
+        f.write(bytes(3))
+    end = 16 + 8 if which == "images" else 8 + 2
+    with pytest.raises(ValueError) as info:
+        load_idx(img, lab)
+    assert str(info.value) == f"{path}: 3 trailing bytes at byte {end}"
+
+
 def test_idx_count_mismatch(tmp_path):
     img, _ = write_idx_pair(tmp_path, [0] * 8, [1, 2], stem="two")
     _, lab = write_idx_pair(tmp_path, [0] * 4, [1], stem="one")

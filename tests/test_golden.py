@@ -2,8 +2,10 @@
 
 Every case runs a shipped config through the CLI (``harness.main``) at a
 few rounds and compares the sha256 of each output file with a recorded
-value. A refactor or speed-up must leave every digest in place; a change
-that moves one changes behaviour and must re-record it on purpose.
+value; one more case runs an lbgm config on IDX files built byte by byte,
+so the IDX reader is pinned too. A refactor or speed-up must leave every
+digest in place; a change that moves one changes behaviour and must
+re-record it on purpose.
 
 The digests hold for numpy 2.4 on OpenBLAS 0.3.31 (x86-64), the same
 platform the benchmark's golden digests were recorded on. Another BLAS
@@ -11,8 +13,10 @@ may round differently and fail these tests without a bug in fedlbg.
 """
 
 import hashlib
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedlbg import harness
@@ -121,3 +125,40 @@ def run_case(name, out_dir) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
+
+
+IDX_DIGESTS = {
+    "metrics.csv": "cad49cbe8b8a96b538224890949e971bb3a1cd704b9b9580c762adcefa512b1e",
+    "ledger.csv": "b68c9407abdc7cb9db70e54b134ce1e56dff86d1b14bcb7df02c41ba19682f3b",
+}
+
+
+def write_idx(path, magic, dims, payload):
+    """One IDX file, built byte by byte: magic, big-endian sizes, payload."""
+    path.write_bytes(struct.pack(f">I{len(dims)}I", magic, *dims) + bytes(payload))
+    return str(path)
+
+
+def test_golden_digests_of_a_federated_run_on_idx_files(tmp_path):
+    rng = np.random.default_rng(7)
+    files = {}
+    for split, n in (("train", 120), ("test", 30)):
+        files[f"{split}_images"] = write_idx(
+            tmp_path / f"{split}-images.idx", 0x00000803, (n, 4, 4),
+            rng.integers(0, 256, size=n * 16, dtype=np.uint8))
+        files[f"{split}_labels"] = write_idx(
+            tmp_path / f"{split}-labels.idx", 0x00000801, (n,), [i % 4 for i in range(n)])
+    config = tmp_path / "idx.cfg"
+    config.write_text(
+        f"algorithm = lbgm\nseed = 5\nout = {tmp_path / 'out'}\n"
+        "[model]\nhidden = 8\n"
+        f"[data]\nkind = idx\nimages = {files['train_images']}\n"
+        f"labels = {files['train_labels']}\ntest_images = {files['test_images']}\n"
+        f"test_labels = {files['test_labels']}\nsubset = 100\n"
+        "[train]\nworkers = 4\nrounds = 5\nbatch_size = 8\npartition = label_shard(2)\n"
+        "[lbgm]\ndelta = 0.2\n"
+    )
+    assert harness.main(["run", str(config)]) == 0
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+               for f in FL_FILES}
+    assert digests == IDX_DIGESTS

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -7,15 +7,22 @@ import pytest
 from fedlbg import analyzer
 from fedlbg.compressors import rank_r, sign_compress, topk
 from fedlbg.data import Dataset
-from fedlbg.fl_core import build_datasets
+from fedlbg.fl_core import (
+    LEDGER_HEADER,
+    METRICS_HEADER,
+    CommLedger,
+    MetricsRow,
+    MetricsTable,
+    build_datasets,
+)
 from fedlbg.harness import (
     ConfigError,
     ExperimentConfig,
     apply_overrides,
-    ledger_cost,
     main,
     parse_config,
     run,
+    simulate,
     _build_config,
     _matrix_csv,
     _parse_pairs,
@@ -23,6 +30,7 @@ from fedlbg.harness import (
 from fedlbg.lbgm import DensePayload, UplinkMessage
 from fedlbg.models import build_model, gradient, init_params
 from fedlbg.numerics import RngStream
+from ledger_oracle import ledger_cost
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -248,6 +256,38 @@ def test_matrix_csv_is_repr_of_each_float_byte_for_byte():
     assert _matrix_csv(mat).encode() == old.encode()
     assert _matrix_csv(mat).startswith("-0.0,5e-324,1.7976931348623157e+308\n")
 
+    # metrics and ledger rows: a round or worker id as an int, every other
+    # cell as repr(float(x)), as the writers wrote them before csv_text
+    metrics = MetricsTable([
+        MetricsRow(0, -0.0, 5e-324, 0.0, 0.0, 1.7976931348623157e308),
+        MetricsRow(12, 0.1, 1 / 3, 1002.0, 0.5, -2.5e-300),
+    ])
+    old = "\n".join([METRICS_HEADER] + [
+        f"{r.round}," + ",".join(repr(float(v)) for v in (
+            r.train_loss, r.test_metric, r.cum_floats, r.cum_bits,
+            r.scalar_fraction, r.delta_sq_proxy))
+        for r in metrics.rows]) + "\n"
+    assert metrics.to_csv().encode() == old.encode()
+    assert metrics.to_csv().splitlines()[1] == "0,-0.0,5e-324,0.0,0.0,0.0,1.7976931348623157e+308"
+    ledger = CommLedger()
+    for rnd, worker, floats in ((1, 0, 1002), (1, 3, 5e-324), (2, 1, -0.0), (2, 2, 31.25)):
+        ledger.append(rnd, worker, floats)
+    old = "\n".join([LEDGER_HEADER] + [
+        f"{rnd},{worker},{float(floats)!r},{float(32 * floats)!r}"
+        for rnd, worker, floats in ledger.rows]) + "\n"
+    assert ledger.to_csv().encode() == old.encode()
+    assert ledger.to_csv().splitlines()[1:3] == ["1,0,1002.0,32064.0", "1,3,5e-324,1.6e-322"]
+
+
+@pytest.mark.parametrize("algorithm", ["vanilla", "lbgm_sampled", "topk_lbgm", "rank_r", "sign"])
+def test_every_cell_of_a_runs_metrics_and_ledger_is_an_int_or_a_float(tmp_path, algorithm):
+    # csv_text writes repr(cell): a numpy scalar would print as np.float64(...)
+    result = simulate(small_run_config(tmp_path, algorithm=algorithm))
+    cells = [v for r in result.metrics.rows for v in (*astuple(r), r.cum_bits)]
+    cells += [v for row in result.ledger.rows for v in row]
+    assert {type(v) for v in cells} == {int, float}
+    assert all(type(row[0]) is int and type(row[1]) is int for row in result.ledger.rows)
+
 
 def test_run_centralized_analyze_zero_epochs(tmp_path):
     cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=0)
@@ -423,6 +463,15 @@ def test_cli_idx_bad_magic_exits_2_with_one_line(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {bad}: bad magic 0x00000801 at byte 0, expected 0x00000803"]
+
+
+def test_cli_idx_labels_with_trailing_bytes_exit_2_with_one_line(tmp_path, capsys):
+    argv, tlab = idx_argv(tmp_path, [0, 1] * 5, [0, 1])
+    with open(tlab, "ab") as f:
+        f.write(bytes(3))
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tlab}: 3 trailing bytes at byte 10"]
 
 
 def test_cli_idx_test_label_outside_training_classes_exits_2(tmp_path, capsys):

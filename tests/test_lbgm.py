@@ -53,6 +53,15 @@ def test_lbp_error_zero_cases():
     assert lbp_error(vec(1, 2), vec(0, 0)) == 1.0
 
 
+def test_lbp_error_of_a_gradient_whose_squared_norm_underflows():
+    g = vec(2.0**-600, 0)  # nonzero, but norm_sq(g) == 0.0; exact once rescaled
+    assert lbp_error(g, vec(1, 1)) == lbp_error(vec(1, 0), vec(1, 1))
+    assert lbp_error(vec(1e-163, 0), vec(1, 1)) == pytest.approx(0.5, rel=1e-15)
+    assert lbp_error(g, vec(0, 1)) == 1.0
+    assert lbp_error(g, vec(0, 0)) == 1.0
+    assert lbp_error(vec(1, 2), g) == 1.0  # such an LBG gives no coefficient
+
+
 def test_lbp_error_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         lbp_error(vec(1, 2), vec(1, 2, 3))
@@ -126,6 +135,17 @@ def test_decide_message_delta_zero_sends_full_unless_collinear():
 def test_decide_message_zero_gradient_sends_zero_scalar():
     msg = decide(vec(0, 0), vec(1, 2), 0.0)
     assert msg.tag == TAG_SCALAR and msg.rho == 0.0
+
+
+def test_decide_message_gates_a_gradient_whose_squared_norm_underflows():
+    lbg = vec(1, 1e-3)
+    g = vec(2.0**-600, 0)
+    msg, sin2 = look_back(SimpleNamespace(lbg=lbg), DensePayload(g), g, 0.2)
+    assert sin2 == lbp_error(vec(1, 0), lbg) > 0.0
+    assert msg.tag == TAG_SCALAR and msg.rho == lbc(g, lbg) > 0.0
+    worker = SimpleNamespace(lbg=lbg)
+    msg, sin2 = look_back(worker, DensePayload(g), g, 0.0)
+    assert msg.tag == TAG_PAYLOAD and worker.lbg is g
 
 
 def test_decide_message_zero_lbg_forces_full():

@@ -10,7 +10,6 @@ from fedlbg.models import (
     forward_loss,
     gradient,
     init_params,
-    pack,
     unpack,
 )
 from fedlbg.numerics import RngStream
@@ -39,9 +38,13 @@ def test_unknown_kind_rejected():
 
 
 def test_pack_unpack_roundtrip():
+    # the blocks are views that tile the vector in flatten order
     m = build_model("mlp1h", 6, 3, 5)
     theta = init_params(m, RngStream(0, 0).generator())
-    assert np.array_equal(pack(unpack(m, theta)), theta)
+    blocks = unpack(m, theta)
+    assert [b.shape for b in blocks] == list(m.layer_shapes)
+    assert all(b.base is theta for b in blocks)
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), theta)
 
 
 def test_linear_zero_loss_at_zero_targets():
@@ -171,10 +174,18 @@ def test_init_params_deterministic_and_bounded():
     assert np.abs(w1).max() <= 1.0 / 3.0  # fan_in 9
 
 
+def test_init_params_draws_each_block_in_flatten_order():
+    m = build_model("mlp1h", 9, 3, 4)
+    rng = RngStream(8, 0).generator()
+    bounds = (1 / 3, 1 / 3, 1 / 2, 1 / 2)  # each (weight, bias) pair uses the weight's fan_in
+    draws = [rng.uniform(-b, b, size=shape).ravel() for b, shape in zip(bounds, m.layer_shapes)]
+    assert np.array_equal(init_params(m, RngStream(8, 0).generator()), np.concatenate(draws))
+
+
 def test_accuracy_on_separable_data():
     m = build_model("softmax_classifier", 2, 2)
     batch = Dataset(np.array([[5.0, 0.0], [-5.0, 0.0]]), np.array([0, 1]), 2)
-    theta = pack([np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros((1, 2))])
+    theta = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])  # W = [[1, -1], [0, 0]], b = 0
     assert accuracy(m, theta, batch) == 1.0
 
 

@@ -78,6 +78,21 @@ def test_cosine_zero_norm_is_hard_error():
         cosine_sim(vec(0, 0), vec(1e160, 1))
 
 
+def test_cosine_of_a_vector_whose_squared_norm_underflows():
+    # every entry below about 1e-162: the squared norm is 0, the vector is not
+    assert norm_sq(vec(1e-163, 0)) == 0.0
+    assert cosine_sim(vec(1e-200, 0), vec(1, 0)) == 1.0
+    assert cosine_sim(vec(3e-200, -4e-200), vec(-3e-200, 4e-200)) == -1.0
+    # scaling by a power of two is exact: the angle of the unscaled pair
+    tiny = 2.0**-600
+    assert cosine_sim(vec(tiny, 0), vec(1, 1)) == 0.7071067811865475
+    assert cosine_sim(vec(1, 1), vec(0, -tiny)) == -0.7071067811865475
+    c = cosine_sim(vec(1e-163, 0), vec(1, 1))
+    assert c == pytest.approx(0.7071067811865475, rel=1e-15, abs=0.0)
+    with pytest.raises(ValueError, match="zero-norm"):
+        cosine_sim(vec(1e-200, 0), vec(0, 0))
+
+
 def test_cosine_rejects_nonfinite_entries():
     with np.errstate(over="ignore"):
         for bad in (float("nan"), float("inf")):
