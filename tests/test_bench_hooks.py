@@ -52,32 +52,40 @@ def test_tracer_installs_and_undoes_cleanly():
     assert [cls.__dict__[attr] for cls, attr in methods] == methods_before
 
 
-@pytest.mark.parametrize("algorithm", ["lbgm", "rank_r_lbgm"])
-def test_hooked_entry_points_fire(algorithm):
+@pytest.mark.parametrize("algorithm", ["lbgm", "rank_r_lbgm", "centralized_analyze"])
+def test_hooked_entry_points_fire(algorithm, tmp_path):
     # a refactor that stops calling a hooked name reads 0 in the per-layer
     # metrics without any error; here it fails
     spans = load_spans()
     cfg = harness.ExperimentConfig(
         algorithm=algorithm, seed=1, n=120, test_n=40, dim=4, classes=3,
-        workers=3, rounds=2, batch_size=10, hidden=8,
+        workers=3, rounds=2, batch_size=10, hidden=8, out=str(tmp_path),
     )
+    analyze = algorithm == "centralized_analyze"
     tracer = spans.Tracer()
     patches = tracer.install(MODULES)
     # forward_loss has no span; count it to check the canonical order below
     patches.function(models, "forward_loss", lambda f: tracer.count_calls("forward_loss", f))
     try:
-        harness.simulate(cfg)
+        if analyze:
+            assert harness.run(cfg) == 0
+        else:
+            harness.simulate(cfg)
     finally:
         patches.undo()
     calls = {name: st["calls"] for name, st in tracer.stats().items()}
-    assert tracer.counts["lbgm.uplinks"] == cfg.rounds * cfg.workers  # none counted twice
-    # one canonical order per loss or gradient, one minibatch per gradient
-    assert tracer.counts["forward_loss"] >= 1
-    assert calls["models._canonical_order"] == (calls["models.gradient"]
-                                                + tracer.counts["forward_loss"])
-    assert calls["data.batch"] == calls["models.gradient"]
-    hooked = ["lbgm.process", "lbgm.reconstruct"]
-    if algorithm == "rank_r_lbgm":
-        hooked += ["compressors.compress", "compressors.process"]
+    assert calls["data.batch"] == calls["models.gradient"]  # one minibatch per gradient
+    if analyze:
+        hooked = ["analyzer.record_centralized", "analyzer.pgd", "analyzer.overlap_matrix",
+                  "analyzer.similarity_matrix", "harness.emit"]
+    else:
+        assert tracer.counts["lbgm.uplinks"] == cfg.rounds * cfg.workers  # none counted twice
+        # one canonical order per loss or gradient
+        assert tracer.counts["forward_loss"] >= 1
+        assert calls["models._canonical_order"] == (calls["models.gradient"]
+                                                    + tracer.counts["forward_loss"])
+        hooked = ["lbgm.process", "lbgm.reconstruct"]
+        if algorithm == "rank_r_lbgm":
+            hooked += ["compressors.compress", "compressors.process"]
     for name in hooked:
         assert calls.get(name, 0) >= 1, name

@@ -1,12 +1,14 @@
 """Property tests for the look-back step, the scalar numerics against
 their earlier numpy-scalar form, the ledger's cost oracle, the
 compressors' round trips and error feedback, the models' canonical sample
-order and their invariance under batch order."""
+order, their invariance under batch order, and their softmax reductions
+against the earlier row-major form."""
 
 import math
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedlbg import models
 from fedlbg.compressors import ef_wrap, rank_r, sign_compress, topk
 from fedlbg.data import Dataset
 from fedlbg.fl_core import ServerState
@@ -21,12 +24,14 @@ from fedlbg.lbgm import DensePayload, UplinkMessage, lbp_error, look_back, recon
 from fedlbg.models import (
     MODEL_KINDS,
     _canonical_order,
+    _row_max,
     build_model,
     forward_loss,
     gradient,
     init_params,
 )
 from fedlbg.numerics import RngStream, cosine_sim, dot, norm_sq
+import model_oracle
 from ledger_oracle import ledger_cost
 
 # zero, or of a size whose square is a normal float; products of two
@@ -173,6 +178,13 @@ def test_dot_cosine_and_look_back_error_are_bit_identical_to_the_reference(pair)
         got = outcome(f, a, b)
         assert got == outcome(ref, a, b)
         assert got[0] in (float, ValueError, FloatingPointError)
+    # strided views: every other entry of a longer array, and reversed;
+    # numpy's own loop for a negative stride flags inf - inf as invalid,
+    # where BLAS does not, before both raise on the non-finite result
+    for view in (lambda v: np.repeat(v, 2)[::2], lambda v: v[::-1]):
+        for x, y in ((view(a), view(b)), (view(a), b)):
+            with np.errstate(invalid="ignore"):
+                assert outcome(dot, x, y) == outcome(reference_dot, x, y)
 
 
 @settings(deadline=None, max_examples=100)
@@ -305,3 +317,67 @@ def test_canonical_order_is_the_bytewise_order_of_the_batch(case):
     # compare bytes: array_equal would take 0.0 and -0.0 for equal
     assert inputs.tobytes() == gathered.inputs[order].tobytes()
     assert labels.tobytes() == gathered.labels[order].tobytes()
+
+
+# on two or more rows of at least 9 columns, numpy 2.4's row max can give
+# +0 where the column-major reduce gives -0, as on these rows
+SIGNED_ZERO_MAX = np.array([[0.0] * 8 + [-0.0, -1.0]] * 2)
+
+
+@st.composite
+def row_arrays(draw, elements):
+    n, k = draw(st.sampled_from([1, 2, 7, 32, 512])), draw(st.integers(1, 12))
+    return draw(hnp.arrays(np.float64, (n, k), elements=elements))
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=row_arrays(st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                              st.floats(-1e3, 1e3))))
+@example(a=SIGNED_ZERO_MAX)
+def test_row_max_equals_the_row_major_max(a):
+    got, want = _row_max(a), a.max(axis=1, keepdims=True)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # max is order-free: only the sign of a zero maximum may differ
+    assert np.all((got.view(np.int64) == want.view(np.int64)) | (want == 0.0))
+
+
+def assert_loss_and_gradient_match_the_reference(model, theta, batch):
+    loss = forward_loss(model, theta, batch)
+    assert loss.hex() == model_oracle.reference_forward_loss(model, theta, batch).hex()
+    got = gradient(model, theta, batch)
+    assert got.tobytes() == model_oracle.reference_gradient(model, theta, batch).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["softmax_classifier", "mlp1h"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_loss_and_gradient_are_bit_identical_to_the_row_major_reference(kind, data):
+    dim, classes = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+    n = data.draw(st.sampled_from([1, 7, 32, 200]))
+    value = st.sampled_from([-0.0, 0.0, -1.5, -0.25, 0.5, 2.0])
+    inputs = data.draw(hnp.arrays(np.float64, (n, dim), elements=value))
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    model = build_model(kind, dim, classes, 3)
+    theta = init_params(model, RngStream(data.draw(st.integers(0, 2**16)), 0).generator())
+    assert_loss_and_gradient_match_the_reference(model, theta, Dataset(inputs, labels, classes))
+
+
+@settings(deadline=None, max_examples=60)
+@given(logits=row_arrays(st.sampled_from([0.0, -0.0, -1.0, -2.5])), data=st.data())
+@example(logits=SIGNED_ZERO_MAX, data=None)
+def test_softmax_is_bit_identical_on_a_signed_zero_row_max(logits, data):
+    # a matmul never returns -0.0, so the logits are set directly
+    n, classes = logits.shape
+    inputs = np.arange(n, dtype=np.float64).reshape(n, 1)
+    labels = (np.zeros(n, dtype=np.int64) if data is None
+              else data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, classes - 1))))
+    model = build_model("softmax_classifier", 1, classes)
+    theta = np.zeros(model.param_dim)
+
+    def fixed_logits(model, blocks, x):
+        return None, logits.copy()
+
+    with mock.patch.object(models, "_forward", fixed_logits), \
+            mock.patch.object(model_oracle, "_forward", fixed_logits):
+        assert_loss_and_gradient_match_the_reference(model, theta, Dataset(inputs, labels, classes))
