@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .fl_core import RoundConfig, WorkerState, local_round, one_pass_steps
 from .models import Model, init_params
-from .numerics import check_finite, cosine_sim, leads_negative, norm_sq
+from .numerics import check_finite, cosine_sim, is_zero, leads_negative
 
 log = logging.getLogger(__name__)
 
@@ -97,12 +97,6 @@ def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
     return [_fix_sign(vt[i].copy()) for i in range(count)]
 
 
-def _is_zero(g: np.ndarray) -> bool:
-    """True for an all-zero row. `norm_sq` runs first on every row; a
-    nonzero row whose squared norm underflows to 0 still has an angle."""
-    return norm_sq(g) == 0.0 and not g.any()
-
-
 def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:
     """Cosine similarity of every epoch gradient (row of the (T, M) stack)
     with every principal direction; zero-norm gradients give a zero row."""
@@ -110,7 +104,7 @@ def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:
         raise ValueError("need at least one gradient and one direction")
     out = np.zeros((len(grads), len(pgds)))
     for i, g in enumerate(grads):
-        if _is_zero(g):
+        if is_zero(g):
             log.warning("epoch %d gradient has zero norm; overlap row zeroed", i)
             continue
         out[i] = [cosine_sim(g, p) for p in pgds]
@@ -124,7 +118,7 @@ def similarity_matrix(grads: np.ndarray) -> np.ndarray:
         raise ValueError("gradient stack is empty")
     t = len(grads)
     out = np.zeros((t, t))
-    nonzero = [not _is_zero(g) for g in grads]
+    nonzero = [not is_zero(g) for g in grads]
     for i, g in enumerate(grads):
         if not nonzero[i]:
             log.warning("epoch %d gradient has zero norm; similarity row zeroed", i)

@@ -14,8 +14,6 @@ import numpy as np
 from . import lbgm
 from .numerics import ParamVector, leads_negative
 
-FLOAT_BITS = lbgm.FLOAT_BITS
-
 
 @dataclass(frozen=True)
 class SparsePayload:
@@ -40,7 +38,7 @@ class SignPayload:
 
     @property
     def cost_floats(self) -> float:
-        return self.dim / FLOAT_BITS
+        return self.dim / lbgm.FLOAT_BITS
 
     def densify(self) -> ParamVector:
         signs = np.unpackbits(self.bits)[: self.dim]

@@ -111,6 +111,9 @@ def _read_idx(path: str, magic: int, ndim: int) -> tuple:
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label file pair, scaling pixels into [0, 1]."""
     (n, rows, cols), pixels = _read_idx(images_path, IMAGES_MAGIC, 3)
+    if n == 0 or rows * cols == 0:
+        raise ValueError(f"{images_path}: {n} images of {rows}x{cols} pixels, "
+                         "expected at least one image of at least one pixel")
     (n_labels,), raw_labels = _read_idx(labels_path, LABELS_MAGIC, 1)
     if n_labels != n:
         raise ValueError(
@@ -121,7 +124,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
     inputs = inputs.reshape(n, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(inputs, labels, int(labels.max()) + 1 if n else 0)
+    return Dataset(inputs, labels, int(labels.max()) + 1)
 
 
 def synth_classification(
@@ -160,18 +163,6 @@ def parse_partition_mode(mode: str):
     raise ValueError(f"unknown partition mode {mode!r}")
 
 
-def _deal_evenly(indices: np.ndarray, parts: int) -> list:
-    """Split into `parts` chunks; earlier chunks absorb one extra element."""
-    base, extra = divmod(len(indices), parts)
-    out = []
-    off = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append(indices[off : off + size])
-        off += size
-    return out
-
-
 def partition(ds: Dataset, k: int, mode: str, rng: np.random.Generator) -> Partition:
     """Split a dataset into K shards.
 
@@ -187,8 +178,7 @@ def partition(ds: Dataset, k: int, mode: str, rng: np.random.Generator) -> Parti
     kind, s = parse_partition_mode(mode)
 
     if kind == "iid":
-        perm = rng.permutation(ds.n)
-        shards = _deal_evenly(perm, k)
+        shards = np.array_split(rng.permutation(ds.n), k)
     else:
         if ds.num_classes == 0:
             raise ValueError("label_shard partitioning needs a classification dataset")
@@ -202,18 +192,11 @@ def partition(ds: Dataset, k: int, mode: str, rng: np.random.Generator) -> Parti
                 f"{ds.num_classes} labels; shards must cover the dataset"
             )
         c = ds.num_classes
-        holders = {label: [] for label in range(c)}
-        for worker in range(k):
-            for j in range(s):
-                holders[(worker * s + j) % c].append(worker)
-        per_label = {
-            label: rng.permutation(np.flatnonzero(ds.labels == label))
-            for label in range(c)
-        }
         shard_lists = [[] for _ in range(k)]
         for label in range(c):  # the coverage check above gives every label a holder
-            workers = holders[label]
-            for worker, chunk in zip(workers, _deal_evenly(per_label[label], len(workers))):
+            workers = [w for w in range(k) if (label - w * s) % c < s]
+            samples = rng.permutation(np.flatnonzero(ds.labels == label))
+            for worker, chunk in zip(workers, np.array_split(samples, len(workers))):
                 shard_lists[worker].append(chunk)
         shards = [np.sort(np.concatenate(parts)) for parts in shard_lists]
         empty = [worker for worker, sh in enumerate(shards) if len(sh) == 0]

@@ -23,9 +23,9 @@ from .numerics import (
     STREAM_PARTITION,
     STREAM_SERVER,
     ParamVector,
-    RngStream,
     check_finite,
     norm_sq,
+    rng_stream,
 )
 
 
@@ -239,10 +239,8 @@ def _slice(ds: Dataset, start: int, stop: int) -> Dataset:
 def build_datasets(exp):
     """Materialize (train, test) datasets from an experiment config."""
     if exp.data_kind == "synth":
-        gen = RngStream(exp.seed, STREAM_DATA).generator()
-        full = synth_classification(
-            exp.n + exp.test_n, exp.dim, exp.classes, exp.separation, gen
-        )
+        full = synth_classification(exp.n + exp.test_n, exp.dim, exp.classes,
+                                    exp.separation, rng_stream(exp.seed, STREAM_DATA))
         return _slice(full, 0, exp.n), _slice(full, exp.n, exp.n + exp.test_n)
     if exp.data_kind == "idx":
         train = load_idx(exp.images, exp.labels)
@@ -280,14 +278,14 @@ def build_experiment(exp) -> ExperimentSetup:
     use reserved role streams, and server-side device sampling has its own.
     """
     train_ds, test_ds = build_datasets(exp)
-    part_rng = RngStream(exp.seed, STREAM_PARTITION).generator()
-    part = partition(train_ds, exp.workers, exp.partition_mode, part_rng)
+    part = partition(train_ds, exp.workers, exp.partition_mode,
+                     rng_stream(exp.seed, STREAM_PARTITION))
 
     # after partitioning: label shards need the class labels
     model, (train_ds, test_ds) = fit_targets(exp, (train_ds, test_ds))
 
     worker_states = [
-        WorkerState(k, part.shards[k], RngStream(exp.seed, k).generator())
+        WorkerState(k, part.shards[k], rng_stream(exp.seed, k))
         for k in range(exp.workers)
     ]
     server = ServerState(init_params(model, worker_states[0].rng))
@@ -312,7 +310,7 @@ def build_experiment(exp) -> ExperimentSetup:
         weights=weights,
         round_config=RoundConfig(eta, tau, batch_size),
         rounds=exp.rounds,
-        server_rng=RngStream(exp.seed, STREAM_SERVER).generator(),
+        server_rng=rng_stream(exp.seed, STREAM_SERVER),
     )
 
 

@@ -23,7 +23,7 @@ from . import analyzer, compressors, fl_core, lbgm
 from .data import parse_partition_mode
 from .fl_core import build_datasets
 from .models import MODEL_KINDS
-from .numerics import RngStream
+from .numerics import rng_stream
 
 ALGORITHMS = (
     "vanilla",
@@ -240,9 +240,8 @@ def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
     with _building():
         train_ds, _ = build_datasets(cfg)
         model, (train_ds,) = fl_core.fit_targets(cfg, (train_ds,))
-    rng = RngStream(cfg.seed, 0).generator()
     grads, progression = analyzer.record_centralized(
-        model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng
+        model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng_stream(cfg.seed, 0)
     )
     _write(out_dir / "npca.csv", fl_core.csv_text(progression, "epoch,n95,n99"))
     if len(grads):
@@ -337,7 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        pairs = apply_overrides(_parse_pairs(Path(args.config).read_text()), args.override)
+        text = Path(args.config).read_text(encoding="utf-8")
+        pairs = apply_overrides(_parse_pairs(text), args.override)
         if args.seed is not None:
             pairs[("", "seed")] = (str(args.seed), f"--seed {args.seed}")
         if args.out is not None:
@@ -345,6 +345,10 @@ def main(argv=None) -> int:
         cfg = _build_config(pairs)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
         return 2
     return run(cfg)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import ParamVector, cosine_sim, dot, norm_sq
+from .numerics import ParamVector, cosine_sim, dot, is_zero, norm_sq
 
 TAG_SCALAR = "scalar_lbc"
 TAG_PAYLOAD = "payload"
@@ -73,7 +73,7 @@ def lbp_error(g: ParamVector, lbg: ParamVector) -> float:
     """
     if g.shape != lbg.shape:
         raise ValueError(f"dimension mismatch: {g.shape} vs {lbg.shape}")
-    if norm_sq(g) == 0.0 and not g.any():
+    if is_zero(g):
         return 0.0
     if norm_sq(lbg) == 0.0:
         return 1.0
@@ -100,7 +100,7 @@ def look_back(worker, payload, dense: ParamVector, delta: Optional[float]):
     sin2 = 0.0 if lbg is None else lbp_error(dense, lbg)
     # the gate repeats sin2's reductions: the benchmark's traced call counts pin them
     if lbg is not None and delta is not None:
-        if norm_sq(dense) == 0.0 and not dense.any():
+        if is_zero(dense):
             return UplinkMessage(rho=0.0), sin2  # rho = 0 reconstructs zero exactly
         if norm_sq(lbg) != 0.0 and lbp_error(dense, lbg) <= delta:  # a zero LBG forces the payload
             return UplinkMessage(rho=lbc(dense, lbg)), sin2

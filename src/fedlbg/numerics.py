@@ -10,7 +10,6 @@ numpy scalar and rounds the same.
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,18 +84,18 @@ def leads_negative(v: ParamVector) -> bool:
     return len(nz) > 0 and bool(v[nz[0]] < 0)
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Splittable deterministic random stream.
+def is_zero(v: ParamVector) -> bool:
+    """True for an all-zero vector. `norm_sq` runs first, as the traced
+    call counts expect; a nonzero vector whose squared norm underflows to 0
+    is not zero and still has an angle."""
+    return norm_sq(v) == 0.0 and not v.any()
 
-    The (master_seed, stream_id) pair fully determines the sample sequence;
-    distinct stream ids derived from the same master seed are independent.
+
+def rng_stream(master_seed: int, stream_id: int) -> np.random.Generator:
+    """Fresh generator at the start of the stream (master_seed, stream_id).
+
+    The pair fully determines the sample sequence; distinct stream ids
+    derived from the same master seed are independent.
     """
-
-    master_seed: int
-    stream_id: int
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        seq = np.random.SeedSequence(entropy=(int(self.master_seed), int(self.stream_id)))
-        return np.random.Generator(np.random.PCG64(seq))
+    seq = np.random.SeedSequence(entropy=(int(master_seed), int(stream_id)))
+    return np.random.Generator(np.random.PCG64(seq))

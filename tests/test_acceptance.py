@@ -16,7 +16,7 @@ from fedlbg.fl_core import aggregate, build_experiment, local_round, run_with_po
 from fedlbg.harness import ExperimentConfig, policy_for, simulate
 from fedlbg.lbgm import LbgmPolicy, lbc, lbp_error, reconstruct
 from fedlbg.models import build_model, gradient, init_params
-from fedlbg.numerics import RngStream, dot, norm_sq
+from fedlbg.numerics import dot, norm_sq, rng_stream
 from gradcheck import fd_check
 from ledger_oracle import ledger_cost
 
@@ -47,7 +47,7 @@ def cached_run(key, fn):
 
 def test_c01_projection_identity_suite():
     start = time.monotonic()
-    rng = RngStream(4, 0).generator()
+    rng = rng_stream(4, 0)
     worst_pyth = 0.0
     worst_orth = 0.0
     for dim in (2, 10, 10**4):
@@ -104,7 +104,7 @@ def test_c03_centralized_recovery():
 
 
 def test_c04_gradient_correctness():
-    rng = RngStream(6, 0).generator()
+    rng = rng_stream(6, 0)
     worst = {}
     for kind in ("linear_regression", "softmax_classifier", "mlp1h"):
         worst[kind] = 0.0
@@ -224,11 +224,11 @@ def test_c09_device_sampling():
 
 
 def test_c10_low_rank_gradient_space():
-    data_rng = RngStream(0, 2**40).generator()
+    data_rng = rng_stream(0, 2**40)
     ds = synth_classification(1500, 20, 10, 6.0, data_rng)
     model = build_model("mlp1h", 20, 10, 32)
     grads, progression = analyzer.record_centralized(
-        model, ds, 100, 0.05, 512, RngStream(0, 0).generator()
+        model, ds, 100, 0.05, 512, rng_stream(0, 0)
     )
     n95 = analyzer.n_pca(grads, 0.95)
     n99 = analyzer.n_pca(grads, 0.99)
@@ -254,7 +254,7 @@ def test_c10_low_rank_gradient_space():
 
 
 def test_c11_error_feedback_conservation():
-    rng = RngStream(44, 0).generator()
+    rng = rng_stream(44, 0)
     m = 300
     ok = True
     for k in (3, 30, 300):  # 1%, 10%, 100%

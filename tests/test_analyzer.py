@@ -13,7 +13,7 @@ from fedlbg.analyzer import (
 )
 from fedlbg.data import synth_classification
 from fedlbg.models import build_model
-from fedlbg.numerics import RngStream
+from fedlbg.numerics import rng_stream
 
 
 def test_n_pca_identical_gradients_is_one():
@@ -36,7 +36,7 @@ def test_n_pca_orthogonal_equal_norm_oracle():
 
 
 def test_n_pca_variance_one_is_numerical_rank():
-    rng = RngStream(30, 0).generator()
+    rng = rng_stream(30, 0)
     basis = rng.standard_normal((3, 50))
     coeffs = rng.standard_normal((8, 3))
     grads = coeffs @ basis
@@ -58,7 +58,7 @@ def test_n_pca_validates_variance():
 
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])  # wide (Gram) and tall (SVD) routes
 def test_pgd_keeps_n_pca_directions_and_validates_variance(shape):
-    grads = RngStream(32, 0).generator().standard_normal(shape)
+    grads = rng_stream(32, 0).standard_normal(shape)
     for variance in (0.5, 0.95, 1.0):
         assert len(pgd(grads, variance)) == n_pca(grads, variance)
         assert len(pgd(grads, variance, squared=True)) == n_pca(grads, variance, squared=True)
@@ -68,13 +68,13 @@ def test_pgd_keeps_n_pca_directions_and_validates_variance(shape):
 
 
 def test_n_pca_ordering_invariant():
-    rng = RngStream(31, 0).generator()
+    rng = rng_stream(31, 0)
     grads = rng.standard_normal((12, 40))
     assert n_pca(grads, 0.95) <= n_pca(grads, 0.99) <= min(12, 40)
 
 
 def test_n_pca_squared_counts_fewer():
-    rng = RngStream(32, 0).generator()
+    rng = rng_stream(32, 0)
     grads = rng.standard_normal((15, 60))
     assert n_pca(grads, 0.95, squared=True) <= n_pca(grads, 0.95)
 
@@ -99,7 +99,7 @@ def test_pgd_orthogonal_inputs_recovered():
 
 
 def test_pgd_orthonormal_to_1e9():
-    rng = RngStream(33, 0).generator()
+    rng = rng_stream(33, 0)
     grads = rng.standard_normal((10, 300))
     dirs = pgd(grads, 0.99)
     v = np.stack(dirs)
@@ -116,7 +116,7 @@ def test_overlap_matrix_single():
 
 
 def test_overlap_matrix_bounded_and_zero_rows():
-    rng = RngStream(34, 0).generator()
+    rng = rng_stream(34, 0)
     grads = rng.standard_normal((6, 20))
     grads[3] = 0.0
     dirs = pgd(grads[grads.any(axis=1)], 0.95)
@@ -146,7 +146,7 @@ def test_similarity_matrix_identical_and_orthogonal():
 
 
 def test_similarity_matrix_symmetric_diagonal_one():
-    rng = RngStream(35, 0).generator()
+    rng = rng_stream(35, 0)
     grads = rng.standard_normal((7, 25))
     mat = similarity_matrix(grads)
     assert np.array_equal(mat, mat.T)
@@ -165,10 +165,10 @@ def test_a_row_whose_squared_norm_underflows_keeps_its_angle(caplog):
 
 
 def centralized_fixture(epochs, batch_size=16, n=120, seed=36):
-    rng_data = RngStream(seed, 1).generator()
+    rng_data = rng_stream(seed, 1)
     ds = synth_classification(n, 6, 4, 5.0, rng_data)
     model = build_model("mlp1h", 6, 4, 8)
-    return record_centralized(model, ds, epochs, 0.1, batch_size, RngStream(seed, 0).generator())
+    return record_centralized(model, ds, epochs, 0.1, batch_size, rng_stream(seed, 0))
 
 
 def test_record_centralized_single_epoch():

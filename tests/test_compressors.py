@@ -17,7 +17,7 @@ from fedlbg.compressors import (
 from fedlbg.fl_core import build_experiment, run_with_policy
 from fedlbg.harness import ExperimentConfig, policy_for, simulate
 from fedlbg.lbgm import FLOAT_BITS, TAG_PAYLOAD, TAG_SCALAR, DensePayload
-from fedlbg.numerics import RngStream
+from fedlbg.numerics import rng_stream
 
 
 def vec(*v):
@@ -53,7 +53,7 @@ def test_topk_tie_break_lower_index():
 
 
 def test_topk_matches_brute_force_oracle():
-    rng = RngStream(20, 0).generator()
+    rng = rng_stream(20, 0)
     for _ in range(50):
         g = np.round(rng.standard_normal(30), 1)  # rounding forces ties
         k = int(rng.integers(1, 31))
@@ -71,7 +71,7 @@ def test_topk_range_errors():
 
 
 def test_topk_idempotent():
-    rng = RngStream(21, 0).generator()
+    rng = rng_stream(21, 0)
     g = rng.standard_normal(40)
     p = topk(g, 7)
     again = topk(p.densify(), 7)
@@ -80,7 +80,7 @@ def test_topk_idempotent():
 
 
 def test_ef_conservation_exact():
-    rng = RngStream(22, 0).generator()
+    rng = rng_stream(22, 0)
     m = 200
     for k in (2, 20, 200):
         residual = np.zeros(m)
@@ -94,7 +94,7 @@ def test_ef_conservation_exact():
 
 
 def test_ef_lossless_compressor_keeps_residual_zero():
-    rng = RngStream(23, 0).generator()
+    rng = rng_stream(23, 0)
     residual = np.zeros(16)
     for _ in range(5):
         payload, residual = ef_wrap(residual, rng.standard_normal(16), DensePayload)
@@ -114,7 +114,7 @@ def test_sign_examples():
 
 
 def test_sign_positive_scale_invariance():
-    rng = RngStream(24, 0).generator()
+    rng = rng_stream(24, 0)
     g = rng.standard_normal(100)
     assert np.array_equal(sign_compress(g).densify(), sign_compress(4.0 * g).densify())
 
@@ -129,7 +129,7 @@ def layer_shapes_for(blocks):
 
 
 def test_rank_r_exact_on_rank_one_block():
-    rng = RngStream(25, 0).generator()
+    rng = rng_stream(25, 0)
     u = rng.standard_normal(6)
     v = rng.standard_normal(4)
     g = np.outer(u, v).ravel()
@@ -138,7 +138,7 @@ def test_rank_r_exact_on_rank_one_block():
 
 
 def test_rank_r_full_rank_is_exact():
-    rng = RngStream(26, 0).generator()
+    rng = rng_stream(26, 0)
     g = rng.standard_normal(12)
     p = rank_r(g, [(4, 3)], 3)
     np.testing.assert_allclose(p.densify(), g, rtol=1e-9, atol=1e-12)
@@ -153,7 +153,7 @@ def test_rank_r_hand_svd_oracle():
 
 
 def test_rank_r_clamps_and_passes_vectors_dense():
-    rng = RngStream(27, 0).generator()
+    rng = rng_stream(27, 0)
     g = rng.standard_normal(2 * 3 + 1 * 3)
     p = rank_r(g, [(2, 3), (1, 3)], 5)  # r clamped to 2 for the matrix block
     np.testing.assert_allclose(p.densify(), g, rtol=1e-9, atol=1e-12)
@@ -161,7 +161,7 @@ def test_rank_r_clamps_and_passes_vectors_dense():
 
 
 def test_rank_r_error_non_increasing_in_r():
-    rng = RngStream(28, 0).generator()
+    rng = rng_stream(28, 0)
     block = rng.standard_normal((8, 6))
     g = block.ravel()
     errors = []
@@ -173,7 +173,7 @@ def test_rank_r_error_non_increasing_in_r():
 
 
 def test_rank_r_deterministic_sign_convention():
-    rng = RngStream(29, 0).generator()
+    rng = rng_stream(29, 0)
     g = rng.standard_normal(30)
     a = rank_r(g, [(5, 6)], 2)
     b = rank_r(g.copy(), [(5, 6)], 2)

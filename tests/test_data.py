@@ -12,7 +12,7 @@ from fedlbg.data import (
     synth_classification,
 )
 from fedlbg.models import build_model, gradient, accuracy
-from fedlbg.numerics import RngStream
+from fedlbg.numerics import rng_stream
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, stem="a"):
@@ -76,14 +76,14 @@ def test_idx_count_mismatch(tmp_path):
 
 
 def test_synth_deterministic():
-    a = synth_classification(50, 4, 3, 2.0, RngStream(0, 9).generator())
-    b = synth_classification(50, 4, 3, 2.0, RngStream(0, 9).generator())
+    a = synth_classification(50, 4, 3, 2.0, rng_stream(0, 9))
+    b = synth_classification(50, 4, 3, 2.0, rng_stream(0, 9))
     assert np.array_equal(a.inputs, b.inputs)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_synth_separated_blobs_are_learnable():
-    ds = synth_classification(200, 2, 2, 10.0, RngStream(1, 9).generator())
+    ds = synth_classification(200, 2, 2, 10.0, rng_stream(1, 9))
     model = build_model("softmax_classifier", 2, 2)
     theta = np.zeros(model.param_dim)
     for _ in range(200):
@@ -92,19 +92,19 @@ def test_synth_separated_blobs_are_learnable():
 
 
 def test_synth_zero_separation_is_chance_level():
-    ds = synth_classification(400, 3, 4, 0.0, RngStream(2, 9).generator())
+    ds = synth_classification(400, 3, 4, 0.0, rng_stream(2, 9))
     model = build_model("softmax_classifier", 3, 4)
     theta = np.zeros(model.param_dim)
     for _ in range(200):
         theta = theta - 0.5 * gradient(model, theta, ds)
     # no signal: accuracy hovers at 1/classes on fresh data
-    fresh = synth_classification(400, 3, 4, 0.0, RngStream(3, 9).generator())
+    fresh = synth_classification(400, 3, 4, 0.0, rng_stream(3, 9))
     acc = accuracy(model, theta, fresh)
     assert acc < 0.40
 
 
 def test_synth_preconditions():
-    rng = RngStream(0, 9).generator()
+    rng = rng_stream(0, 9)
     with pytest.raises(ValueError, match="n >= classes"):
         synth_classification(2, 3, 4, 1.0, rng)
     with pytest.raises(ValueError, match="d must be"):
@@ -126,46 +126,46 @@ def assert_disjoint_cover(part, n):
 
 
 def test_partition_single_worker():
-    ds = synth_classification(30, 2, 3, 1.0, RngStream(4, 9).generator())
-    part = partition(ds, 1, "iid", RngStream(4, 10).generator())
+    ds = synth_classification(30, 2, 3, 1.0, rng_stream(4, 9))
+    part = partition(ds, 1, "iid", rng_stream(4, 10))
     assert_disjoint_cover(part, 30)
     assert np.array_equal(part.weights, [1.0])
 
 
 def test_partition_iid_equal_sizes():
-    ds = synth_classification(100, 2, 4, 1.0, RngStream(5, 9).generator())
-    part = partition(ds, 4, "iid", RngStream(5, 10).generator())
+    ds = synth_classification(100, 2, 4, 1.0, rng_stream(5, 9))
+    part = partition(ds, 4, "iid", rng_stream(5, 10))
     assert [len(s) for s in part.shards] == [25, 25, 25, 25]
     assert_disjoint_cover(part, 100)
 
 
 def test_partition_iid_uneven_residue():
-    ds = synth_classification(10, 2, 2, 1.0, RngStream(6, 9).generator())
-    part = partition(ds, 3, "iid", RngStream(6, 10).generator())
+    ds = synth_classification(10, 2, 2, 1.0, rng_stream(6, 9))
+    part = partition(ds, 3, "iid", rng_stream(6, 10))
     assert [len(s) for s in part.shards] == [4, 3, 3]
 
 
 def test_partition_label_shard_limits_labels():
-    ds = synth_classification(500, 2, 10, 1.0, RngStream(7, 9).generator())
-    part = partition(ds, 10, "label_shard(3)", RngStream(7, 10).generator())
+    ds = synth_classification(500, 2, 10, 1.0, rng_stream(7, 9))
+    part = partition(ds, 10, "label_shard(3)", rng_stream(7, 10))
     assert_disjoint_cover(part, 500)
     for shard in part.shards:
         assert len(np.unique(ds.labels[shard])) <= 3
 
 
 def test_partition_label_shard_properties_across_settings():
-    rng = RngStream(8, 9).generator()
+    rng = rng_stream(8, 9)
     for k, s, classes in [(4, 2, 8), (10, 3, 10), (3, 1, 3), (7, 5, 6)]:
         ds = synth_classification(210, 3, classes, 1.0, rng)
-        part = partition(ds, k, f"label_shard({s})", RngStream(8, 10).generator())
+        part = partition(ds, k, f"label_shard({s})", rng_stream(8, 10))
         assert_disjoint_cover(part, 210)
         for shard in part.shards:
             assert len(np.unique(ds.labels[shard])) <= s
 
 
 def test_partition_errors():
-    ds = synth_classification(10, 2, 5, 1.0, RngStream(9, 9).generator())
-    rng = RngStream(9, 10).generator()
+    ds = synth_classification(10, 2, 5, 1.0, rng_stream(9, 9))
+    rng = rng_stream(9, 10)
     with pytest.raises(ValueError, match="cannot split"):
         partition(ds, 11, "iid", rng)
     with pytest.raises(ValueError, match="exceeds"):
@@ -180,9 +180,9 @@ def test_partition_errors():
 
 
 def test_partition_deterministic():
-    ds = synth_classification(120, 2, 6, 1.0, RngStream(10, 9).generator())
-    a = partition(ds, 5, "label_shard(2)", RngStream(10, 10).generator())
-    b = partition(ds, 5, "label_shard(2)", RngStream(10, 10).generator())
+    ds = synth_classification(120, 2, 6, 1.0, rng_stream(10, 9))
+    a = partition(ds, 5, "label_shard(2)", rng_stream(10, 10))
+    b = partition(ds, 5, "label_shard(2)", rng_stream(10, 10))
     for sa, sb in zip(a.shards, b.shards):
         assert np.array_equal(sa, sb)
 
@@ -196,7 +196,7 @@ def test_content_rank_is_dense_and_bytewise():
 
 
 def test_taking_the_ranks_makes_a_dataset_read_only():
-    ds = synth_classification(30, 2, 3, 1.0, RngStream(11, 0).generator())
+    ds = synth_classification(30, 2, 3, 1.0, rng_stream(11, 0))
     assert ds.inputs.flags.writeable and ds.labels.flags.writeable
     idx = np.array([4, 1, 4])
     batch = ds.batch(idx)

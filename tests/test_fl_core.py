@@ -15,7 +15,7 @@ from fedlbg.fl_core import (
 from fedlbg.harness import ExperimentConfig, simulate
 from fedlbg.lbgm import LbgmPolicy, reconstruct
 from fedlbg.models import build_model, gradient
-from fedlbg.numerics import RngStream
+from fedlbg.numerics import rng_stream
 
 
 def quadratic_fixture():
@@ -30,7 +30,7 @@ def quadratic_fixture():
 
 
 def make_worker(n, seed=0):
-    return WorkerState(0, np.arange(n), RngStream(seed, 0).generator())
+    return WorkerState(0, np.arange(n), rng_stream(seed, 0))
 
 
 def test_local_round_tau_one_full_batch_is_single_gradient():
@@ -63,7 +63,7 @@ def test_local_round_two_step_quadratic_oracle():
 
 def test_local_round_empty_shard_errors():
     model, ds = quadratic_fixture()
-    worker = WorkerState(3, np.array([], dtype=np.int64), RngStream(0, 3).generator())
+    worker = WorkerState(3, np.array([], dtype=np.int64), rng_stream(0, 3))
     with pytest.raises(ValueError, match="empty shard"):
         local_round(worker, np.zeros(2), RoundConfig(0.1, 1, 0), model, ds)
 
@@ -76,7 +76,7 @@ def test_local_round_rejects_overflowing_step():
 
 
 def test_local_round_minibatches_cover_epoch_without_replacement():
-    ds = synth_classification(10, 2, 2, 1.0, RngStream(1, 9).generator())
+    ds = synth_classification(10, 2, 2, 1.0, rng_stream(1, 9))
     worker = make_worker(10, seed=2)
     seen = []
     for _ in range(5):  # batch_size 4 over 10 samples: pass boundary at step 3
@@ -160,13 +160,13 @@ def test_identical_shards_equal_weights_match_single_worker():
     model, ds = quadratic_fixture()
     theta0 = np.array([1.0, 0.0])
 
-    workers = [WorkerState(k, np.arange(2), RngStream(9, k).generator()) for k in range(3)]
+    workers = [WorkerState(k, np.arange(2), rng_stream(9, k)) for k in range(3)]
     server = ServerState(theta0.copy())
     cfg = RoundConfig(0.1, 2, 0)
     grads = {k: local_round(w, theta0, cfg, model, ds)[0] for k, w in enumerate(workers)}
     aggregate(server, grads, {k: 1.0 / 3.0 for k in range(3)}, 0.1)
 
-    solo_worker = WorkerState(0, np.arange(2), RngStream(10, 0).generator())
+    solo_worker = WorkerState(0, np.arange(2), rng_stream(10, 0))
     solo_server = ServerState(theta0.copy())
     g, _ = local_round(solo_worker, theta0, cfg, model, ds)
     aggregate(solo_server, {0: g}, {0: 1.0}, 0.1)

@@ -29,7 +29,7 @@ from fedlbg.harness import (
 )
 from fedlbg.lbgm import DensePayload, UplinkMessage
 from fedlbg.models import build_model, gradient, init_params
-from fedlbg.numerics import RngStream
+from fedlbg.numerics import rng_stream
 from ledger_oracle import ledger_cost
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -180,7 +180,7 @@ def test_cli_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
 
 
 def test_ledger_cost_table():
-    rng = RngStream(40, 0).generator()
+    rng = rng_stream(40, 0)
     g1000 = rng.standard_normal(1000)
     assert ledger_cost(UplinkMessage(rho=0.7)) == (1.0, 32.0)
     assert ledger_cost(UplinkMessage(payload=DensePayload(g1000))) == (1000.0, 32000.0)
@@ -386,13 +386,13 @@ def test_cli_diverging_analyzer_exits_3(tmp_path, capsys):
         "error: run diverged: Gram row of epoch 5 contains non-finite entries"]
 
 
-def write_idx_pair(tmp_path, pixels, labels, stem):
+def write_idx_pair(tmp_path, pixels, labels, stem, shape=(2, 2)):
     import struct
 
     n = len(labels)
     images = tmp_path / f"{stem}-images.idx"
     labs = tmp_path / f"{stem}-labels.idx"
-    images.write_bytes(struct.pack(">IIII", 0x00000803, n, 2, 2) + bytes(pixels))
+    images.write_bytes(struct.pack(">IIII", 0x00000803, n, *shape) + bytes(pixels))
     labs.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels))
     return str(images), str(labs)
 
@@ -437,15 +437,17 @@ def test_cli_bad_setup_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
-def idx_argv(tmp_path, train_labels, test_labels, images=None):
-    """`run` arguments for a vanilla config on an IDX pair of 2x2 images."""
+def idx_argv(tmp_path, train_labels, test_labels, images=None, shape=(2, 2)):
+    """`run` arguments for a vanilla config on an IDX pair of images of
+    `shape` pixels (2x2 by default)."""
     rng = np.random.default_rng(0)
+    size = shape[0] * shape[1]
     img, lab = write_idx_pair(
-        tmp_path, list(rng.integers(0, 256, size=4 * len(train_labels), dtype=np.uint8)),
-        train_labels, "train")
+        tmp_path, list(rng.integers(0, 256, size=size * len(train_labels), dtype=np.uint8)),
+        train_labels, "train", shape)
     timg, tlab = write_idx_pair(
-        tmp_path, list(rng.integers(0, 256, size=4 * len(test_labels), dtype=np.uint8)),
-        test_labels, "test")
+        tmp_path, list(rng.integers(0, 256, size=size * len(test_labels), dtype=np.uint8)),
+        test_labels, "test", shape)
     config_path = tmp_path / "idx.cfg"
     config_path.write_text(
         f"algorithm = vanilla\nout = {tmp_path / 'out'}\n[data]\nkind = idx\n"
@@ -472,6 +474,34 @@ def test_cli_idx_labels_with_trailing_bytes_exit_2_with_one_line(tmp_path, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {tlab}: 3 trailing bytes at byte 10"]
+
+
+@pytest.mark.parametrize("train,test,override,shape,stem,found", [
+    # an empty training set reaches the analyzer's per-worker shard check
+    ([], [], ["algorithm=centralized_analyze"], (2, 2), "train", "0 images of 2x2"),
+    # an empty test set gives a NaN test loss, read as divergence
+    ([0, 1] * 5, [], [], (2, 2), "test", "0 images of 2x2"),
+    ([0, 1] * 5, [], ["model.kind=linear_regression"], (2, 2), "test", "0 images of 2x2"),
+    # 0-pixel inputs give init_params a zero fan-in
+    ([0, 1] * 5, [0, 1], [], (0, 0), "train", "10 images of 0x0"),
+], ids=["empty_train_analyzer", "empty_test_mlp1h", "empty_test_regression", "zero_pixels"])
+def test_cli_idx_without_images_or_pixels_exits_2_with_one_line(
+        tmp_path, capsys, train, test, override, shape, stem, found):
+    argv, _ = idx_argv(tmp_path, train, test, shape=shape)
+    for item in override:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tmp_path / stem}-images.idx: {found} pixels, "
+                   "expected at least one image of at least one pixel"]
+
+
+def test_cli_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    config_path = tmp_path / "latin1.cfg"
+    config_path.write_bytes(MINIMAL.encode() + "# caf\xe9\n".encode("latin-1"))
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {config_path}: not UTF-8 text")
 
 
 def test_cli_idx_test_label_outside_training_classes_exits_2(tmp_path, capsys):
@@ -528,6 +558,6 @@ def test_analyzer_regression_fits_one_hot_targets(tmp_path, monkeypatch):
     assert run(cfg) == 0
     train_ds, _ = build_datasets(cfg)
     model = build_model("linear_regression", 4, 3)
-    theta0 = init_params(model, RngStream(cfg.seed, 0).generator())
+    theta0 = init_params(model, rng_stream(cfg.seed, 0))
     one_hot = Dataset(train_ds.inputs, np.eye(3)[train_ds.labels], 0)
     assert np.array_equal(stacks[0][0], gradient(model, theta0, one_hot))

@@ -24,14 +24,14 @@ from fedlbg.lbgm import (
     look_back,
     reconstruct,
 )
-from fedlbg.numerics import RngStream, dot, norm_sq
+from fedlbg.numerics import dot, norm_sq, rng_stream
 
 
 def vec(*v):
     return np.asarray(v, dtype=np.float64)
 
 
-def decide(g, lbg, delta):
+def look_back_message(g, lbg, delta):
     """The message of one look-back step on a full gradient."""
     return look_back(SimpleNamespace(lbg=lbg), DensePayload(g), g, delta)[0]
 
@@ -80,7 +80,7 @@ def test_lbc_zero_lbg_is_hard_error():
 
 
 def test_gate_scale_invariance():
-    rng = RngStream(11, 0).generator()
+    rng = rng_stream(11, 0)
     for _ in range(100):
         g = rng.standard_normal(12)
         lbg = rng.standard_normal(12)
@@ -92,7 +92,7 @@ def test_gate_scale_invariance():
 def test_projection_identities():
     # residual after removing the projection is orthogonal to the LBG and
     # carries exactly the squared-sine share of the gradient energy
-    rng = RngStream(12, 0).generator()
+    rng = rng_stream(12, 0)
     for dim in (2, 10, 100):
         for _ in range(300):
             g = rng.standard_normal(dim)
@@ -106,38 +106,38 @@ def test_projection_identities():
             )
 
 
-def test_decide_message_first_round_sends_full():
+def test_look_back_first_round_sends_full():
     g = vec(1, 2, 3)
-    msg = decide(g, None, 0.2)
+    msg = look_back_message(g, None, 0.2)
     assert msg.tag == TAG_PAYLOAD
     assert msg.cost_floats == 3
     assert np.array_equal(msg.payload.densify(), g)
 
 
-def test_decide_message_delta_one_always_scalar():
+def test_look_back_delta_one_always_scalar():
     g = vec(1, 2)
     lbg = vec(-5, 4)  # nearly opposite direction, still gated through
-    msg = decide(g, lbg, 1.0)
+    msg = look_back_message(g, lbg, 1.0)
     assert msg.tag == TAG_SCALAR
     assert msg.cost_floats == 1
 
 
-def test_decide_message_delta_zero_sends_full_unless_collinear():
-    assert decide(vec(1, 2), vec(1, 0), 0.0).tag == TAG_PAYLOAD
-    assert decide(vec(2, 4), vec(1, 2), 0.0).tag == TAG_SCALAR  # exact collinear
+def test_look_back_delta_zero_sends_full_unless_collinear():
+    assert look_back_message(vec(1, 2), vec(1, 0), 0.0).tag == TAG_PAYLOAD
+    assert look_back_message(vec(2, 4), vec(1, 2), 0.0).tag == TAG_SCALAR  # exact collinear
     # ||g||^2 * ||lbg||^2 under- or overflows; the angle is still 45 degrees
     for scale in (1e-100, 1e80):
         g, lbg = scale * vec(1, 0), scale * vec(1, 1)
         assert lbp_error(g, lbg) == pytest.approx(0.5, rel=1e-15)
-        assert decide(g, lbg, 0.0).tag == TAG_PAYLOAD
+        assert look_back_message(g, lbg, 0.0).tag == TAG_PAYLOAD
 
 
-def test_decide_message_zero_gradient_sends_zero_scalar():
-    msg = decide(vec(0, 0), vec(1, 2), 0.0)
+def test_look_back_zero_gradient_sends_zero_scalar():
+    msg = look_back_message(vec(0, 0), vec(1, 2), 0.0)
     assert msg.tag == TAG_SCALAR and msg.rho == 0.0
 
 
-def test_decide_message_gates_a_gradient_whose_squared_norm_underflows():
+def test_look_back_gates_a_gradient_whose_squared_norm_underflows():
     lbg = vec(1, 1e-3)
     g = vec(2.0**-600, 0)
     msg, sin2 = look_back(SimpleNamespace(lbg=lbg), DensePayload(g), g, 0.2)
@@ -148,15 +148,15 @@ def test_decide_message_gates_a_gradient_whose_squared_norm_underflows():
     assert msg.tag == TAG_PAYLOAD and worker.lbg is g
 
 
-def test_decide_message_zero_lbg_forces_full():
-    msg = decide(vec(1, 2), vec(0, 0), 1.0)
+def test_look_back_zero_lbg_forces_full():
+    msg = look_back_message(vec(1, 2), vec(0, 0), 1.0)
     assert msg.tag == TAG_PAYLOAD
 
 
 def test_reconstruct_scalar_and_full():
     server = ServerState(np.zeros(2))
     g = vec(3, -1)
-    out = reconstruct(server, 0, decide(g, None, 0.2))
+    out = reconstruct(server, 0, look_back_message(g, None, 0.2))
     assert np.array_equal(out, g)
     assert np.array_equal(server.lbg_copies[0], g)
 

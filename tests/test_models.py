@@ -12,7 +12,7 @@ from fedlbg.models import (
     init_params,
     unpack,
 )
-from fedlbg.numerics import RngStream
+from fedlbg.numerics import rng_stream
 from gradcheck import fd_check
 
 # forward pass of the fixed mlp1h fixture below, recomputed by the
@@ -40,7 +40,7 @@ def test_unknown_kind_rejected():
 def test_pack_unpack_roundtrip():
     # the blocks are views that tile the vector in flatten order
     m = build_model("mlp1h", 6, 3, 5)
-    theta = init_params(m, RngStream(0, 0).generator())
+    theta = init_params(m, rng_stream(0, 0))
     blocks = unpack(m, theta)
     assert [b.shape for b in blocks] == list(m.layer_shapes)
     assert all(b.base is theta for b in blocks)
@@ -57,14 +57,14 @@ def test_linear_zero_loss_at_zero_targets():
 def test_softmax_uniform_loss_is_ln2():
     m = build_model("softmax_classifier", 5, 2)
     theta = np.zeros(m.param_dim)
-    batch = small_batch(RngStream(1, 0).generator(), 6, 5, 2)
+    batch = small_batch(rng_stream(1, 0), 6, 5, 2)
     assert forward_loss(m, theta, batch) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_mlp_forward_matches_straightline_oracle():
     model = build_model("mlp1h", 6, 3, 5)
-    theta = init_params(model, RngStream(0, 0).generator())
-    batch = synth_classification(4, 6, 3, 4.0, RngStream(0, 1).generator())
+    theta = init_params(model, rng_stream(0, 0))
+    batch = synth_classification(4, 6, 3, 4.0, rng_stream(0, 1))
 
     w1, b1, w2, b2 = unpack(model, theta)
     total = 0.0
@@ -87,7 +87,7 @@ def test_mlp_forward_matches_straightline_oracle():
 def test_gradient_zero_at_consistent_optimum():
     # targets generated by the model itself: residuals vanish bit-exactly
     m = build_model("linear_regression", 3, 2)
-    rng = RngStream(2, 0).generator()
+    rng = rng_stream(2, 0)
     theta = init_params(m, rng)
     inputs = rng.standard_normal((5, 3))
     w, b = unpack(m, theta)
@@ -101,7 +101,7 @@ def test_gradient_mean_invariant_under_duplication():
     # identity holds to rounding, not bitwise
     for kind in ("linear_regression", "softmax_classifier", "mlp1h"):
         m = build_model(kind, 3, 2, 4)
-        theta = init_params(m, RngStream(3, 0).generator())
+        theta = init_params(m, rng_stream(3, 0))
         x = np.array([[1.0, 2.0, -1.0]])
         y = np.array([[1.0, 0.0]]) if kind == "linear_regression" else np.array([0])
         classes = 0 if kind == "linear_regression" else 2
@@ -113,7 +113,7 @@ def test_gradient_mean_invariant_under_duplication():
 
 
 def test_loss_and_gradient_invariant_under_batch_permutation():
-    rng = RngStream(4, 0).generator()
+    rng = rng_stream(4, 0)
     for kind in ("linear_regression", "softmax_classifier", "mlp1h"):
         m = build_model(kind, 4, 3, 5)
         theta = init_params(m, rng)
@@ -130,7 +130,7 @@ def test_loss_and_gradient_invariant_under_batch_permutation():
 def test_gradient_scales_with_targets_at_origin():
     m = build_model("linear_regression", 3, 2)
     theta = np.zeros(m.param_dim)
-    rng = RngStream(5, 0).generator()
+    rng = rng_stream(5, 0)
     inputs = rng.standard_normal((6, 3))
     targets = rng.standard_normal((6, 2))
     g1 = gradient(m, theta, Dataset(inputs, targets, 0))
@@ -142,7 +142,7 @@ def test_gradient_scales_with_targets_at_origin():
     "kind,bound", [("linear_regression", 1e-6), ("softmax_classifier", 1e-4), ("mlp1h", 1e-4)]
 )
 def test_fd_check_bounds(kind, bound):
-    rng = RngStream(6, 0).generator()
+    rng = rng_stream(6, 0)
     for draw in range(10):
         m = build_model(kind, 5, 3, 4)
         theta = init_params(m, rng)
@@ -162,13 +162,13 @@ def test_fd_check_rejects_bad_eps():
 def test_theta_dimension_checked():
     m = build_model("mlp1h", 4, 2, 3)
     with pytest.raises(ValueError, match="dim"):
-        forward_loss(m, np.zeros(m.param_dim + 1), small_batch(RngStream(7, 0).generator(), 4, 4, 2))
+        forward_loss(m, np.zeros(m.param_dim + 1), small_batch(rng_stream(7, 0), 4, 4, 2))
 
 
 def test_init_params_deterministic_and_bounded():
     m = build_model("mlp1h", 9, 3, 4)
-    a = init_params(m, RngStream(8, 0).generator())
-    b = init_params(m, RngStream(8, 0).generator())
+    a = init_params(m, rng_stream(8, 0))
+    b = init_params(m, rng_stream(8, 0))
     assert np.array_equal(a, b)
     w1 = unpack(m, a)[0]
     assert np.abs(w1).max() <= 1.0 / 3.0  # fan_in 9
@@ -176,10 +176,10 @@ def test_init_params_deterministic_and_bounded():
 
 def test_init_params_draws_each_block_in_flatten_order():
     m = build_model("mlp1h", 9, 3, 4)
-    rng = RngStream(8, 0).generator()
+    rng = rng_stream(8, 0)
     bounds = (1 / 3, 1 / 3, 1 / 2, 1 / 2)  # each (weight, bias) pair uses the weight's fan_in
     draws = [rng.uniform(-b, b, size=shape).ravel() for b, shape in zip(bounds, m.layer_shapes)]
-    assert np.array_equal(init_params(m, RngStream(8, 0).generator()), np.concatenate(draws))
+    assert np.array_equal(init_params(m, rng_stream(8, 0)), np.concatenate(draws))
 
 
 def test_accuracy_on_separable_data():
@@ -191,10 +191,10 @@ def test_accuracy_on_separable_data():
 
 @pytest.mark.parametrize("kind", ["linear_regression", "softmax_classifier", "mlp1h"])
 def test_model_functions_never_write_their_inputs(kind):
-    ds = small_batch(RngStream(12, 0).generator(), 9, 3, 3)
+    ds = small_batch(rng_stream(12, 0), 9, 3, 3)
     labels = np.eye(3)[ds.labels] if kind == "linear_regression" else ds.labels
     m = build_model(kind, 3, 3, 4)
-    theta = init_params(m, RngStream(12, 1).generator())
+    theta = init_params(m, rng_stream(12, 1))
     arrays = (theta, ds.inputs, labels)
     for a in arrays:
         a.flags.writeable = False

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fedlbg.numerics import RngStream, check_finite, cosine_sim, dot, norm_sq
+from fedlbg.numerics import check_finite, cosine_sim, dot, norm_sq, rng_stream
 
 
 def vec(*values):
@@ -128,15 +128,15 @@ def test_dot_bilinear():
 
 
 def test_rng_stream_reproducible():
-    a = RngStream(42, 3).generator().random(100)
-    b = RngStream(42, 3).generator().random(100)
+    a = rng_stream(42, 3).random(100)
+    b = rng_stream(42, 3).random(100)
     assert np.array_equal(a, b)
 
 
 def test_rng_streams_independent():
-    a = RngStream(42, 0).generator().random(100)
-    b = RngStream(42, 1).generator().random(100)
-    c = RngStream(43, 0).generator().random(100)
+    a = rng_stream(42, 0).random(100)
+    b = rng_stream(42, 1).random(100)
+    c = rng_stream(43, 0).random(100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

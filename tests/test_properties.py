@@ -1,8 +1,9 @@
 """Property tests for the look-back step, the scalar numerics against
 their earlier numpy-scalar form, the ledger's cost oracle, the
 compressors' round trips and error feedback, the models' canonical sample
-order, their invariance under batch order, and their softmax reductions
-against the earlier row-major form."""
+order, their invariance under batch order, their softmax reductions
+against the earlier row-major form, and the partition against its earlier
+hand-dealt form."""
 
 import math
 import sys
@@ -18,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from fedlbg import models
 from fedlbg.compressors import ef_wrap, rank_r, sign_compress, topk
-from fedlbg.data import Dataset
+from fedlbg.data import Dataset, partition
 from fedlbg.fl_core import ServerState
 from fedlbg.lbgm import DensePayload, UplinkMessage, lbp_error, look_back, reconstruct
 from fedlbg.models import (
@@ -30,8 +31,9 @@ from fedlbg.models import (
     gradient,
     init_params,
 )
-from fedlbg.numerics import RngStream, cosine_sim, dot, norm_sq
+from fedlbg.numerics import cosine_sim, dot, norm_sq, rng_stream
 import model_oracle
+from partition_oracle import reference_partition
 from ledger_oracle import ledger_cost
 
 # zero, or of a size whose square is a normal float; products of two
@@ -264,7 +266,7 @@ def test_loss_and_gradient_invariant_under_batch_permutation_with_ties(kind, dat
                                        min_size=distinct + 1, max_size=12)))
     perm = np.array(data.draw(st.permutations(range(len(rows)))))
     model = build_model(kind, dim, classes, 4)
-    theta = init_params(model, RngStream(data.draw(st.integers(0, 2**16)), 0).generator())
+    theta = init_params(model, rng_stream(data.draw(st.integers(0, 2**16)), 0))
     batch = Dataset(inputs[rows], labels[rows], 0 if kind == "linear_regression" else classes)
     shuffled = batch.batch(perm)
     assert forward_loss(model, theta, batch) == forward_loss(model, theta, shuffled)
@@ -359,7 +361,7 @@ def test_loss_and_gradient_are_bit_identical_to_the_row_major_reference(kind, da
     inputs = data.draw(hnp.arrays(np.float64, (n, dim), elements=value))
     labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, classes - 1)))
     model = build_model(kind, dim, classes, 3)
-    theta = init_params(model, RngStream(data.draw(st.integers(0, 2**16)), 0).generator())
+    theta = init_params(model, rng_stream(data.draw(st.integers(0, 2**16)), 0))
     assert_loss_and_gradient_match_the_reference(model, theta, Dataset(inputs, labels, classes))
 
 
@@ -381,3 +383,33 @@ def test_softmax_is_bit_identical_on_a_signed_zero_row_max(logits, data):
     with mock.patch.object(models, "_forward", fixed_logits), \
             mock.patch.object(model_oracle, "_forward", fixed_logits):
         assert_loss_and_gradient_match_the_reference(model, theta, Dataset(inputs, labels, classes))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+@example(data=None)
+def test_partition_equals_the_hand_dealt_reference(data):
+    # labels are drawn freely, so some labels have no samples and shards
+    # split with uneven residues; settings the partition rejects must be
+    # rejected with the same message
+    if data is None:  # the shipped non-iid setting: 10 workers, 3 labels each
+        classes, k, mode, labels = 10, 10, "label_shard(3)", np.arange(500) % 10
+    else:
+        classes, k = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 12))
+        mode = data.draw(st.one_of(st.just("iid"), st.integers(1, classes).map(
+            lambda s: f"label_shard({s})")))
+        labels = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=1,
+                                             max_size=60)), dtype=np.int64)
+    ds = Dataset(np.zeros((len(labels), 1)), labels, classes)
+    seed = 0 if data is None else data.draw(st.integers(0, 2**16))
+    outcomes = []
+    for split in (partition, reference_partition):
+        rng = rng_stream(seed, 2**40 + 1)
+        try:
+            part = split(ds, k, mode, rng)
+        except ValueError as exc:
+            outcomes.append(("error", str(exc)))
+        else:
+            outcomes.append(([sh.tobytes() for sh in part.shards], part.weights.tobytes(),
+                             [sh.dtype for sh in part.shards], rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
