@@ -12,6 +12,7 @@ classical squared (explained-variance) convention is available via the
 
 import logging
 import math
+import os
 
 import numpy as np
 
@@ -128,6 +129,137 @@ def similarity_matrix(grads: np.ndarray) -> np.ndarray:
     return out
 
 
+def _progression_row(grads: np.ndarray, gram: np.ndarray, epoch: int) -> tuple:
+    """(epoch, n95, n99) of the gradients of epochs 0..epoch, counted on
+    their Gram matrix, the leading block of `gram`."""
+    t = epoch + 1
+    s = _singular_values(grads[:t], gram[:t, :t])
+    return epoch, _count_for_mass(s, 0.95, False), _count_for_mass(s, 0.99, False)
+
+
+def _helper_context():
+    """The multiprocessing context that forks the spectrum helper, or None
+    where the platform has no fork start method or this process may run on
+    one CPU only: there the helper would share it, and the run is slower."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    # fork, so the helper inherits the shared Gram mapping; multiprocessing's
+    # fork flushes stdio first, so buffered output is not printed twice.
+    # Imported here: the import would add to every `import fedlbg`.
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # no fork start method on this platform
+        return None
+
+
+def _serve(conn, parent_end, grads: np.ndarray, gram: np.ndarray):
+    """The helper's loop: count the row of each epoch index received, and
+    answer the closing None with the rows, or with the first exception a
+    row raised. Exits without answering when the parent's end closes."""
+    # the fork copied the parent's end too; while open here, it would keep
+    # the helper from seeing the parent's end close
+    parent_end.close()
+    answer = []
+    try:
+        for epoch in iter(conn.recv, None):
+            if isinstance(answer, list):
+                try:
+                    answer.append(_progression_row(grads, gram, epoch))
+                except Exception as exc:
+                    answer = exc
+    except EOFError:
+        return
+    conn.send(answer)
+
+
+class SpectrumProgression:
+    """The per-epoch rows (epoch, n95, n99) of a (T, M) gradient stack whose
+    Gram matrix `gram` is filled one row and column per epoch; `add(epoch)`
+    once that epoch's row and column are written, `rows()` once all are.
+
+    Where the platform can fork, the process may use two CPUs or more, and
+    every prefix of the stack is wide (M > T), one forked helper process counts the rows while the caller
+    goes on: it reads `gram` from shared memory, and `add` sends it only the
+    epoch's index, which cannot fill the pipe and block. The wide route reads the stack's shape, not its values,
+    so the helper never sees a gradient recorded after the fork. Otherwise
+    `add` counts the row in process. A helper that dies without answering
+    raises ChildProcessError. Use it as a context manager: leaving it stops
+    the helper.
+    """
+
+    def __init__(self, grads: np.ndarray):
+        epochs, m = grads.shape
+        self._grads = grads
+        self._rows = []
+        self._child = None
+        ctx = _helper_context() if 0 < epochs < m else None
+        if ctx is None:
+            self.gram = np.zeros((epochs, epochs))
+            return
+        import mmap
+
+        # an anonymous mmap is shared with the child, and starts zeroed
+        shared = mmap.mmap(-1, epochs * epochs * self._grads.itemsize)
+        self.gram = np.frombuffer(shared, dtype=np.float64).reshape(epochs, epochs)
+        self._conn, child_end = ctx.Pipe()
+        self._child = ctx.Process(target=_serve,
+                                  args=(child_end, self._conn, grads, self.gram), daemon=True)
+        try:
+            self._child.start()
+        finally:
+            child_end.close()
+
+    def add(self, epoch: int):
+        if self._child is None:
+            self._rows.append(_progression_row(self._grads, self.gram, epoch))
+            return
+        try:
+            self._conn.send(epoch)
+        except OSError:
+            raise self._died() from None
+
+    def rows(self) -> list:
+        """The rows of every added epoch, in order; raises what counting
+        one of them raised."""
+        if self._child is None:
+            return self._rows
+        try:
+            self._conn.send(None)
+            answer = self._conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+        self._child.join()
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def _died(self) -> ChildProcessError:
+        self._child.join()
+        return ChildProcessError(
+            f"spectrum helper exited with code {self._child.exitcode} before answering"
+        )
+
+    def close(self):
+        if self._child is None:
+            return
+        self._conn.close()
+        if self._child.is_alive():
+            self._child.kill()
+        self._child.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def record_centralized(
     model: Model,
     dataset: Dataset,
@@ -139,11 +271,11 @@ def record_centralized(
     """Centralized minibatch SGD, recording one accumulated gradient per epoch.
 
     Returns (grads, progression): grads is the (epochs, M) stack of epoch
-    gradients and progression rows are (epoch, n95, n99) computed on the
-    gradients recorded so far. The Gram matrix of the stack is filled one
-    row per epoch so the per-epoch PCA costs stay linear in M; `np.vecdot`
-    forms a row's products, diagonal included, with the same bits as one
-    `np.dot` per pair.
+    gradients, and progression is a SpectrumProgression whose rows() are
+    (epoch, n95, n99), computed on the gradients recorded so far; the caller
+    closes it. The Gram matrix of the stack is filled one row per epoch so
+    the per-epoch PCA costs stay linear in M; `np.vecdot` forms a row's
+    products, diagonal included, with the same bits as one `np.dot` per pair.
     """
     n = dataset.n
     worker = WorkerState(0, np.arange(n), rng)
@@ -151,15 +283,16 @@ def record_centralized(
     cfg = RoundConfig(eta, one_pass_steps(n, batch_size), batch_size)
 
     grads = np.empty((epochs, model.param_dim))
-    gram = np.zeros((epochs, epochs))
-    progression = []
-    for epoch in range(epochs):
-        grads[epoch], theta = local_round(worker, theta, cfg, model, dataset)
-        row = np.vecdot(grads[: epoch + 1], grads[epoch])
-        gram[epoch, : epoch + 1] = gram[: epoch + 1, epoch] = row
-        check_finite(row, f"Gram row of epoch {epoch}")
-        s = _singular_values(grads[: epoch + 1], gram[: epoch + 1, : epoch + 1])
-        progression.append(
-            (epoch, _count_for_mass(s, 0.95, False), _count_for_mass(s, 0.99, False))
-        )
+    progression = SpectrumProgression(grads)
+    gram = progression.gram
+    try:
+        for epoch in range(epochs):
+            grads[epoch], theta = local_round(worker, theta, cfg, model, dataset)
+            row = np.vecdot(grads[: epoch + 1], grads[epoch])
+            gram[epoch, : epoch + 1] = gram[: epoch + 1, epoch] = row
+            check_finite(row, f"Gram row of epoch {epoch}")
+            progression.add(epoch)
+    except BaseException:
+        progression.close()
+        raise
     return grads, progression

@@ -236,22 +236,34 @@ def _matrix_csv(mat: np.ndarray) -> str:
     return fl_core.csv_text(row.tolist() for row in mat)
 
 
-def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
+def _analyze(cfg: ExperimentConfig):
+    """Record the gradients of a centralized run and analyze them: returns
+    (progression rows, overlap matrix, similarity matrix), the matrices None
+    when no epoch ran. The spectrum helper counts the rows while the
+    matrices are built, and they are collected last. Returning frees the
+    gradient stack and the directions before any CSV text is made."""
     with _building():
         train_ds, _ = build_datasets(cfg)
         model, (train_ds,) = fl_core.fit_targets(cfg, (train_ds,))
     grads, progression = analyzer.record_centralized(
         model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng_stream(cfg.seed, 0)
     )
-    _write(out_dir / "npca.csv", fl_core.csv_text(progression, "epoch,n95,n99"))
-    if len(grads):
+    with progression:
+        if not len(grads):
+            return progression.rows(), None, None
         dirs = analyzer.pgd(grads, 0.99)
-        _write(out_dir / "overlap.csv", _matrix_csv(analyzer.overlap_matrix(grads, dirs)))
-        _write(out_dir / "similarity.csv", _matrix_csv(analyzer.similarity_matrix(grads)))
-    else:
-        _write(out_dir / "overlap.csv", "")
-        _write(out_dir / "similarity.csv", "")
-    final = progression[-1] if progression else (0, 0, 0)
+        overlap = analyzer.overlap_matrix(grads, dirs)
+        similarity = analyzer.similarity_matrix(grads)
+        return progression.rows(), overlap, similarity
+
+
+def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
+    # nothing is written until every part of the analysis has succeeded
+    rows, overlap, similarity = _analyze(cfg)
+    _write(out_dir / "npca.csv", fl_core.csv_text(rows, "epoch,n95,n99"))
+    _write(out_dir / "overlap.csv", "" if overlap is None else _matrix_csv(overlap))
+    _write(out_dir / "similarity.csv", "" if similarity is None else _matrix_csv(similarity))
+    final = rows[-1] if rows else (0, 0, 0)
     print(f"centralized_analyze: epochs={cfg.rounds} n95={final[1]} n99={final[2]} -> {out_dir}")
     return 0
 

@@ -1,4 +1,5 @@
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -164,11 +165,19 @@ def test_a_row_whose_squared_norm_underflows_keeps_its_angle(caplog):
     assert "zero norm" not in caplog.text
 
 
-def centralized_fixture(epochs, batch_size=16, n=120, seed=36):
+def record_fixture(epochs, batch_size=16, n=120, seed=36):
+    """record_centralized on a small mlp1h problem: (grads, progression)."""
     rng_data = rng_stream(seed, 1)
     ds = synth_classification(n, 6, 4, 5.0, rng_data)
     model = build_model("mlp1h", 6, 4, 8)
     return record_centralized(model, ds, epochs, 0.1, batch_size, rng_stream(seed, 0))
+
+
+def centralized_fixture(epochs, **kwargs):
+    """(grads, progression rows) of record_fixture, its helper stopped."""
+    grads, progression = record_fixture(epochs, **kwargs)
+    with progression:
+        return grads, progression.rows()
 
 
 def test_record_centralized_single_epoch():
@@ -185,19 +194,71 @@ def test_record_centralized_progression_matches_per_prefix_pca():
         assert n99 == n_pca(prefix, 0.99)
 
 
-def test_record_centralized_gram_equals_one_dot_per_pair(monkeypatch):
-    # the Gram matrix of the last epoch's spectrum, against np.dot per pair
-    grams = []
-    spectrum = analyzer._singular_values
-
-    def keep_gram(stack, gram=None):
-        grams.append(gram.copy())
-        return spectrum(stack, gram)
-
-    monkeypatch.setattr(analyzer, "_singular_values", keep_gram)
-    grads, _ = centralized_fixture(40)
+def test_record_centralized_gram_equals_one_dot_per_pair():
+    # the Gram matrix the spectrum rows are counted on, against np.dot per pair
+    grads, progression = record_fixture(40)
+    progression.close()
     oracle = np.array([[float(np.dot(a, b)) for b in grads] for a in grads])
-    assert grams[-1].tobytes() == oracle.tobytes()
+    assert progression.gram.tobytes() == oracle.tobytes()
+
+
+needs_helper = pytest.mark.skipif(analyzer._helper_context() is None,
+                                reason="no fork start method, or one usable CPU")
+
+
+@needs_helper
+@pytest.mark.parametrize("epochs", [1, 40])
+def test_forked_and_in_process_drivers_agree(monkeypatch, epochs):
+    _, forked = record_fixture(epochs)
+    with forked:
+        assert forked._child is not None
+        rows = forked.rows()
+    monkeypatch.setattr(analyzer, "_helper_context", lambda: None)
+    _, in_process = record_fixture(epochs)
+    with in_process:
+        assert in_process._child is None
+        assert in_process.rows() == rows
+    assert len(rows) == epochs
+
+
+@needs_helper
+def test_helper_exits_when_the_parents_end_closes():
+    # as when the parent dies: no closing None, only the end of the pipe
+    _, progression = record_fixture(3)
+    with progression:
+        progression._conn.close()
+        progression._child.join(timeout=10)
+        assert progression._child.exitcode == 0
+
+
+def test_one_usable_cpu_starts_no_helper(monkeypatch):
+    # the helper would only share the CPU, which measured slower
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _, progression = record_fixture(3)
+    with progression:
+        assert progression._child is None
+        assert len(progression.rows()) == 3
+
+
+def test_a_stack_with_tall_prefixes_counts_in_process():
+    # 95 epochs of a 92-parameter model: the last prefixes take the SVD route,
+    # which reads the gradients themselves
+    grads, progression = record_fixture(95)
+    assert grads.shape == (95, 92)
+    with progression:
+        assert progression._child is None
+        rows = progression.rows()
+    for t, n95, n99 in rows[88:]:
+        assert (n95, n99) == (n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
+
+
+def test_zero_epochs_start_no_helper():
+    grads, progression = record_fixture(0)
+    with progression:
+        assert progression._child is None
+        assert progression.rows() == []
+    assert grads.shape == (0, 92) and progression.gram.shape == (0, 0)
 
 
 def test_record_centralized_collinear_log_counts_one():

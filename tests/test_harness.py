@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import signal
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -293,6 +296,8 @@ def test_run_centralized_analyze_zero_epochs(tmp_path):
     cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=0)
     assert run(cfg) == 0
     assert (tmp_path / "out/npca.csv").read_text() == "epoch,n95,n99\n"
+    assert (tmp_path / "out/overlap.csv").read_text() == ""
+    assert (tmp_path / "out/similarity.csv").read_text() == ""
 
 
 def test_run_reports_savings_vs_baseline(tmp_path, capsys):
@@ -384,6 +389,66 @@ def test_cli_diverging_analyzer_exits_3(tmp_path, capsys):
     assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: run diverged: Gram row of epoch 5 contains non-finite entries"]
+
+
+ANALYZER_OUTPUTS = ("npca.csv", "overlap.csv", "similarity.csv")
+
+needs_helper = pytest.mark.skipif(analyzer._helper_context() is None,
+                                reason="no fork start method, or one usable CPU")
+
+
+@needs_helper
+def test_analyzer_leaves_no_child_after_success_or_divergence(tmp_path, capsys):
+    cfg = small_run_config(tmp_path / "ok", algorithm="centralized_analyze", rounds=5)
+    assert run(cfg) == 0
+    assert multiprocessing.active_children() == []
+    # 10 epochs of a 15-parameter model: every prefix is wide, so a helper runs
+    config_path = tmp_path / "diverge.cfg"
+    config_path.write_text(DIVERGING.replace("lbgm", "centralized_analyze")
+                           .replace("eta = 5", "eta = 50").replace("rounds = 60", "rounds = 10"))
+    out = tmp_path / "diverged"
+    assert main(["run", str(config_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run diverged: Gram row of epoch 5 contains non-finite entries"]
+    assert multiprocessing.active_children() == []
+    assert list(out.iterdir()) == []
+
+
+@needs_helper
+def test_analyzer_spectrum_failure_reaches_the_caller(tmp_path, monkeypatch):
+    # the helper inherits the patch; only epoch 1's 2 x 2 Gram fails, so pgd
+    # (a 5 x 5 Gram) does not raise it in this process
+    eigvalsh = np.linalg.eigvalsh
+
+    def fail_at_two(a, *args, **kwargs):
+        if len(a) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_at_two)
+    cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=5)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        run(cfg)
+    assert multiprocessing.active_children() == []
+    assert not any((tmp_path / "out" / name).exists() for name in ANALYZER_OUTPUTS)
+
+
+@needs_helper
+def test_analyzer_helper_that_dies_exits_1(tmp_path, monkeypatch, capsys):
+    pgd = analyzer.pgd
+
+    def kill_helper_then_pgd(*args):
+        (helper,) = multiprocessing.active_children()
+        os.kill(helper.pid, signal.SIGKILL)
+        return pgd(*args)
+
+    monkeypatch.setattr(analyzer, "pgd", kill_helper_then_pgd)
+    cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=5)
+    assert run(cfg) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: spectrum helper exited with code {-signal.SIGKILL} before answering"]
+    assert multiprocessing.active_children() == []
+    assert not any((tmp_path / "out" / name).exists() for name in ANALYZER_OUTPUTS)
 
 
 def write_idx_pair(tmp_path, pixels, labels, stem, shape=(2, 2)):
