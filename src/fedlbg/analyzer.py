@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .fl_core import RoundConfig, WorkerState, local_round, one_pass_steps
 from .models import Model, init_params
-from .numerics import check_finite, cosine_sim, is_zero, leads_negative
+from .numerics import check_finite, cosine_sim, fix_sign, is_zero
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +68,6 @@ def n_pca(grads: np.ndarray, variance: float, squared: bool = False) -> int:
     return _count_for_mass(_singular_values(grads), variance, squared)
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    return -v if leads_negative(v) else v
-
-
 def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
     """Principal gradient directions of a (T, M) gradient stack: leading
     unit right-singular vectors.
@@ -88,14 +84,14 @@ def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
         order = np.argsort(w)[::-1]
         w = np.clip(w[order], 0.0, None)
         u = u[:, order]
-        dirs = []
-        for i in range(count):
-            sigma = math.sqrt(w[i])
-            dirs.append(_fix_sign(grads.T @ u[:, i] / sigma))
-        return dirs
-    count = n_pca(grads, variance, squared)
-    _, _, vt = np.linalg.svd(grads, full_matrices=False)
-    return [_fix_sign(vt[i].copy()) for i in range(count)]
+        dirs = [grads.T @ u[:, i] / math.sqrt(w[i]) for i in range(count)]
+    else:
+        count = n_pca(grads, variance, squared)
+        _, _, vt = np.linalg.svd(grads, full_matrices=False)
+        dirs = [vt[i].copy() for i in range(count)]
+    for d in dirs:
+        fix_sign(d)
+    return dirs
 
 
 def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:

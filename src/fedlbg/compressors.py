@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lbgm
-from .numerics import ParamVector, leads_negative
+from .numerics import ParamVector, fix_sign
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,6 @@ def sign_compress(g: ParamVector) -> SignPayload:
     return SignPayload(np.packbits(bits), g.shape[0])
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray):
-    """Flip factor pairs so each left singular vector starts positive."""
-    for i in range(u.shape[1]):
-        if leads_negative(u[:, i]):
-            u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
-    return u, v
-
-
 def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
     """Best rank-r approximation of each matrix-shaped block via SVD.
 
@@ -121,7 +112,8 @@ def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
         r_eff = min(r, rows, cols)
         u_r = u[:, :r_eff] * s[:r_eff]
         v_r = vt[:r_eff].T.copy()
-        u_r, v_r = _fix_signs(u_r, v_r)
+        for i in range(r_eff):  # each left factor starts positive
+            fix_sign(u_r[:, i], v_r[:, i])
         blocks.append((u_r, v_r))
     if off != g.shape[0]:
         raise ValueError("layer shapes do not cover the gradient vector")

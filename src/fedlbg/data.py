@@ -18,28 +18,29 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
-def content_rank(inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Dense rank of each (label, input) row in bytewise order: equal rows
-    share a rank, so a stable argsort of ranks is a stable sort of rows."""
+def content_order(inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts (label, input) rows bytewise,
+    labels as float64 first: an order that does not depend on where a row
+    sits, since equal rows have equal bytes."""
     rows = np.column_stack([np.asarray(labels, dtype=np.float64), inputs])
     keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    return np.unique(keys, return_inverse=True)[1]
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Samples as rows. `rank` is content_rank, computed on first use; a
-    dataset holding its ranks has read-only inputs and labels, so a write
-    cannot leave them stale. `canonical` is (inputs, labels) sorted by
-    rank, gathered once on first use and read-only, so it cannot go stale
-    either. A batch() is gathered once, already in canonical order: its
-    rows are its own `canonical` pair and it carries their sorted ranks."""
+    """Samples as rows. `canonical` is (inputs, labels) in content_order,
+    gathered once on first use, read-only, with each row's slot in it; a
+    dataset that has sorted its rows has read-only inputs and labels too,
+    so a write cannot leave them stale. A batch() is gathered once from
+    the sorted rows, at the sorted slots of its indices, so it comes in
+    canonical order: its rows are its own `canonical` pair."""
 
     inputs: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 classes, or (n, out) float64 targets
     num_classes: int  # 0 for regression
-    _rank: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _canonical: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _slots: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -50,31 +51,30 @@ class Dataset:
         return self.inputs.shape[1]
 
     @property
-    def rank(self) -> np.ndarray:
-        if self._rank is None:
-            object.__setattr__(self, "_rank", content_rank(self.inputs, self.labels))
-            self.inputs.setflags(write=False)
-            self.labels.setflags(write=False)
-        return self._rank
-
-    @property
     def canonical(self) -> tuple:
         if self._canonical is None:
-            order = np.argsort(self.rank, kind="stable")
-            rows = self.inputs[order], self.labels[order]
-            for a in rows:
-                a.setflags(write=False)
-            object.__setattr__(self, "_canonical", rows)
+            self._sort()
         return self._canonical
 
+    def _sort(self):
+        order = content_order(self.inputs, self.labels)
+        slots = np.empty_like(order)
+        slots[order] = np.arange(len(order))
+        rows = self.inputs[order], self.labels[order]
+        for a in (self.inputs, self.labels, *rows):
+            a.setflags(write=False)
+        object.__setattr__(self, "_canonical", rows)
+        object.__setattr__(self, "_slots", slots)
+
     def batch(self, idx) -> "Dataset":
-        rank = self.rank[idx]
-        order = np.argsort(rank, kind="stable")
-        rows = np.asarray(idx)[order]
-        inputs, labels = self.inputs[rows], self.labels[rows]
+        if self._slots is None:
+            self._sort()
+        # sorted slots are content order; rows that tie have equal bytes
+        rows = np.sort(self._slots[idx])
+        inputs, labels = self._canonical[0][rows], self._canonical[1][rows]
         inputs.setflags(write=False)
         labels.setflags(write=False)
-        return Dataset(inputs, labels, self.num_classes, rank[order], (inputs, labels))
+        return Dataset(inputs, labels, self.num_classes, (inputs, labels))
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,10 @@ def csv_text(rows, header=None) -> str:
     """CSV text of rows of Python ints and floats, one line per row after
     the optional header. Each cell is its repr: the shortest string that
     reads back to the same value, so every digit of a float is kept."""
-    lines = [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines if header is None else [header, *lines]) + "\n"
+    lines = [] if header is None else [header]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 @dataclass
@@ -202,9 +204,10 @@ class RunResult:
 
 
 class Diverged(FloatingPointError):
-    """A non-finite value stopped a run in `round`: inside `worker`'s local
-    round or encode step, or on the server when `worker` is None. `partial`
-    holds the metrics and ledger of the rounds completed before it."""
+    """A non-finite value, or a decomposition that did not converge,
+    stopped a run in `round`: inside `worker`'s local round or encode step,
+    or on the server when `worker` is None. `partial` holds the metrics and
+    ledger of the rounds completed before it."""
 
     def __init__(self, round_idx: int, worker_id: Optional[int], cause: Exception,
                  partial: RunResult):
@@ -333,8 +336,9 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
     With a sample fraction in (0, 1], each round draws ceil(fraction * K)
     workers without replacement from the server stream and scales the
     update by 1/|sampled| while keeping the original data weights; the LBGs
-    of unsampled workers stay stale on both sides. A non-finite value raises
-    Diverged, carrying the rounds completed before it.
+    of unsampled workers stay stale on both sides. A non-finite value, or a
+    LinAlgError from a compressor's decomposition, raises Diverged, carrying
+    the rounds completed before it.
     """
     if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
         raise ValueError(f"sample fraction {sample_fraction} not in (0, 1]")
@@ -390,6 +394,6 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
                     proxy,
                 )
             )
-    except FloatingPointError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise Diverged(t, k, exc, RunResult(metrics, ledger)) from exc
     return RunResult(metrics, ledger)

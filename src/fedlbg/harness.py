@@ -305,7 +305,9 @@ def run(cfg: ExperimentConfig) -> int:
 
     Returns the exit status: 0 on success, 1 on an I/O error, 2 on bad data
     or settings found while building the experiment, 3 when the run diverges
-    (a federated run keeps the rows of its completed rounds).
+    (a federated run keeps the rows of its completed rounds). A LinAlgError
+    of the analyzer's decompositions reaches the caller; `main` reports it
+    with exit 3.
     """
     try:
         out_dir = Path(cfg.out)
@@ -362,7 +364,11 @@ def main(argv=None) -> int:
         print(f"error: {args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})",
               file=sys.stderr)
         return 2
-    return run(cfg)
+    try:
+        return run(cfg)
+    except np.linalg.LinAlgError as exc:  # in the analyzer, which keeps no partial output
+        print(f"error: run diverged: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,11 +14,11 @@ per-layer compressors rely on these stable index blocks.
 Per-sample contributions are reduced in a canonical order derived from
 the sample content (bytewise sort of label + input rows), so loss and
 gradient are exactly invariant under batch permutation. Each dataset
-ranks its rows by content once (data.content_rank), so ordering rows is
-an integer argsort. A minibatch is gathered once, already in that order,
-and a dataset keeps its rows in that order once sorted (read-only), so
-neither a gradient nor the per-round evaluation on the training set
-sorts or copies rows again.
+sorts its rows by content once (data.content_order) and keeps them in
+that order, read-only, with each row's slot in it; a minibatch is
+gathered once from those rows at its sorted slots, so neither a gradient
+nor the per-round evaluation on the training set sorts or copies rows
+again.
 
 A reduction whose result does not depend on the order of its operands
 (max) may be re-laid for speed: the softmax row max is taken over a
@@ -94,10 +94,10 @@ def init_params(model: Model, rng: np.random.Generator) -> ParamVector:
 def _canonical_order(batch: Dataset) -> tuple:
     """(inputs, labels) of the batch in a content-derived canonical order.
 
-    Rows are sorted bytewise (labels first, then inputs) by a stable
-    argsort of the content ranks: an order that does not depend on how the
-    batch was assembled, which makes loss/gradient exactly
-    permutation-invariant. The dataset keeps the sorted rows, read-only.
+    Rows are sorted bytewise (labels first, then inputs), stably: an order
+    that does not depend on how the batch was assembled, which makes
+    loss/gradient exactly permutation-invariant. The dataset keeps the
+    sorted rows, read-only.
     """
     return batch.canonical
 

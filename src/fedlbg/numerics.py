@@ -77,11 +77,14 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
     return min(1.0, max(-1.0, dot(a, b) / math.sqrt(na * nb)))
 
 
-def leads_negative(v: ParamVector) -> bool:
-    """True when the first entry above 1e-12 * max(1, max|v|) is negative:
-    the sign convention that makes repeated decompositions agree."""
+def fix_sign(v: ParamVector, *partners: np.ndarray):
+    """Negate v and its partners in place when the first entry of v above
+    1e-12 * max(1, max|v|) is negative: the sign convention that makes
+    repeated decompositions agree."""
     nz = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
-    return len(nz) > 0 and bool(v[nz[0]] < 0)
+    if len(nz) > 0 and v[nz[0]] < 0:
+        for a in (v, *partners):
+            np.negative(a, out=a)
 
 
 def is_zero(v: ParamVector) -> bool:

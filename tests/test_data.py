@@ -5,7 +5,7 @@ import pytest
 
 from fedlbg.data import (
     Dataset,
-    content_rank,
+    content_order,
     load_idx,
     parse_partition_mode,
     partition,
@@ -187,15 +187,19 @@ def test_partition_deterministic():
         assert np.array_equal(sa, sb)
 
 
-def test_content_rank_is_dense_and_bytewise():
+def test_content_order_is_stable_and_bytewise():
     inputs = np.array([[1.0], [0.0], [-0.0], [1.0], [0.0]])
     labels = np.array([0, 0, 0, 0, 1])
     # -0.0 differs from 0.0 only in its sign bit and sorts after it bytewise;
-    # equal rows share a rank and ranks leave no gaps
-    assert content_rank(inputs, labels).tolist() == [2, 0, 1, 2, 3]
+    # equal rows keep their order
+    assert content_order(inputs, labels).tolist() == [1, 2, 0, 3, 4]
+    ds = Dataset(inputs, labels, 2)
+    assert ds.canonical[0].tobytes() == inputs[[1, 2, 0, 3, 4]].tobytes()
+    # each row's slot is its position in the sorted rows
+    assert ds._slots.tolist() == [2, 0, 1, 3, 4]
 
 
-def test_taking_the_ranks_makes_a_dataset_read_only():
+def test_sorting_the_rows_makes_a_dataset_read_only():
     ds = synth_classification(30, 2, 3, 1.0, rng_stream(11, 0))
     assert ds.inputs.flags.writeable and ds.labels.flags.writeable
     idx = np.array([4, 1, 4])
@@ -206,9 +210,11 @@ def test_taking_the_ranks_makes_a_dataset_read_only():
     order = sorted(range(len(idx)), key=keys.__getitem__)
     assert batch.inputs.tobytes() == ds.inputs[idx][order].tobytes()
     assert batch.labels.tobytes() == ds.labels[idx][order].tobytes()
-    assert np.array_equal(batch.rank, np.sort(ds.rank[idx]))
     assert batch.canonical[0] is batch.inputs and batch.canonical[1] is batch.labels
-    assert ds.rank is ds.rank  # computed once
-    for a in (ds.inputs, ds.labels, batch.inputs, batch.labels):
+    assert ds.canonical is ds.canonical  # sorted once
+    x, y = ds.canonical
+    assert x[ds._slots].tobytes() == ds.inputs.tobytes()
+    assert y[ds._slots].tobytes() == ds.labels.tobytes()
+    for a in (ds.inputs, ds.labels, x, y, batch.inputs, batch.labels):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0

@@ -218,16 +218,17 @@ def test_default_tau_is_one_shard_pass():
     assert setup.round_config.tau == 5
 
 
-def test_content_ranks_wait_for_the_first_batch():
-    # ranking the training set is left to the run: building stays cheap
+def test_content_order_waits_for_the_first_batch():
+    # sorting the training set is left to the run: building stays cheap
     setup = build_experiment(base_config())
+    assert setup.train_ds._slots is None
     assert setup.train_ds.inputs.flags.writeable
     setup.workers[0].next_batch(setup.train_ds, 10)
     assert not setup.train_ds.inputs.flags.writeable
 
 
 def test_evaluation_sorts_the_training_set_once(monkeypatch):
-    # like the ranks, the sorted rows are left to the run and then kept
+    # the sorted rows are left to the run and then kept
     setup = build_experiment(base_config())
     assert setup.train_ds._canonical is None
     seen = []

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -282,6 +283,19 @@ def test_matrix_csv_is_repr_of_each_float_byte_for_byte():
     assert ledger.to_csv().splitlines()[1:3] == ["1,0,1002.0,32064.0", "1,3,5e-324,1.6e-322"]
 
 
+def test_matrix_csv_holds_its_text_about_twice_at_most():
+    # the lines and their join: a further copy for the final newline would
+    # make it three times
+    mat = rng_stream(0, 0).standard_normal((300, 300))
+    tracemalloc.start()
+    try:
+        text = _matrix_csv(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
 @pytest.mark.parametrize("algorithm", ["vanilla", "lbgm_sampled", "topk_lbgm", "rank_r", "sign"])
 def test_every_cell_of_a_runs_metrics_and_ledger_is_an_int_or_a_float(tmp_path, algorithm):
     # csv_text writes repr(cell): a numpy scalar would print as np.float64(...)
@@ -391,6 +405,29 @@ def test_cli_diverging_analyzer_exits_3(tmp_path, capsys):
         "error: run diverged: Gram row of epoch 5 contains non-finite entries"]
 
 
+def test_cli_svd_failure_keeps_completed_rounds(tmp_path, capsys, monkeypatch):
+    # two weight blocks per worker and round: call 15 is round 3, worker 1
+    svd, calls = np.linalg.svd, []
+
+    def fail_at_fifteen(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 15:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_at_fifteen)
+    config_path = tmp_path / "rank.cfg"
+    config_path.write_text(MINIMAL.replace("lbgm", "rank_r_lbgm").replace("rounds = 2", "rounds = 5"))
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run diverged in round 3 (worker 1): SVD did not converge"]
+    metrics = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in metrics] == ["0", "1", "2"]
+    ledger = (out / "ledger.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[0] for line in ledger} == {"1", "2"}
+
+
 ANALYZER_OUTPUTS = ("npca.csv", "overlap.csv", "similarity.csv")
 
 needs_helper = pytest.mark.skipif(analyzer._helper_context() is None,
@@ -431,6 +468,31 @@ def test_analyzer_spectrum_failure_reaches_the_caller(tmp_path, monkeypatch):
         run(cfg)
     assert multiprocessing.active_children() == []
     assert not any((tmp_path / "out" / name).exists() for name in ANALYZER_OUTPUTS)
+
+
+def eigvalsh_failing_at_two(a, *args, eigvalsh=np.linalg.eigvalsh, **kwargs):
+    # epoch 1's 2 x 2 Gram: in the helper where one runs, else in this process
+    if len(a) == 2:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return eigvalsh(a, *args, **kwargs)
+
+
+def eigh_failing(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")  # in pgd
+
+
+@pytest.mark.parametrize("name, patch", [("eigvalsh", eigvalsh_failing_at_two),
+                                         ("eigh", eigh_failing)], ids=["spectrum", "pgd"])
+def test_cli_analyzer_decomposition_failure_exits_3(tmp_path, capsys, monkeypatch, name, patch):
+    monkeypatch.setattr(np.linalg, name, patch)
+    config_path = tmp_path / "analyze.cfg"
+    config_path.write_text(MINIMAL.replace("lbgm", "centralized_analyze").replace("rounds = 2", "rounds = 5"))
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run diverged: Eigenvalues did not converge"]
+    assert multiprocessing.active_children() == []
+    assert list(out.iterdir()) == []
 
 
 @needs_helper

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fedlbg.numerics import check_finite, cosine_sim, dot, norm_sq, rng_stream
+from fedlbg.numerics import check_finite, cosine_sim, dot, fix_sign, norm_sq, rng_stream
 
 
 def vec(*values):
@@ -140,3 +140,35 @@ def test_rng_streams_independent():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
+
+def test_fix_sign_flips_its_partners_with_it():
+    v, u = vec(0.0, -2.0, 3.0), vec(1.0, -0.0, 4.0)
+    factors = np.array([[1.0, 5.0], [2.0, 6.0]])
+    fix_sign(v, u, factors[:, 1])  # a strided column, as rank_r passes
+    assert v.tolist() == [-0.0, 2.0, -3.0]
+    assert u.tolist() == [-1.0, 0.0, -4.0]
+    assert factors.tolist() == [[1.0, -5.0], [2.0, -6.0]]
+    fix_sign(v, u)  # now leading positive: nothing moves
+    assert v.tolist() == [-0.0, 2.0, -3.0] and u.tolist() == [-1.0, 0.0, -4.0]
+
+
+def test_fix_sign_leaves_a_zero_vector_alone():
+    v, u = vec(0.0, -0.0), vec(-1.0, 2.0)
+    fix_sign(v, u)
+    assert v.tobytes() == vec(0.0, -0.0).tobytes()
+    assert u.tolist() == [-1.0, 2.0]
+
+
+@pytest.mark.parametrize("values, flips", [
+    # the threshold is 1e-12 * max(1, max|v|): entries at or below it are skipped
+    ((-1e-12, 1.0), False),
+    ((-2e-12, 1.0), True),
+    ((-1e-12, 2.0), False),
+    ((-3e-12, 2.0), True),
+    ((-1e-13, 1e-14), False),  # max|v| < 1: the threshold stays 1e-12
+    ((-2e-12, 1e-14), True),
+])
+def test_fix_sign_honours_the_threshold(values, flips):
+    v = vec(*values)
+    fix_sign(v)
+    assert v.tolist() == ([-x for x in values] if flips else list(values))

@@ -1,9 +1,10 @@
 """Property tests for the look-back step, the scalar numerics against
 their earlier numpy-scalar form, the ledger's cost oracle, the
-compressors' round trips and error feedback, the models' canonical sample
-order, their invariance under batch order, their softmax reductions
-against the earlier row-major form, and the partition against its earlier
-hand-dealt form."""
+compressors' round trips and error feedback, the content order against
+its earlier rank form, the models' canonical sample order, their
+invariance under batch order, their softmax reductions against the
+earlier row-major form, and the partition against its earlier hand-dealt
+form."""
 
 import math
 import sys
@@ -19,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from fedlbg import models
 from fedlbg.compressors import ef_wrap, rank_r, sign_compress, topk
-from fedlbg.data import Dataset, partition
+from fedlbg.data import Dataset, content_order, partition
 from fedlbg.fl_core import ServerState
 from fedlbg.lbgm import DensePayload, UplinkMessage, lbp_error, look_back, reconstruct
 from fedlbg.models import (
@@ -33,6 +34,7 @@ from fedlbg.models import (
 )
 from fedlbg.numerics import cosine_sim, dot, norm_sq, rng_stream
 import model_oracle
+from order_oracle import content_rank
 from partition_oracle import reference_partition
 from ledger_oracle import ledger_cost
 
@@ -319,6 +321,41 @@ def test_canonical_order_is_the_bytewise_order_of_the_batch(case):
     # compare bytes: array_equal would take 0.0 and -0.0 for equal
     assert inputs.tobytes() == gathered.inputs[order].tobytes()
     assert labels.tobytes() == gathered.labels[order].tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=datasets_with_ties(), data=st.data())
+def test_a_batch_of_a_batch_is_in_bytewise_order(case, data):
+    ds, idx = case
+    batch = ds.batch(idx)
+    sub = np.array(data.draw(st.lists(st.integers(0, len(idx) - 1), min_size=1, max_size=12)))
+    gathered = Dataset(batch.inputs[sub], batch.labels[sub], ds.num_classes)
+    order = bytewise_order(gathered)
+    inputs, labels = _canonical_order(batch.batch(sub))
+    assert inputs.tobytes() == gathered.inputs[order].tobytes()
+    assert labels.tobytes() == gathered.labels[order].tobytes()
+
+
+# signed zeros, infinities, and NaNs whose payloads and sign bits differ
+ORDER_VALUES = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, -np.nan,
+                         *np.array([0x7FF0000000000001, 0x7FF8000000000123,
+                                    0xFFF4000000000000], dtype=np.uint64).view(np.float64)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_content_order_is_the_stable_argsort_of_the_dense_ranks(data):
+    n, dim = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    # few distinct values, drawn by index so that every NaN keeps its bits
+    pick = st.integers(0, data.draw(st.integers(0, len(ORDER_VALUES) - 1)))
+    inputs = ORDER_VALUES[data.draw(hnp.arrays(np.int64, (n, dim), elements=pick))]
+    if data.draw(st.booleans()):
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+    else:  # float targets, one column or several
+        labels = ORDER_VALUES[data.draw(hnp.arrays(np.int64, (n, data.draw(st.integers(1, 3))),
+                                                   elements=pick))]
+    want = np.argsort(content_rank(inputs, labels), kind="stable")
+    assert np.array_equal(content_order(inputs, labels), want)
 
 
 # on two or more rows of at least 9 columns, numpy 2.4's row max can give
