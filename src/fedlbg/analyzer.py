@@ -175,9 +175,9 @@ def _serve(conn, parent_end, grads: np.ndarray, gram: np.ndarray):
 
 
 class SpectrumProgression:
-    """The per-epoch rows (epoch, n95, n99) of a (T, M) gradient stack whose
-    Gram matrix `gram` is filled one row and column per epoch; `add(epoch)`
-    once that epoch's row and column are written, `rows()` once all are.
+    """The per-epoch rows (epoch, n95, n99) of a (T, M) gradient stack and
+    its Gram matrix `gram`, both filled one epoch at a time: `add(epoch)`
+    once that epoch's gradient is recorded, `rows()` once all are.
 
     Where the platform can fork, the process may use two CPUs or more, and
     every prefix of the stack is wide (M > T), one forked helper process counts the rows while the caller
@@ -212,6 +212,10 @@ class SpectrumProgression:
             child_end.close()
 
     def add(self, epoch: int):
+        # diagonal included, one np.vecdot gives the bits of one np.dot per pair
+        row = np.vecdot(self._grads[: epoch + 1], self._grads[epoch])
+        self.gram[epoch, : epoch + 1] = self.gram[: epoch + 1, epoch] = row
+        check_finite(row, f"Gram row of epoch {epoch}")
         if self._child is None:
             self._rows.append(_progression_row(self._grads, self.gram, epoch))
             return
@@ -266,12 +270,8 @@ def record_centralized(
 ):
     """Centralized minibatch SGD, recording one accumulated gradient per epoch.
 
-    Returns (grads, progression): grads is the (epochs, M) stack of epoch
-    gradients, and progression is a SpectrumProgression whose rows() are
-    (epoch, n95, n99), computed on the gradients recorded so far; the caller
-    closes it. The Gram matrix of the stack is filled one row per epoch so
-    the per-epoch PCA costs stay linear in M; `np.vecdot` forms a row's
-    products, diagonal included, with the same bits as one `np.dot` per pair.
+    Returns (grads, progression): the (epochs, M) stack of epoch gradients
+    and its SpectrumProgression, which the caller closes.
     """
     n = dataset.n
     worker = WorkerState(0, np.arange(n), rng)
@@ -280,15 +280,26 @@ def record_centralized(
 
     grads = np.empty((epochs, model.param_dim))
     progression = SpectrumProgression(grads)
-    gram = progression.gram
     try:
         for epoch in range(epochs):
             grads[epoch], theta = local_round(worker, theta, cfg, model, dataset)
-            row = np.vecdot(grads[: epoch + 1], grads[epoch])
-            gram[epoch, : epoch + 1] = gram[: epoch + 1, epoch] = row
-            check_finite(row, f"Gram row of epoch {epoch}")
             progression.add(epoch)
     except BaseException:
         progression.close()
         raise
     return grads, progression
+
+
+def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size: int,
+            rng: np.random.Generator):
+    """Record the gradients of a centralized run and analyze them: returns
+    (progression rows, overlap matrix, similarity matrix), the matrices None
+    when no epoch ran. The rows are collected last, so the spectrum helper
+    counts them while the matrices are built; it stops before this returns."""
+    grads, progression = record_centralized(model, dataset, epochs, eta, batch_size, rng)
+    with progression:
+        if not len(grads):
+            return progression.rows(), None, None
+        overlap = overlap_matrix(grads, pgd(grads, 0.99))
+        similarity = similarity_matrix(grads)
+        return progression.rows(), overlap, similarity

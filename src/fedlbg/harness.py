@@ -236,30 +236,14 @@ def _matrix_csv(mat: np.ndarray) -> str:
     return fl_core.csv_text(row.tolist() for row in mat)
 
 
-def _analyze(cfg: ExperimentConfig):
-    """Record the gradients of a centralized run and analyze them: returns
-    (progression rows, overlap matrix, similarity matrix), the matrices None
-    when no epoch ran. The spectrum helper counts the rows while the
-    matrices are built, and they are collected last. Returning frees the
-    gradient stack and the directions before any CSV text is made."""
+def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
     with _building():
         train_ds, _ = build_datasets(cfg)
         model, (train_ds,) = fl_core.fit_targets(cfg, (train_ds,))
-    grads, progression = analyzer.record_centralized(
+    # nothing is written until every part of the analysis has succeeded
+    rows, overlap, similarity = analyzer.analyze(
         model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng_stream(cfg.seed, 0)
     )
-    with progression:
-        if not len(grads):
-            return progression.rows(), None, None
-        dirs = analyzer.pgd(grads, 0.99)
-        overlap = analyzer.overlap_matrix(grads, dirs)
-        similarity = analyzer.similarity_matrix(grads)
-        return progression.rows(), overlap, similarity
-
-
-def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
-    # nothing is written until every part of the analysis has succeeded
-    rows, overlap, similarity = _analyze(cfg)
     _write(out_dir / "npca.csv", fl_core.csv_text(rows, "epoch,n95,n99"))
     _write(out_dir / "overlap.csv", "" if overlap is None else _matrix_csv(overlap))
     _write(out_dir / "similarity.csv", "" if similarity is None else _matrix_csv(similarity))
@@ -305,9 +289,8 @@ def run(cfg: ExperimentConfig) -> int:
 
     Returns the exit status: 0 on success, 1 on an I/O error, 2 on bad data
     or settings found while building the experiment, 3 when the run diverges
-    (a federated run keeps the rows of its completed rounds). A LinAlgError
-    of the analyzer's decompositions reaches the caller; `main` reports it
-    with exit 3.
+    or a decomposition does not converge (a federated run keeps the rows of
+    its completed rounds).
     """
     try:
         out_dir = Path(cfg.out)
@@ -324,7 +307,7 @@ def run(cfg: ExperimentConfig) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:  # the analyzer keeps no partial output
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:  # the analyzer's
         print(f"error: run diverged: {exc}", file=sys.stderr)
         return 3
 
@@ -364,11 +347,7 @@ def main(argv=None) -> int:
         print(f"error: {args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})",
               file=sys.stderr)
         return 2
-    try:
-        return run(cfg)
-    except np.linalg.LinAlgError as exc:  # in the analyzer, which keeps no partial output
-        print(f"error: run diverged: {exc}", file=sys.stderr)
-        return 3
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -451,25 +454,6 @@ def test_analyzer_leaves_no_child_after_success_or_divergence(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@needs_helper
-def test_analyzer_spectrum_failure_reaches_the_caller(tmp_path, monkeypatch):
-    # the helper inherits the patch; only epoch 1's 2 x 2 Gram fails, so pgd
-    # (a 5 x 5 Gram) does not raise it in this process
-    eigvalsh = np.linalg.eigvalsh
-
-    def fail_at_two(a, *args, **kwargs):
-        if len(a) == 2:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail_at_two)
-    cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=5)
-    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-        run(cfg)
-    assert multiprocessing.active_children() == []
-    assert not any((tmp_path / "out" / name).exists() for name in ANALYZER_OUTPUTS)
-
-
 def eigvalsh_failing_at_two(a, *args, eigvalsh=np.linalg.eigvalsh, **kwargs):
     # epoch 1's 2 x 2 Gram: in the helper where one runs, else in this process
     if len(a) == 2:
@@ -481,14 +465,24 @@ def eigh_failing(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")  # in pgd
 
 
+@pytest.mark.parametrize("entry", ["main", "run"])
 @pytest.mark.parametrize("name, patch", [("eigvalsh", eigvalsh_failing_at_two),
                                          ("eigh", eigh_failing)], ids=["spectrum", "pgd"])
-def test_cli_analyzer_decomposition_failure_exits_3(tmp_path, capsys, monkeypatch, name, patch):
+def test_cli_analyzer_decomposition_failure_exits_3(tmp_path, capsys, monkeypatch, name, patch,
+                                                    entry):
+    # in the spectrum case only epoch 1's 2 x 2 Gram fails, so the error
+    # comes from the spectrum, not from pgd's 5 x 5 Gram
     monkeypatch.setattr(np.linalg, name, patch)
-    config_path = tmp_path / "analyze.cfg"
-    config_path.write_text(MINIMAL.replace("lbgm", "centralized_analyze").replace("rounds = 2", "rounds = 5"))
+    text = MINIMAL.replace("lbgm", "centralized_analyze").replace("rounds = 2", "rounds = 5")
     out = tmp_path / "out"
-    assert main(["run", str(config_path), "--out", str(out)]) == 3
+    if entry == "main":
+        config_path = tmp_path / "analyze.cfg"
+        config_path.write_text(text)
+        assert main(["run", str(config_path), "--out", str(out)]) == 3
+    else:
+        cfg = parse_config(text)
+        cfg.out = str(out)
+        assert run(cfg) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: run diverged: Eigenvalues did not converge"]
     assert multiprocessing.active_children() == []
@@ -511,6 +505,69 @@ def test_analyzer_helper_that_dies_exits_1(tmp_path, monkeypatch, capsys):
         f"error: spectrum helper exited with code {-signal.SIGKILL} before answering"]
     assert multiprocessing.active_children() == []
     assert not any((tmp_path / "out" / name).exists() for name in ANALYZER_OUTPUTS)
+
+
+def package_env():
+    """This process's environment, with the tested fedlbg first on the path
+    and BLAS on one thread."""
+    src = str(Path(analyzer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+
+
+def process_state(pid):
+    """The state letter of a process (Z for a zombie), or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rpartition(")")[2].split()[0]
+
+
+def children_file(pid):
+    return Path(f"/proc/{pid}/task/{pid}/children")
+
+
+@needs_helper
+@pytest.mark.skipif(not children_file(os.getpid()).exists(),
+                    reason="no /proc/<pid>/task/<pid>/children to find the helper by")
+def test_a_killed_run_leaves_no_spectrum_helper(tmp_path):
+    # 900 epochs of a 1,002-parameter model: every prefix is wide, and the
+    # run lasts far longer than the test waits
+    argv = [sys.executable, "-m", "fedlbg", "run", str(CONFIGS / "analyze.cfg"),
+            "--out", str(tmp_path / "out"), "--override", "train.rounds=900"]
+    parent = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              env=package_env())
+    helper = None
+    try:
+        deadline = time.monotonic() + 30
+        while helper is None and parent.poll() is None and time.monotonic() < deadline:
+            pids = children_file(parent.pid).read_text().split()
+            if pids:
+                helper = int(pids[0])
+            else:
+                time.sleep(0.005)
+        assert helper is not None, "the run forked no helper"
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 30
+        while process_state(helper) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert process_state(helper) in (None, "Z")
+    finally:
+        parent.kill()
+        parent.wait()
+        if helper is not None and process_state(helper) not in (None, "Z"):
+            os.kill(helper, signal.SIGKILL)
+
+
+def test_import_leaves_multiprocessing_and_mmap_unloaded():
+    # the spectrum helper imports them when it starts, so importing the
+    # package stays light
+    code = "import sys, fedlbg; print(sorted({'multiprocessing', 'mmap'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env(), check=True)
+    assert done.stdout == "[]\n"
 
 
 def write_idx_pair(tmp_path, pixels, labels, stem, shape=(2, 2)):
