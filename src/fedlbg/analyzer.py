@@ -154,24 +154,24 @@ def _helper_context():
         return None
 
 
-def _serve(conn, parent_end, grads: np.ndarray, gram: np.ndarray):
+def _serve(conn, grads: np.ndarray, gram: np.ndarray):
     """The helper's loop: count the row of each epoch index received, and
     answer the closing None with the rows, or with the first exception a
-    row raised. Exits without answering when the parent's end closes."""
-    # the fork copied the parent's end too; while open here, it would keep
-    # the helper from seeing the parent's end close
-    parent_end.close()
+    row raised. Before each index, checks its parent's sentinel: once the
+    parent is gone, returns without answering."""
+    from multiprocessing import connection, parent_process
+    parent = parent_process().sentinel
     answer = []
-    try:
-        for epoch in iter(conn.recv, None):
-            if isinstance(answer, list):
-                try:
-                    answer.append(_progression_row(grads, gram, epoch))
-                except Exception as exc:
-                    answer = exc
-    except EOFError:
-        return
-    conn.send(answer)
+    while parent not in connection.wait([conn, parent]):
+        epoch = conn.recv()
+        if epoch is None:
+            conn.send(answer)
+            return
+        if isinstance(answer, list):  # after a failure, only drain the pipe
+            try:
+                answer.append(_progression_row(grads, gram, epoch))
+            except Exception as exc:
+                answer = exc
 
 
 class SpectrumProgression:
@@ -183,16 +183,15 @@ class SpectrumProgression:
     every prefix of the stack is wide (M > T), one forked helper process counts the rows while the caller
     goes on: it reads `gram` from shared memory, and `add` sends it only the
     epoch's index, which cannot fill the pipe and block. The wide route reads the stack's shape, not its values,
-    so the helper never sees a gradient recorded after the fork. Otherwise
-    `add` counts the row in process. A helper that dies without answering
-    raises ChildProcessError. Use it as a context manager: leaving it stops
-    the helper.
+    so the helper never sees a gradient recorded after the fork; it stops
+    once it has answered or its parent is gone. Otherwise `rows()` counts
+    the rows in process. A helper that dies without answering raises
+    ChildProcessError. Use it as a context manager, which stops the helper.
     """
 
     def __init__(self, grads: np.ndarray):
         epochs, m = grads.shape
         self._grads = grads
-        self._rows = []
         self._child = None
         ctx = _helper_context() if 0 < epochs < m else None
         if ctx is None:
@@ -204,8 +203,9 @@ class SpectrumProgression:
         shared = mmap.mmap(-1, epochs * epochs * self._grads.itemsize)
         self.gram = np.frombuffer(shared, dtype=np.float64).reshape(epochs, epochs)
         self._conn, child_end = ctx.Pipe()
+        # a daemon: at exit, multiprocessing joins other children, and this one waits on its parent
         self._child = ctx.Process(target=_serve,
-                                  args=(child_end, self._conn, grads, self.gram), daemon=True)
+                                  args=(child_end, grads, self.gram), daemon=True)
         try:
             self._child.start()
         finally:
@@ -217,7 +217,6 @@ class SpectrumProgression:
         self.gram[epoch, : epoch + 1] = self.gram[: epoch + 1, epoch] = row
         check_finite(row, f"Gram row of epoch {epoch}")
         if self._child is None:
-            self._rows.append(_progression_row(self._grads, self.gram, epoch))
             return
         try:
             self._conn.send(epoch)
@@ -228,19 +227,19 @@ class SpectrumProgression:
         """The rows of every added epoch, in order; raises what counting
         one of them raised."""
         if self._child is None:
-            return self._rows
+            return [_progression_row(self._grads, self.gram, e) for e in range(len(self.gram))]
         try:
             self._conn.send(None)
             answer = self._conn.recv()
         except (EOFError, OSError):
             raise self._died() from None
-        self._child.join()
+        self.close()
         if isinstance(answer, Exception):
             raise answer
         return answer
 
     def _died(self) -> ChildProcessError:
-        self._child.join()
+        self.close()
         return ChildProcessError(
             f"spectrum helper exited with code {self._child.exitcode} before answering"
         )
@@ -293,13 +292,13 @@ def record_centralized(
 def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size: int,
             rng: np.random.Generator):
     """Record the gradients of a centralized run and analyze them: returns
-    (progression rows, overlap matrix, similarity matrix), the matrices None
+    (progression rows, overlap matrix, similarity matrix), the matrices 0 x 0
     when no epoch ran. The rows are collected last, so the spectrum helper
     counts them while the matrices are built; it stops before this returns."""
     grads, progression = record_centralized(model, dataset, epochs, eta, batch_size, rng)
     with progression:
-        if not len(grads):
-            return progression.rows(), None, None
-        overlap = overlap_matrix(grads, pgd(grads, 0.99))
-        similarity = similarity_matrix(grads)
+        overlap = similarity = np.zeros((0, 0))
+        if len(grads):
+            overlap = overlap_matrix(grads, pgd(grads, 0.99))
+            similarity = similarity_matrix(grads)
         return progression.rows(), overlap, similarity

@@ -263,8 +263,12 @@ def build_datasets(exp):
 def fit_targets(exp, datasets):
     """Build the model a config trains and recast the datasets to the targets
     it fits: regression on labelled data fits one-hot vectors as wide as
-    the first (training) set's class count, whatever labels the others hold."""
+    the first (training) set's class count, whatever labels the others hold.
+    A classifier needs at least 2 training classes."""
     classes = datasets[0].num_classes
+    if classes == 1 and exp.model_kind != "linear_regression":
+        raise ValueError(f"{exp.labels}: every training label is 0; "
+                         f"{exp.model_kind} needs at least 2 classes")
     out_dim = classes if classes > 0 else 1
     model = build_model(exp.model_kind, datasets[0].dim, out_dim, exp.hidden)
     if exp.model_kind == "linear_regression" and classes > 0:

@@ -245,8 +245,8 @@ def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
         model, train_ds, cfg.rounds, cfg.eta, cfg.batch_size, rng_stream(cfg.seed, 0)
     )
     _write(out_dir / "npca.csv", fl_core.csv_text(rows, "epoch,n95,n99"))
-    _write(out_dir / "overlap.csv", "" if overlap is None else _matrix_csv(overlap))
-    _write(out_dir / "similarity.csv", "" if similarity is None else _matrix_csv(similarity))
+    _write(out_dir / "overlap.csv", _matrix_csv(overlap))
+    _write(out_dir / "similarity.csv", _matrix_csv(similarity))
     final = rows[-1] if rows else (0, 0, 0)
     print(f"centralized_analyze: epochs={cfg.rounds} n95={final[1]} n99={final[2]} -> {out_dir}")
     return 0

@@ -1,5 +1,10 @@
 import logging
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from fedlbg.analyzer import (
 from fedlbg.data import synth_classification
 from fedlbg.models import build_model
 from fedlbg.numerics import rng_stream
+from test_harness import package_env, process_state
 
 
 def test_n_pca_identical_gradients_is_one():
@@ -221,14 +227,43 @@ def test_forked_and_in_process_drivers_agree(monkeypatch, epochs):
     assert len(rows) == epochs
 
 
+HELPER_PARENT = """
+import time
+import numpy as np
+from fedlbg.analyzer import SpectrumProgression
+
+grads = np.random.default_rng(0).standard_normal((600, 1000))
+progression = SpectrumProgression(grads)
+for epoch in range(len(grads)):
+    progression.add(epoch)
+print(progression._child.pid, flush=True)
+time.sleep(60)
+"""
+
+
 @needs_helper
-def test_helper_exits_when_the_parents_end_closes():
-    # as when the parent dies: no closing None, only the end of the pipe
-    _, progression = record_fixture(3)
-    with progression:
-        progression._conn.close()
-        progression._child.join(timeout=10)
-        assert progression._child.exitcode == 0
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to watch the helper in")
+def test_helper_stops_within_a_second_of_its_parents_death():
+    # 600 epoch indices are queued when the parent is killed, seconds of
+    # counting: the helper must stop at its parent's death, not at the end
+    # of the queue
+    parent = subprocess.Popen([sys.executable, "-c", HELPER_PARENT], stdout=subprocess.PIPE,
+                              env=package_env(), text=True)
+    helper = None
+    try:
+        helper = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 1
+        while process_state(helper) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert process_state(helper) in (None, "Z")
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        if helper is not None and process_state(helper) not in (None, "Z"):
+            os.kill(helper, signal.SIGKILL)
 
 
 def test_one_usable_cpu_starts_no_helper(monkeypatch):

@@ -680,6 +680,20 @@ def test_cli_idx_without_images_or_pixels_exits_2_with_one_line(
                    "expected at least one image of at least one pixel"]
 
 
+@pytest.mark.parametrize("algorithm, kind", [("vanilla", "mlp1h"),
+                                             ("centralized_analyze", "softmax_classifier")])
+def test_cli_idx_one_class_exits_2_with_one_line(tmp_path, capsys, algorithm, kind):
+    # all-zero training labels give a one-class softmax: nothing to learn
+    argv, _ = idx_argv(tmp_path, [0] * 10, [0, 0])
+    argv += ["--override", f"algorithm={algorithm}"]
+    assert main(argv + ["--override", f"model.kind={kind}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {tmp_path / 'train'}-labels.idx: every training label is 0; "
+        f"{kind} needs at least 2 classes"]
+    # a regression fits the one-hot targets of the same labels
+    assert main(argv + ["--override", "model.kind=linear_regression"]) == 0
+
+
 def test_cli_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     config_path = tmp_path / "latin1.cfg"
     config_path.write_bytes(MINIMAL.encode() + "# caf\xe9\n".encode("latin-1"))
