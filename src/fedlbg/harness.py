@@ -5,8 +5,12 @@ Config files are line-oriented ``key = value`` with ``#`` comments (from
 a ``#`` that starts a line or follows whitespace) and sections
 ``[model] [data] [train] [lbgm] [compress]``. Every key is one field of
 ExperimentConfig, which gives its section, default, type and check;
-unknown or duplicate keys and unparsable, out-of-range or non-finite values are rejected with the offending key and line number (or
-the command-line override that set it).
+unknown or duplicate keys and unparsable, out-of-range or non-finite
+values are rejected with the offending key and line number (or the
+command-line flag that set it). `parse_config` is the one path from config
+text to an ExperimentConfig: the command line passes it its ``--override``,
+``--seed`` and ``--out`` flags as overrides, and every value is stripped
+wherever it is set. `run` pins BLAS to one thread while it runs.
 """
 
 import argparse
@@ -23,7 +27,7 @@ from . import analyzer, compressors, fl_core, lbgm
 from .data import parse_partition_mode
 from .fl_core import build_datasets
 from .models import MODEL_KINDS
-from .numerics import rng_stream
+from .numerics import one_blas_thread, rng_stream
 
 ALGORITHMS = (
     "vanilla",
@@ -141,7 +145,20 @@ def _parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _build_config(pairs: dict) -> ExperimentConfig:
+def parse_config(text: str, overrides=()) -> ExperimentConfig:
+    """Parse and fully validate a config document, with `overrides` merged
+    in: (item, where) pairs, where item is 'section.key=value' (or
+    'key=value' for a top-level key) and `where` is the flag text that
+    errors name instead of a line number."""
+    pairs = _parse_pairs(text)
+    for item, where in overrides:
+        if "=" not in item:
+            raise ConfigError(f"override {item!r} is not key=value")
+        path, raw = (part.strip() for part in item.split("=", 1))
+        section, _, key = path.rpartition(".")
+        if (section, key) not in _SCHEMA:
+            raise ConfigError(f"override names unknown key {path!r}")
+        pairs[(section, key)] = (raw, where)
     values = {}
     for (section, key), (raw, where) in pairs.items():
         f = _SCHEMA[(section, key)]
@@ -165,25 +182,6 @@ def _build_config(pairs: dict) -> ExperimentConfig:
             if not getattr(cfg, name):
                 raise ConfigError(f"{name}: required when data kind = idx")
     return cfg
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config document."""
-    return _build_config(_parse_pairs(text))
-
-
-def apply_overrides(pairs: dict, overrides) -> dict:
-    """Merge 'section.key=value' (or top-level 'key=value') strings in."""
-    merged = dict(pairs)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        path, raw = (part.strip() for part in item.split("=", 1))
-        section, _, key = path.rpartition(".")
-        if (section, key) not in _SCHEMA:
-            raise ConfigError(f"override names unknown key {path!r}")
-        merged[(section, key)] = (raw, f"--override {item}")
-    return merged
 
 
 def policy_for(cfg: ExperimentConfig, model):
@@ -297,7 +295,7 @@ def run(cfg: ExperimentConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         # divergence is reported once, by the finite checks of the models and
         # the round engine, not by numpy's overflow warnings on the way there
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
             if cfg.algorithm == "centralized_analyze":
                 return _run_analyzer(cfg, out_dir)
             return _run_federated(cfg, out_dir)
@@ -332,14 +330,15 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    overrides = [(item, f"--override {item}") for item in args.override]
+    if args.seed is not None:
+        overrides.append((f"seed={args.seed}", f"--seed {args.seed}"))
+    if args.out is not None:
+        overrides.append((f"out={args.out}", f"--out {args.out}"))
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-        pairs = apply_overrides(_parse_pairs(text), args.override)
-        if args.seed is not None:
-            pairs[("", "seed")] = (str(args.seed), f"--seed {args.seed}")
-        if args.out is not None:
-            pairs[("", "out")] = (args.out, f"--out {args.out}")
-        cfg = _build_config(pairs)
+        # a byte-order mark, as some editors save one, is not part of line 1
+        text = Path(args.config).read_text(encoding="utf-8").removeprefix("\ufeff")
+        cfg = parse_config(text, overrides)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

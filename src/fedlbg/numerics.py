@@ -3,13 +3,19 @@
 Every vector in the simulator is a contiguous 1-D float64 numpy array
 ("param vector") of dimension M. All reductions go through numpy, whose
 accumulation order is fixed for a given shape/layout, so repeated runs of
-the same configuration are bit-identical. A scalar result is a Python
-float, checked and rooted with `math`, which costs less per call than a
-numpy scalar and rounds the same.
+the same configuration are bit-identical. That order also depends on the
+BLAS thread count, which splits a product differently, so a run holds one
+BLAS thread (`one_blas_thread`). A scalar result is a Python float,
+checked and rooted with `math`, which costs less per call than a numpy
+scalar and rounds the same.
 """
 
+import ctypes
+import functools
 import math
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +29,37 @@ STREAM_PARTITION = 2**40 + 1
 STREAM_SERVER = 2**40 + 2
 
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    opened by path on first use (the process handle does not see its
+    symbols), or None under another BLAS."""
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_-*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body on one BLAS thread, then restore the previous count."""
+    threads = _blas_threads()
+    if threads is None:
+        print("warning: cannot pin BLAS to one thread; outputs may depend on "
+              "the thread count", file=sys.stderr)
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def check_finite(v: ParamVector, what: str = "vector") -> ParamVector:

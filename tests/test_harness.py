@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedlbg import analyzer
+from fedlbg import analyzer, harness
 from fedlbg.compressors import rank_r, sign_compress, topk
 from fedlbg.data import Dataset
 from fedlbg.fl_core import (
@@ -25,14 +25,11 @@ from fedlbg.fl_core import (
 from fedlbg.harness import (
     ConfigError,
     ExperimentConfig,
-    apply_overrides,
     main,
     parse_config,
     run,
     simulate,
-    _build_config,
     _matrix_csv,
-    _parse_pairs,
 )
 from fedlbg.lbgm import DensePayload, UplinkMessage
 from fedlbg.models import build_model, gradient, init_params
@@ -133,40 +130,42 @@ def test_parse_every_key_at_its_default():
     assert parse_config(text) == ExperimentConfig(algorithm="lbgm")
 
 
+def overrides(*items):
+    """The (item, where) pairs `main` passes for these --override flags."""
+    return [(item, f"--override {item}") for item in items]
+
+
 def test_overrides_replace_values():
-    pairs = _parse_pairs(MINIMAL)
     cfg = parse_config(MINIMAL)
     assert cfg.rounds == 2
-    merged = apply_overrides(pairs, ["train.rounds=9", "seed=3", "lbgm.delta=0.5"])
-    cfg2 = _build_config(merged)
+    cfg2 = parse_config(MINIMAL, overrides("train.rounds=9", "seed=3", "lbgm.delta=0.5"))
     assert cfg2.rounds == 9 and cfg2.seed == 3 and cfg2.delta == 0.5
 
 
 def test_hash_inside_a_value_is_not_a_comment():
-    text = ("# data paths\n[data]\nkind = idx  # comment\n"
-            "images = run#1/img.idx\n\tlabels = lab.idx\t# tab before the comment\n")
-    pairs = _parse_pairs(text)
-    assert pairs[("data", "kind")][0] == "idx"
-    assert pairs[("data", "labels")][0] == "lab.idx"
+    text = ("algorithm = lbgm\n# data paths\n[data]\nkind = idx  # comment\n"
+            "images = run#1/img.idx\n\tlabels = lab.idx\t# tab before the comment\n"
+            "test_images = t.idx\ntest_labels = tl.idx\n")
+    cfg = parse_config(text)
+    assert cfg.data_kind == "idx"
+    assert cfg.labels == "lab.idx"
     # the file keeps the same value as the command line
-    from_file = pairs[("data", "images")][0]
-    overridden = apply_overrides(pairs, ["data.images=run#1/img.idx"])[("data", "images")][0]
+    from_file = cfg.images
+    overridden = parse_config(text.replace("run#1/img.idx", "other.idx"),
+                              overrides("data.images=run#1/img.idx")).images
     assert from_file == overridden == "run#1/img.idx"
 
 
 def test_overrides_reject_unknown_and_malformed():
-    pairs = _parse_pairs(MINIMAL)
     with pytest.raises(ConfigError, match="unknown key"):
-        apply_overrides(pairs, ["train.momentum=0.9"])
+        parse_config(MINIMAL, overrides("train.momentum=0.9"))
     with pytest.raises(ConfigError, match="not key=value"):
-        apply_overrides(pairs, ["trainrounds9"])
+        parse_config(MINIMAL, overrides("trainrounds9"))
     # a bad value names the override that set it, not a line of the file
-    pairs = apply_overrides(_parse_pairs(MINIMAL), ["train.eta=-1"])
     with pytest.raises(ConfigError, match=r"eta: value '-1' must be > 0 \(--override train.eta=-1\)$"):
-        _build_config(pairs)
-    pairs = apply_overrides(_parse_pairs(MINIMAL), ["train.workers=ten"])
+        parse_config(MINIMAL, overrides("train.eta=-1"))
     with pytest.raises(ConfigError, match=r"cannot parse 'ten' as int \(--override train.workers=ten\)$"):
-        _build_config(pairs)
+        parse_config(MINIMAL, overrides("train.workers=ten"))
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -700,6 +699,27 @@ def test_cli_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     assert main(["run", str(config_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {config_path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("text", [MINIMAL, MINIMAL.lstrip(), "# header\n" + MINIMAL],
+                         ids=["blank_line_1", "key_on_line_1", "comment_on_line_1"])
+def test_cli_config_with_a_byte_order_mark_runs(tmp_path, monkeypatch, text):
+    configs = []
+    monkeypatch.setattr(harness, "run", lambda cfg: configs.append(cfg) or 0)
+    for name, head in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+        (tmp_path / name).write_bytes(head + text.encode())
+        assert main(["run", str(tmp_path / name)]) == 0
+    assert configs[0] == configs[1]
+
+
+def test_cli_seed_and_out_values_are_stripped_like_file_values(tmp_path, monkeypatch):
+    configs = []
+    monkeypatch.setattr(harness, "run", lambda cfg: configs.append(cfg) or 0)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text("seed = 7 \nout =  x \n" + MINIMAL)
+    assert main(["run", str(config_path)]) == 0
+    assert main(["run", str(config_path), "--seed", "7", "--out", " x "]) == 0
+    assert configs[0] == configs[1] and configs[1].out == "x"
 
 
 def test_cli_idx_test_label_outside_training_classes_exits_2(tmp_path, capsys):
