@@ -113,14 +113,14 @@ def similarity_matrix(grads: np.ndarray) -> np.ndarray:
     gradient stack."""
     if not len(grads):
         raise ValueError("gradient stack is empty")
-    t = len(grads)
-    out = np.zeros((t, t))
-    nonzero = [not is_zero(g) for g in grads]
-    for i, g in enumerate(grads):
+    rows = list(grads)  # one view per row, not one per pair
+    out = np.zeros((len(rows), len(rows)))
+    nonzero = [not is_zero(g) for g in rows]
+    for i, g in enumerate(rows):
         if not nonzero[i]:
             log.warning("epoch %d gradient has zero norm; similarity row zeroed", i)
             continue
-        row = [cosine_sim(g, h) if nz else 0.0 for h, nz in zip(grads[i:], nonzero[i:])]
+        row = [cosine_sim(g, h) if nz else 0.0 for h, nz in zip(rows[i:], nonzero[i:])]
         out[i, i:] = out[i:, i] = row
     return out
 

@@ -69,9 +69,12 @@ class Dataset:
     def batch(self, idx) -> "Dataset":
         if self._slots is None:
             self._sort()
-        # sorted slots are content order; rows that tie have equal bytes
+        # sorted slots are content order; rows that tie have equal bytes. Not
+        # sorted in place: a slice idx gives a view of _slots
         rows = np.sort(self._slots[idx])
-        inputs, labels = self._canonical[0][rows], self._canonical[1][rows]
+        # take() gathers 2-D rows about 2.5x faster than fancy indexing; a 1-D
+        # gather is not faster by it
+        inputs, labels = self._canonical[0].take(rows, axis=0), self._canonical[1][rows]
         inputs.setflags(write=False)
         labels.setflags(write=False)
         return Dataset(inputs, labels, self.num_classes, (inputs, labels))

@@ -230,8 +230,28 @@ def _write(path: Path, text: str):
 
 
 def _matrix_csv(mat: np.ndarray) -> str:
+    """CSV text of a float64 matrix, each cell its repr (fl_core.csv_text).
+    A square matrix that is bitwise symmetric has each cell on or right of
+    the diagonal formatted once, its text reused for the mirror cell; the
+    bitwise test keeps the two texts of a 0.0 / -0.0 mirror pair."""
+    bits = mat.view(np.uint64)
+    if mat.shape[0] == mat.shape[1] and np.array_equal(bits, bits.T):
+        return "\n".join([*_symmetric_lines(mat), ""])
     # one row at a time: a whole-matrix tolist() holds every float at once
     return fl_core.csv_text(row.tolist() for row in mat)
+
+
+def _symmetric_lines(mat: np.ndarray):
+    """The CSV lines of a symmetric matrix. Each earlier row keeps the texts
+    of its cells right of the diagonal, last column first, and gives one up
+    to each later row, so a text is dropped once its mirror has used it."""
+    tails = []
+    for i, row in enumerate(mat):
+        cells = list(map(repr, row[i:].tolist()))
+        yield ",".join([tail.pop() for tail in tails] + cells)
+        cells.reverse()
+        cells.pop()  # the diagonal
+        tails.append(cells)
 
 
 def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -286,7 +306,8 @@ def run(cfg: ExperimentConfig) -> int:
     """Run one experiment, write its output files, print a summary.
 
     Returns the exit status: 0 on success, 1 on an I/O error, 2 on bad data
-    or settings found while building the experiment, 3 when the run diverges
+    or settings found while building the experiment or an experiment too
+    large to allocate, 3 when the run diverges
     or a decomposition does not converge (a federated run keeps the rows of
     its completed rounds).
     """
@@ -304,6 +325,9 @@ def run(cfg: ExperimentConfig) -> int:
         return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: cannot allocate memory: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, np.linalg.LinAlgError) as exc:  # the analyzer's
         print(f"error: run diverged: {exc}", file=sys.stderr)

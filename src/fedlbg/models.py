@@ -112,7 +112,7 @@ def _identity(width: int) -> np.ndarray:
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     """(n, classes) indicator rows of integer class labels, as a fresh array."""
-    return _identity(classes)[labels]
+    return _identity(classes).take(labels, axis=0)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:

@@ -100,7 +100,7 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
     gradients must handle them before asking for an angle.
     """
     try:
-        na, nb = norm_sq(a), norm_sq(b)
+        na, nb = dot(a, a), dot(b, b)
     except FloatingPointError:  # an overflowing squared norm, or a non-finite entry
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise
@@ -110,7 +110,7 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
             raise ValueError("cosine_sim is undefined for zero-norm vectors")
         a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
         b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
-        na, nb = norm_sq(a), norm_sq(b)
+        na, nb = dot(a, a), dot(b, b)
     return min(1.0, max(-1.0, dot(a, b) / math.sqrt(na * nb)))
 
 

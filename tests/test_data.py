@@ -199,6 +199,24 @@ def test_content_order_is_stable_and_bytewise():
     assert ds._slots.tolist() == [2, 0, 1, 3, 4]
 
 
+@pytest.mark.parametrize("targets", ["labels", "regression"])
+@pytest.mark.parametrize("idx", [np.array([7, 2, 7, 11, 0]), [7, 2, 7, 11, 0], slice(1, 17, 3)],
+                         ids=["ndarray", "list", "slice"])
+def test_batch_gathers_the_bytes_of_fancy_indexing_and_leaves_the_slots(targets, idx):
+    ds = synth_classification(20, 3, 4, 1.0, rng_stream(12, 0))
+    if targets == "regression":
+        ds = Dataset(ds.inputs, rng_stream(12, 1).standard_normal((20, 2)), 0)
+    x, y = ds.canonical
+    slots = ds._slots.copy()
+    # unsorted, so a sort in place of a slice's view would reorder the slots
+    assert (np.diff(slots[idx]) < 0).any()
+    rows = np.sort(slots[idx])
+    batch = ds.batch(idx)
+    for got, want in ((batch.inputs, x[rows]), (batch.labels, y[rows])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert ds._slots.tobytes() == slots.tobytes()
+
+
 def test_sorting_the_rows_makes_a_dataset_read_only():
     ds = synth_classification(30, 2, 3, 1.0, rng_stream(11, 0))
     assert ds.inputs.flags.writeable and ds.labels.flags.writeable

@@ -298,6 +298,32 @@ def test_matrix_csv_holds_its_text_about_twice_at_most():
     assert peak <= 2.5 * len(text)
 
 
+def test_symmetric_matrix_csv_is_repr_of_each_cell_and_holds_its_text_about_twice_at_most():
+    # each cell on or right of the diagonal is formatted once and its text
+    # reused for the mirror; each text is dropped once the mirror used it
+    upper = np.triu(rng_stream(0, 0).standard_normal((300, 300)))
+    mat = upper + np.triu(upper, 1).T
+    tracemalloc.start()
+    try:
+        text = _matrix_csv(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+    # compared line by line: a failing comparison of the whole text takes
+    # pytest minutes to explain
+    want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mat)
+    assert text.split("\n") == want.split("\n")
+    assert _matrix_csv(np.zeros((0, 0))) == ""
+    assert _matrix_csv(np.array([[-0.0]])) == "-0.0\n"
+
+
+def test_matrix_csv_keeps_both_texts_of_a_signed_zero_mirror_pair():
+    mat = np.array([[1.0, 0.0, 0.5], [-0.0, 1.0, 0.25], [0.5, 0.25, 1.0]])
+    assert _matrix_csv(mat) == "1.0,0.0,0.5\n-0.0,1.0,0.25\n0.5,0.25,1.0\n"
+    assert _matrix_csv(mat.T) == "1.0,-0.0,0.5\n0.0,1.0,0.25\n0.5,0.25,1.0\n"
+
+
 @pytest.mark.parametrize("algorithm", ["vanilla", "lbgm_sampled", "topk_lbgm", "rank_r", "sign"])
 def test_every_cell_of_a_runs_metrics_and_ledger_is_an_int_or_a_float(tmp_path, algorithm):
     # csv_text writes repr(cell): a numpy scalar would print as np.float64(...)
@@ -618,6 +644,24 @@ def test_cli_bad_setup_exits_2_with_one_line(tmp_path, capsys, argv, message):
         argv = [str(config_path), *argv]
     assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("config,override", [
+    ("lbgm_noniid.cfg", "model.hidden=10000000000000"),  # a 2.2 PiB model
+    ("analyze.cfg", "train.rounds=100000000000"),  # a 729 TiB gradient stack
+])
+def test_an_experiment_too_large_to_allocate_exits_2_with_one_line(tmp_path, capsys, config,
+                                                                   override):
+    # both sizes exceed a 47-bit address space: the allocation fails at once
+    # and touches no memory, even where the kernel overcommits
+    out = str(tmp_path / "out")
+    assert main(["run", str(CONFIGS / config), "--override", override, "--out", out]) == 2
+    cfg = parse_config((CONFIGS / config).read_text(),
+                       [(override, "--override"), (f"out={out}", "--out")])
+    assert run(cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith("error: cannot allocate memory: Unable to allocate ")
 
 
 def idx_argv(tmp_path, train_labels, test_labels, images=None, shape=(2, 2)):

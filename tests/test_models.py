@@ -9,7 +9,9 @@ from fedlbg.models import (
     build_model,
     forward_loss,
     gradient,
+    _identity,
     init_params,
+    one_hot,
     unpack,
 )
 from fedlbg.numerics import rng_stream
@@ -209,3 +211,12 @@ def test_model_functions_never_write_their_inputs(kind):
     assert g.flags.writeable and g.flags.owndata
     assert not np.shares_memory(g, theta)
     assert g.shape == theta.shape
+
+
+def test_one_hot_is_a_fresh_writable_array_apart_from_the_cached_identity():
+    labels = np.array([2, 0, 2, 1], dtype=np.int64)
+    out = one_hot(labels, 3)
+    assert out.tobytes() == np.eye(3)[labels].tobytes()
+    assert out.flags.writeable and not np.shares_memory(out, _identity(3))
+    out[0, 0] = 5.0
+    assert one_hot(labels, 3).tobytes() == np.eye(3)[labels].tobytes()
