@@ -8,6 +8,7 @@ gradient; a passing round costs one scalar instead of the payload.
 """
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -130,6 +131,7 @@ def majority_sign(acc: ParamVector) -> ParamVector:
     return np.where(acc >= 0, 1.0, -1.0)
 
 
+@dataclass
 class CompressedPolicy:
     """Uplink policy transmitting compressed gradients, optionally gated.
 
@@ -141,11 +143,10 @@ class CompressedPolicy:
     (the gate's own error is not fed back).
     """
 
-    def __init__(self, compress, delta=None, error_feedback=False, server_transform=None):
-        self.compress = compress
-        self.delta = lbgm.check_delta(delta)
-        self.error_feedback = error_feedback
-        self.server_transform = server_transform
+    compress: Callable
+    delta: Optional[float] = None
+    error_feedback: bool = False
+    server_transform: Optional[Callable] = None
 
     def process(self, worker, g: ParamVector):
         if self.error_feedback:

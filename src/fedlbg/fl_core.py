@@ -245,19 +245,17 @@ def build_datasets(exp):
         full = synth_classification(exp.n + exp.test_n, exp.dim, exp.classes,
                                     exp.separation, rng_stream(exp.seed, STREAM_DATA))
         return _slice(full, 0, exp.n), _slice(full, exp.n, exp.n + exp.test_n)
-    if exp.data_kind == "idx":
-        train = load_idx(exp.images, exp.labels)
-        test = load_idx(exp.test_images, exp.test_labels)
-        if exp.subset > 0:
-            train = _slice(train, 0, exp.subset)
-        if exp.test_subset > 0:
-            test = _slice(test, 0, exp.test_subset)
-        unknown = test.labels[test.labels >= train.num_classes]
-        if unknown.size:
-            raise ValueError(f"{exp.test_labels}: label {unknown[0]} is not one of the "
-                             f"{train.num_classes} training classes")
-        return train, test
-    raise ValueError(f"unknown data kind {exp.data_kind!r}")
+    train = load_idx(exp.images, exp.labels)
+    test = load_idx(exp.test_images, exp.test_labels)
+    if exp.subset > 0:
+        train = _slice(train, 0, exp.subset)
+    if exp.test_subset > 0:
+        test = _slice(test, 0, exp.test_subset)
+    unknown = test.labels[test.labels >= train.num_classes]
+    if unknown.size:
+        raise ValueError(f"{exp.test_labels}: label {unknown[0]} is not one of the "
+                         f"{train.num_classes} training classes")
+    return train, test
 
 
 def fit_targets(exp, datasets):

@@ -10,11 +10,14 @@ values are rejected with the offending key and line number (or the
 command-line flag that set it). `parse_config` is the one path from config
 text to an ExperimentConfig: the command line passes it its ``--override``,
 ``--seed`` and ``--out`` flags as overrides, and every value is stripped
-wherever it is set. `run` pins BLAS to one thread while it runs.
+wherever it is set. A frozen ExperimentConfig applies the same rule per
+field when it is made, so one made in Python or by `dataclasses.replace`
+raises ConfigError naming the field. `run` pins BLAS to one thread.
 """
 
 import argparse
 import math
+import numbers
 import re
 import sys
 from contextlib import contextmanager
@@ -59,15 +62,25 @@ def _one_of(*options):
     return (lambda v: v in options), f"one of {{{', '.join(options)}}}"
 
 
-def _partition_ok(v):
+# the type a field's value must have; a bool, though an int, fits only a bool field
+_TYPES = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+
+
+def _violation(f, value):
+    """The requirement of field `f` that `value` fails, or None: its type, then
+    its declared check (which fails by raising ValueError too), then finiteness."""
+    if not isinstance(value, _TYPES[f.type]) or isinstance(value, bool) != (f.type is bool):
+        return f"of type {f.type.__name__}"
     try:
-        parse_partition_mode(v)
-        return True
+        ok = f.metadata["check"](value)
     except ValueError:
-        return False
+        ok = False
+    if not ok:
+        return f.metadata["req"]
+    return "finite" if f.type is float and not math.isfinite(value) else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     algorithm: str = _key("", MISSING, *_one_of(*ALGORITHMS))
     seed: int = _key("", 0, lambda v: v >= 0, ">= 0")
@@ -93,7 +106,7 @@ class ExperimentConfig:
     batch_size: int = _key("train", 32, lambda v: v >= 0, ">= 0 (0 = full shard)")
     eta: float = _key("train", 0.05, lambda v: v > 0, "> 0")
     eta_rule: str = _key("train", "constant", *_one_of("constant", "inv_sqrt_tau_t"))
-    partition_mode: str = _key("train", "iid", _partition_ok, "iid or label_shard(s)",
+    partition_mode: str = _key("train", "iid", parse_partition_mode, "iid or label_shard(s)",
                                key="partition")
     delta: float = _key("lbgm", 0.2, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
     sample_fraction: float = _key("lbgm", 0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
@@ -101,6 +114,15 @@ class ExperimentConfig:
     rank: int = _key("compress", 2, lambda v: v >= 1, ">= 1")
     sign_majority: bool = _key("compress", False)
     error_feedback: bool = _key("compress", True)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if req := _violation(f, value):
+                raise ConfigError(f"{f.name}: value {value!r} must be {req}")
+        for name in ("images", "labels", "test_images", "test_labels"):
+            if self.data_kind == "idx" and not getattr(self, name):
+                raise ConfigError(f"{name}: required when data kind = idx")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -169,19 +191,12 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
             raise ConfigError(
                 f"{key}: cannot parse {raw!r} as {f.type.__name__} ({where})"
             ) from None
-        if not f.metadata["check"](value):
-            raise ConfigError(f"{key}: value {raw!r} must be {f.metadata['req']} ({where})")
-        if f.type is float and not math.isfinite(value):
-            raise ConfigError(f"{key}: value {raw!r} must be finite ({where})")
+        if req := _violation(f, value):
+            raise ConfigError(f"{key}: value {raw!r} must be {req} ({where})")
         values[f.name] = value
     if "algorithm" not in values:
         raise ConfigError("missing required key: algorithm")
-    cfg = ExperimentConfig(**values)
-    if cfg.data_kind == "idx":
-        for name in ("images", "labels", "test_images", "test_labels"):
-            if not getattr(cfg, name):
-                raise ConfigError(f"{name}: required when data kind = idx")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def policy_for(cfg: ExperimentConfig, model):
@@ -193,7 +208,7 @@ def policy_for(cfg: ExperimentConfig, model):
     base = cfg.algorithm.removesuffix("_lbgm")
     delta = cfg.delta if cfg.algorithm.endswith("_lbgm") else None
     m = model.param_dim
-    k = max(1, min(m, int(round(cfg.k_frac * m))))
+    k = max(1, int(round(cfg.k_frac * m)))
     compress = {
         "topk": lambda g: compressors.topk(g, k),
         "rank_r": lambda g: compressors.rank_r(g, model.layer_shapes, cfg.rank),

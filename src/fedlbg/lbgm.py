@@ -55,13 +55,6 @@ class UplinkMessage:
         return 1 if self.payload is None else self.payload.cost_floats
 
 
-def check_delta(delta: Optional[float]) -> Optional[float]:
-    """Return the gate threshold (None: no gate), or raise outside [0, 1]."""
-    if delta is not None and not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta threshold {delta} not in [0, 1]")
-    return delta
-
-
 def lbp_error(g: ParamVector, lbg: ParamVector) -> float:
     """Squared sine of the angle between g and the look-back gradient.
 
@@ -129,15 +122,14 @@ def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
     return g
 
 
+@dataclass
 class LbgmPolicy:
     """Uplink policy on raw accumulated gradients: the look-back gate, or
     with delta=None always the full gradient (vanilla). Both keep the LBG,
     so the drift monitor of a delta = 0 run matches vanilla bit for bit."""
 
+    delta: Optional[float]
     server_transform = None
-
-    def __init__(self, delta: Optional[float]):
-        self.delta = check_delta(delta)
 
     def process(self, worker, g: ParamVector):
         return look_back(worker, DensePayload(g), g, self.delta)

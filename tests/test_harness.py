@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import signal
@@ -5,7 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import astuple, fields
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,54 @@ def test_cli_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
     config_path.write_text(MINIMAL)
     assert main(["run", str(config_path), *flags]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(algorithm="lbgm", delta=5.0), "delta: value 5.0 must be in [0, 1]"),
+    (dict(algorithm="lbgm_sampled", sample_fraction=2.0),
+     "sample_fraction: value 2.0 must be in (0, 1]"),
+    (dict(algorithm="rank_r", rank=0), "rank: value 0 must be >= 1"),
+    (dict(algorithm="bogus"),
+     "algorithm: value 'bogus' must be one of {vanilla, lbgm, lbgm_sampled, topk, topk_lbgm, "
+     "rank_r, rank_r_lbgm, sign, sign_lbgm, centralized_analyze}"),
+    (dict(algorithm="lbgm", hidden=0), "hidden: value 0 must be >= 1"),
+    (dict(algorithm="topk", k_frac=0.0), "k_frac: value 0.0 must be in (0, 1]"),
+    (dict(algorithm="lbgm", eta=math.nan), "eta: value nan must be > 0"),
+    (dict(algorithm="lbgm", seed=-1), "seed: value -1 must be >= 0"),
+    (dict(algorithm="lbgm", data_kind="idx"), "images: required when data kind = idx"),
+    (dict(algorithm="lbgm", partition_mode="label_shard(x)"),
+     "partition_mode: value 'label_shard(x)' must be iid or label_shard(s)"),
+    (dict(algorithm="topk", error_feedback="false"),
+     "error_feedback: value 'false' must be of type bool"),
+    (dict(algorithm="lbgm", delta="0.5"), "delta: value '0.5' must be of type float"),
+], ids=["delta", "sample_fraction", "rank", "algorithm", "hidden", "k_frac", "eta", "seed",
+        "idx_paths", "partition", "bool_type", "float_type"])
+def test_a_config_made_in_python_is_checked_like_text(tmp_path, kw, message):
+    # from the constructor, and again from replace() of a valid config
+    with pytest.raises(ConfigError) as made:
+        ExperimentConfig(**kw)
+    with pytest.raises(ConfigError) as replaced:
+        replace(small_run_config(tmp_path), **kw)
+    assert str(made.value) == str(replaced.value) == message
+
+
+def test_numpy_scalars_pass_and_a_bool_is_not_a_number():
+    cfg = ExperimentConfig(algorithm="topk", workers=np.int64(3), k_frac=np.float32(0.5),
+                           delta=np.float64(0.25), rank=np.uint8(1))
+    assert (cfg.workers, cfg.k_frac, cfg.delta, cfg.rank) == (3, 0.5, 0.25, 1)
+    with pytest.raises(ConfigError, match=r"^workers: value True must be of type int$"):
+        ExperimentConfig(algorithm="lbgm", workers=True)
+    with pytest.raises(ConfigError, match=r"^delta: value False must be of type float$"):
+        ExperimentConfig(algorithm="lbgm", delta=False)
+    with pytest.raises(ConfigError, match=r"^sign_majority: value 1 must be of type bool$"):
+        ExperimentConfig(algorithm="sign", sign_majority=1)
+
+
+def test_a_config_is_frozen(tmp_path):
+    cfg = small_run_config(tmp_path)
+    with pytest.raises(FrozenInstanceError):
+        cfg.out = "elsewhere"
+    assert replace(cfg, out="elsewhere").out == "elsewhere"
 
 
 def test_ledger_cost_table():
@@ -505,9 +554,7 @@ def test_cli_analyzer_decomposition_failure_exits_3(tmp_path, capsys, monkeypatc
         config_path.write_text(text)
         assert main(["run", str(config_path), "--out", str(out)]) == 3
     else:
-        cfg = parse_config(text)
-        cfg.out = str(out)
-        assert run(cfg) == 3
+        assert run(replace(parse_config(text), out=str(out))) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: run diverged: Eigenvalues did not converge"]
     assert multiprocessing.active_children() == []

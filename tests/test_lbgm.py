@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedlbg.compressors import CompressedPolicy, sign_compress, topk
+from fedlbg.compressors import CompressedPolicy, topk
 from fedlbg.fl_core import (
     ServerState,
     aggregate,
@@ -325,11 +325,7 @@ def test_sampled_participant_counts_and_first_message():
         assert floats == m, f"worker {worker} first message was not a full gradient"
 
 
-def test_policies_validate_delta_and_sample_fraction():
-    with pytest.raises(ValueError, match="not in"):
-        LbgmPolicy(1.5)
-    with pytest.raises(ValueError, match="not in"):
-        CompressedPolicy(sign_compress, delta=-0.1)
+def test_run_with_policy_validates_sample_fraction():
     setup = build_experiment(base_config())
     for fraction in (0.0, 1.5):
         with pytest.raises(ValueError, match="not in"):

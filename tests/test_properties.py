@@ -3,11 +3,13 @@ their earlier numpy-scalar form, the ledger's cost oracle, the
 compressors' round trips and error feedback, the content order against
 its earlier rank form, the models' canonical sample order, their
 invariance under batch order, their softmax reductions against the
-earlier row-major form, and the partition against its earlier hand-dealt
-form."""
+earlier row-major form, the partition against its earlier hand-dealt
+form, and config text against configs made in Python."""
 
 import math
+import string
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -22,6 +24,7 @@ from fedlbg import models
 from fedlbg.compressors import ef_wrap, rank_r, sign_compress, topk
 from fedlbg.data import Dataset, content_order, partition
 from fedlbg.fl_core import ServerState
+from fedlbg.harness import ALGORITHMS, ConfigError, ExperimentConfig, parse_config
 from fedlbg.lbgm import DensePayload, UplinkMessage, lbp_error, look_back, reconstruct
 from fedlbg.models import (
     MODEL_KINDS,
@@ -450,3 +453,48 @@ def test_partition_equals_the_hand_dealt_reference(data):
             outcomes.append(([sh.tobytes() for sh in part.shards], part.weights.tobytes(),
                              [sh.dtype for sh in part.shards], rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
+
+
+TINY = math.ulp(0.0)
+FIELD_VALUES = {
+    # the bounds of the checks are 0, 1 and 2
+    int: st.one_of(st.integers(-3, 4), st.integers()),
+    float: st.one_of(st.sampled_from([0.0, -0.0, TINY, -TINY, 1.0, math.nextafter(1.0, 0.0),
+                                      math.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf]),
+                     st.floats()),
+    str: st.one_of(st.sampled_from([*ALGORITHMS, *MODEL_KINDS, "synth", "idx", "iid",
+                                    "label_shard(2)", "label_shard(0)", "inv_sqrt_tau_t", ""]),
+                   st.text(string.ascii_letters + string.digits + "_()./-", max_size=12)),
+    bool: st.booleans(),
+}
+
+
+def config_text(values):
+    """Config text that sets each field named in `values`."""
+    lines = []
+    for f in fields(ExperimentConfig):  # the top-level fields come first
+        if f.name in values:
+            value = values[f.name]
+            section = f.metadata["section"]
+            lines += [f"[{section}]"] * bool(section)
+            lines.append(f"{f.metadata['key'] or f.name} = "
+                         f"{repr(value) if f.type is float else value}")
+    return "\n".join(lines) + "\n"
+
+
+def raises_config_error(make, *args, **kwargs):
+    try:
+        make(*args, **kwargs)
+    except ConfigError:
+        return True
+    return False
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_config_text_and_the_constructor_reject_the_same_values(data):
+    f = data.draw(st.sampled_from(fields(ExperimentConfig)))
+    values = {"algorithm": data.draw(st.sampled_from(ALGORITHMS)),
+              f.name: data.draw(FIELD_VALUES[f.type])}
+    assert (raises_config_error(parse_config, config_text(values))
+            == raises_config_error(ExperimentConfig, **values))
