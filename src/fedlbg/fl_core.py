@@ -7,6 +7,10 @@ theta <- theta - eta * sum_k omega_k * g_k. Uplink policies decide what
 each worker actually puts on the wire, which is the single point where
 vanilla FL, look-back recycling, and the compressor stacks differ; the
 server turns every message back into a gradient with lbgm.reconstruct.
+
+`csv_text` formats the lines of every output CSV. The metrics table and the
+ledger give theirs lazily (`csv_lines`), for the harness to write line by
+line; `to_csv` joins the same lines into the file's text.
 """
 
 import math
@@ -146,24 +150,29 @@ METRICS_HEADER = "round,train_loss,test_metric,cum_floats,cum_bits,scalar_fracti
 LEDGER_HEADER = "round,worker,floats,bits"
 
 
-def csv_text(rows, header=None) -> str:
-    """CSV text of rows of Python ints and floats, one line per row after
-    the optional header. Each cell is its repr: the shortest string that
-    reads back to the same value, so every digit of a float is kept."""
-    lines = [] if header is None else [header]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    lines.append("")  # the final newline, without a copy of the text
-    return "\n".join(lines)
+def csv_text(rows, header=None, cell=repr):
+    """The CSV lines of rows of Python ints and floats, each with its
+    newline, after the optional header; lazily, so a writer holds one line
+    at a time. Each cell is its repr: the shortest string that reads back to
+    the same value, so every digit of a float is kept. `cell=str` takes rows
+    whose cells are that text already."""
+    if header is not None:
+        yield header + "\n"
+    for row in rows:
+        yield ",".join(map(cell, row)) + "\n"
 
 
 @dataclass
 class MetricsTable:
     rows: list = field(default_factory=list)
 
-    def to_csv(self) -> str:
+    def csv_lines(self):
         return csv_text(((r.round, r.train_loss, r.test_metric, r.cum_floats, r.cum_bits,
                           r.scalar_fraction, r.delta_sq_proxy) for r in self.rows),
                         METRICS_HEADER)
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
     def final(self) -> MetricsRow:
         return self.rows[-1]
@@ -192,9 +201,12 @@ class CommLedger:
     def cum_bits(self) -> float:
         return lbgm.FLOAT_BITS * self._cum_floats
 
-    def to_csv(self) -> str:
+    def csv_lines(self):
         return csv_text(((rnd, worker, floats, lbgm.FLOAT_BITS * floats)
                          for rnd, worker, floats in self.rows), LEDGER_HEADER)
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
 
 @dataclass

@@ -13,6 +13,11 @@ text to an ExperimentConfig: the command line passes it its ``--override``,
 wherever it is set. A frozen ExperimentConfig applies the same rule per
 field when it is made, so one made in Python or by `dataclasses.replace`
 raises ConfigError naming the field. `run` pins BLAS to one thread.
+
+Every output CSV is written by `_write`, line by line as `fl_core.csv_text`
+formats its rows, once a federated run has ended (a diverged one keeps its
+completed rounds) or the whole analysis has succeeded; no file's whole text
+is held.
 """
 
 import argparse
@@ -77,7 +82,20 @@ def _violation(f, value):
         ok = False
     if not ok:
         return f.metadata["req"]
-    return "finite" if f.type is float and not math.isfinite(value) else None
+    try:
+        finite = f.type is not float or math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    return None if finite else "finite"
+
+
+def _shown(value) -> str:
+    """The repr of a value for an error message. An int past
+    sys.get_int_max_str_digits() has none, so it is shown by its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
 
 
 @dataclass(frozen=True)
@@ -119,10 +137,14 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if req := _violation(f, value):
-                raise ConfigError(f"{f.name}: value {value!r} must be {req}")
+                raise ConfigError(f"{f.name}: value {_shown(value)} must be {req}")
         for name in ("images", "labels", "test_images", "test_labels"):
             if self.data_kind == "idx" and not getattr(self, name):
                 raise ConfigError(f"{name}: required when data kind = idx")
+        # synth data draws its train and test sets as one set of n + test_n
+        if self.data_kind == "synth" and self.n + self.test_n < self.classes:
+            raise ConfigError(f"n, test_n: n + test_n = {self.n} + {self.test_n} must be "
+                              f">= classes = {self.classes} for synth data")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -240,30 +262,35 @@ def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
     return fl_core.run_with_policy(setup, policy_for(cfg, setup.model), fraction)
 
 
-def _write(path: Path, text: str):
-    path.write_text(text)
+def _write(path: Path, lines):
+    """Write a file from its lines as they are made, so that neither its
+    whole text nor its encoded bytes are ever held."""
+    with open(path, "w") as f:
+        f.writelines(lines)
 
 
-def _matrix_csv(mat: np.ndarray) -> str:
-    """CSV text of a float64 matrix, each cell its repr (fl_core.csv_text).
-    A square matrix that is bitwise symmetric has each cell on or right of
-    the diagonal formatted once, its text reused for the mirror cell; the
-    bitwise test keeps the two texts of a 0.0 / -0.0 mirror pair."""
+def _matrix_csv(mat: np.ndarray):
+    """The CSV lines of a float64 matrix, each cell its repr (fl_core.csv_text),
+    formatted one row at a time as they are written. A square matrix that is
+    bitwise symmetric has each cell on or right of the diagonal formatted
+    once, its text reused for the mirror cell; the bitwise test keeps the two
+    texts of a 0.0 / -0.0 mirror pair."""
     bits = mat.view(np.uint64)
     if mat.shape[0] == mat.shape[1] and np.array_equal(bits, bits.T):
-        return "\n".join([*_symmetric_lines(mat), ""])
+        return fl_core.csv_text(_symmetric_rows(mat), cell=str)
     # one row at a time: a whole-matrix tolist() holds every float at once
     return fl_core.csv_text(row.tolist() for row in mat)
 
 
-def _symmetric_lines(mat: np.ndarray):
-    """The CSV lines of a symmetric matrix. Each earlier row keeps the texts
-    of its cells right of the diagonal, last column first, and gives one up
-    to each later row, so a text is dropped once its mirror has used it."""
+def _symmetric_rows(mat: np.ndarray):
+    """The cell texts of a symmetric matrix, row by row. Each earlier row
+    keeps the texts of its cells right of the diagonal, last column first,
+    and gives one up to each later row, so a text is dropped once its mirror
+    has used it."""
     tails = []
     for i, row in enumerate(mat):
         cells = list(map(repr, row[i:].tolist()))
-        yield ",".join([tail.pop() for tail in tails] + cells)
+        yield [tail.pop() for tail in tails] + cells
         cells.reverse()
         cells.pop()  # the diagonal
         tails.append(cells)
@@ -286,8 +313,8 @@ def _run_analyzer(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _write_run(out_dir: Path, result: fl_core.RunResult):
-    _write(out_dir / "metrics.csv", result.metrics.to_csv())
-    _write(out_dir / "ledger.csv", result.ledger.to_csv())
+    _write(out_dir / "metrics.csv", result.metrics.csv_lines())
+    _write(out_dir / "ledger.csv", result.ledger.csv_lines())
 
 
 def _run_federated(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedlbg import analyzer, harness
+from fedlbg import analyzer, fl_core, harness
 from fedlbg.compressors import rank_r, sign_compress, topk
 from fedlbg.data import Dataset
 from fedlbg.fl_core import (
@@ -31,10 +31,11 @@ from fedlbg.harness import (
     run,
     simulate,
     _matrix_csv,
+    _write,
 )
 from fedlbg.lbgm import DensePayload, UplinkMessage
 from fedlbg.models import build_model, gradient, init_params
-from fedlbg.numerics import rng_stream
+from fedlbg.numerics import one_blas_thread, rng_stream
 from ledger_oracle import ledger_cost
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -215,6 +216,36 @@ def test_a_config_made_in_python_is_checked_like_text(tmp_path, kw, message):
     assert str(made.value) == str(replaced.value) == message
 
 
+@pytest.mark.parametrize("value, shown", [
+    (10**400, repr(10**400)),
+    (10**5000, "<int of 16610 bits>"),  # too long for repr
+], ids=["1e400", "1e5000"])
+@pytest.mark.parametrize("name", ["separation", "eta"])
+def test_a_float_key_given_an_int_beyond_the_float_range_must_be_finite(tmp_path, name, value,
+                                                                        shown):
+    with pytest.raises(ConfigError) as made:
+        ExperimentConfig(algorithm="lbgm", **{name: value})
+    with pytest.raises(ConfigError) as replaced:
+        replace(small_run_config(tmp_path), **{name: value})
+    assert str(made.value) == str(replaced.value) == f"{name}: value {shown} must be finite"
+
+
+def test_too_few_synth_samples_for_the_classes_names_n_and_test_n(tmp_path, capsys):
+    message = "n, test_n: n + test_n = 1 + 1 must be >= classes = 10 for synth data"
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "lbgm_noniid.cfg"), "--override", "data.n=1",
+                 "--override", "data.test_n=1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+    with pytest.raises(ConfigError) as made:
+        ExperimentConfig(algorithm="lbgm", n=1, test_n=1)
+    assert str(made.value) == message
+    # enough samples for one of each class; idx data takes its classes from its labels
+    assert ExperimentConfig(algorithm="lbgm", n=6, test_n=4).n == 6
+    assert ExperimentConfig(algorithm="lbgm", data_kind="idx", n=1, test_n=1, images="i",
+                            labels="l", test_images="ti", test_labels="tl").n == 1
+
+
 def test_numpy_scalars_pass_and_a_bool_is_not_a_number():
     cfg = ExperimentConfig(algorithm="topk", workers=np.int64(3), k_frac=np.float32(0.5),
                            delta=np.float64(0.25), rank=np.uint8(1))
@@ -269,6 +300,27 @@ def test_run_writes_metrics_and_ledger(tmp_path, capsys):
     assert "vanilla:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algorithm", ["lbgm", "topk_lbgm", "diverging"])
+def test_each_federated_file_is_its_to_csv_byte_for_byte(tmp_path, algorithm):
+    # the files are written line by line and to_csv joins the same lines; a
+    # diverging run writes the rows of its completed rounds the same way.
+    # simulate() runs as run() does: on one BLAS thread, with the finite
+    # checks, not numpy's warnings, reporting a divergence
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        if algorithm == "diverging":
+            cfg = replace(parse_config(DIVERGING), out=str(tmp_path / "out"))
+            with pytest.raises(fl_core.Diverged) as diverged:
+                simulate(cfg)
+            want, code = diverged.value.partial, 3
+        else:
+            cfg = small_run_config(tmp_path, algorithm=algorithm)
+            want, code = simulate(cfg), 0
+    assert run(cfg) == code
+    out = tmp_path / "out"
+    assert (out / "metrics.csv").read_bytes() == want.metrics.to_csv().encode()
+    assert (out / "ledger.csv").read_bytes() == want.ledger.to_csv().encode()
+
+
 def test_run_byte_identical_repeat(tmp_path):
     cfg_a = small_run_config(tmp_path / "a", algorithm="lbgm")
     cfg_b = small_run_config(tmp_path / "b", algorithm="lbgm")
@@ -308,8 +360,8 @@ def test_matrix_csv_is_repr_of_each_float_byte_for_byte():
     ])
     # the writer before rows went through tolist()
     old = "\n".join(",".join(repr(float(v)) for v in row) for row in mat) + "\n"
-    assert _matrix_csv(mat).encode() == old.encode()
-    assert _matrix_csv(mat).startswith("-0.0,5e-324,1.7976931348623157e+308\n")
+    assert "".join(_matrix_csv(mat)).encode() == old.encode()
+    assert "".join(_matrix_csv(mat)).startswith("-0.0,5e-324,1.7976931348623157e+308\n")
 
     # metrics and ledger rows: a round or worker id as an int, every other
     # cell as repr(float(x)), as the writers wrote them before csv_text
@@ -334,43 +386,53 @@ def test_matrix_csv_is_repr_of_each_float_byte_for_byte():
     assert ledger.to_csv().splitlines()[1:3] == ["1,0,1002.0,32064.0", "1,3,5e-324,1.6e-322"]
 
 
-def test_matrix_csv_holds_its_text_about_twice_at_most():
-    # the lines and their join: a further copy for the final newline would
-    # make it three times
-    mat = rng_stream(0, 0).standard_normal((300, 300))
+def written_peak(mat, path):
+    """The traced peak of formatting `mat` and writing it to `path`."""
     tracemalloc.start()
     try:
-        text = _matrix_csv(mat)
+        _write(path, _matrix_csv(mat))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    return peak
 
 
-def test_symmetric_matrix_csv_is_repr_of_each_cell_and_holds_its_text_about_twice_at_most():
+def test_matrix_csv_is_written_holding_a_few_lines_at_most(tmp_path):
+    # the lines are formatted as they are written: holding the whole text,
+    # its lines or its encoded bytes would each take the file's size. The
+    # shape of overlap.csv: a square matrix adds the symmetry test's T x T
+    # bools
+    mat = rng_stream(0, 0).standard_normal((300, 131))
+    path = tmp_path / "overlap.csv"
+    peak = written_peak(mat, path)
+    assert peak <= 0.05 * path.stat().st_size
+
+
+def test_symmetric_matrix_csv_is_repr_of_each_cell_and_written_holding_its_text_once_at_most(
+        tmp_path):
     # each cell on or right of the diagonal is formatted once and its text
-    # reused for the mirror; each text is dropped once the mirror used it
+    # reused for the mirror; each text is dropped once the mirror used it,
+    # so at most about one copy of the text is held, and no line list or join
     upper = np.triu(rng_stream(0, 0).standard_normal((300, 300)))
     mat = upper + np.triu(upper, 1).T
-    tracemalloc.start()
-    try:
-        text = _matrix_csv(mat)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    path = tmp_path / "similarity.csv"
+    peak = written_peak(mat, path)
+    text = path.read_text()
+    assert peak <= 1.25 * len(text)
     # compared line by line: a failing comparison of the whole text takes
     # pytest minutes to explain
     want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mat)
     assert text.split("\n") == want.split("\n")
-    assert _matrix_csv(np.zeros((0, 0))) == ""
-    assert _matrix_csv(np.array([[-0.0]])) == "-0.0\n"
+    assert "".join(_matrix_csv(np.zeros((0, 0)))) == ""
+    assert "".join(_matrix_csv(np.array([[-0.0]]))) == "-0.0\n"
+    _write(path, _matrix_csv(np.zeros((0, 0))))
+    assert path.read_bytes() == b""
 
 
 def test_matrix_csv_keeps_both_texts_of_a_signed_zero_mirror_pair():
     mat = np.array([[1.0, 0.0, 0.5], [-0.0, 1.0, 0.25], [0.5, 0.25, 1.0]])
-    assert _matrix_csv(mat) == "1.0,0.0,0.5\n-0.0,1.0,0.25\n0.5,0.25,1.0\n"
-    assert _matrix_csv(mat.T) == "1.0,-0.0,0.5\n0.0,1.0,0.25\n0.5,0.25,1.0\n"
+    assert "".join(_matrix_csv(mat)) == "1.0,0.0,0.5\n-0.0,1.0,0.25\n0.5,0.25,1.0\n"
+    assert "".join(_matrix_csv(mat.T)) == "1.0,-0.0,0.5\n0.0,1.0,0.25\n0.5,0.25,1.0\n"
 
 
 @pytest.mark.parametrize("algorithm", ["vanilla", "lbgm_sampled", "topk_lbgm", "rank_r", "sign"])
@@ -681,7 +743,8 @@ def test_run_on_idx_dataset_with_subset(tmp_path):
     (["--override", "train.workers=50", "--override", "data.n=20"],
      "cannot split 20 samples across 50 workers"),
     (["--override", "algorithm=centralized_analyze", "--override", "data.n=1",
-      "--override", "data.test_n=1"], "need n >= classes, got n=2 classes=3"),
+      "--override", "data.test_n=1"],
+     "n, test_n: n + test_n = 1 + 1 must be >= classes = 3 for synth data"),
 ])
 def test_cli_bad_setup_exits_2_with_one_line(tmp_path, capsys, argv, message):
     # errors found while building the experiment are bad input, not crashes
