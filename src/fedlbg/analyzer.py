@@ -184,9 +184,10 @@ class SpectrumProgression:
     goes on: it reads `gram` from shared memory, and `add` sends it only the
     epoch's index, which cannot fill the pipe and block. The wide route reads the stack's shape, not its values,
     so the helper never sees a gradient recorded after the fork; it stops
-    once it has answered or its parent is gone. Otherwise `rows()` counts
-    the rows in process. A helper that dies without answering raises
-    ChildProcessError. Use it as a context manager, which stops the helper.
+    once it has answered or its parent is gone. Otherwise, or when the
+    fork fails with an OSError, `rows()` counts the rows in process. A
+    helper that dies without answering raises ChildProcessError. Use it as
+    a context manager, which stops the helper.
     """
 
     def __init__(self, grads: np.ndarray):
@@ -208,6 +209,9 @@ class SpectrumProgression:
                                   args=(child_end, grads, self.gram), daemon=True)
         try:
             self._child.start()
+        except OSError:  # no fork (EAGAIN, ENOMEM); the helper is only a speed-up
+            self._conn.close()
+            self._child = None
         finally:
             child_end.close()
 

@@ -55,18 +55,19 @@ class WorkerState:
         self.lbg: Optional[ParamVector] = None
         self.ef_residual: Optional[ParamVector] = None
         self.rng = rng
-        self._order: Optional[np.ndarray] = None  # current epoch-pass permutation
+        self._order: Optional[np.ndarray] = None  # the shard, shuffled for the current pass
         self._cursor = 0
 
     def next_batch(self, dataset: Dataset, batch_size: int) -> Dataset:
-        """Next minibatch: one shuffle per shard pass, consumed in slices."""
+        """Next minibatch: one shuffle and gather per shard pass, consumed
+        in slices."""
         n = len(self.shard)
         if self._order is None or self._cursor >= n:
-            self._order = self.rng.permutation(n)
+            self._order = self.shard[self.rng.permutation(n)]
             self._cursor = 0
         size = n if batch_size <= 0 else batch_size
         end = min(self._cursor + size, n)
-        idx = self.shard[self._order[self._cursor : end]]
+        idx = self._order[self._cursor : end]
         self._cursor = end
         return dataset.batch(idx)
 
@@ -121,7 +122,7 @@ def aggregate(server: ServerState, grads: dict, weights, eta: float, transform=N
         g = grads[k]
         if g.shape != server.theta_global.shape:
             raise ValueError(f"worker {k} gradient has shape {g.shape}")
-        acc = acc + weights[k] * g
+        acc += weights[k] * g  # rounds as acc = acc + ..., with one vector fewer
     if transform is not None:
         acc = transform(acc)
     server.theta_global = check_finite(server.theta_global - eta * acc, "server model")

@@ -20,6 +20,13 @@ gathered once from those rows at its sorted slots, so neither a gradient
 nor the per-round evaluation on the training set sorts or copies rows
 again.
 
+The mlp1h gradient, called once per minibatch step, is one straight-line
+path: it slices its four blocks from the flat vector itself, runs the
+forward pass inline and writes the four gradient blocks into slices of one
+fresh vector. Its numpy operations are those of `_forward` and the generic
+path, on the same operands in the same order, so it rounds as they do; the
+linear kinds, `forward_loss` and `accuracy` go through `_forward`.
+
 A reduction whose result does not depend on the order of its operands
 (max) may be re-laid for speed: the softmax row max is taken over a
 column-major copy. A sum keeps numpy's order and layout, since numpy
@@ -68,12 +75,16 @@ def build_model(kind: str, input_dim: int, output_dim: int, hidden_dim: int = 64
     return Model(kind, shapes)
 
 
-def unpack(model: Model, theta: ParamVector) -> list:
-    """Split a flat parameter vector into per-layer blocks (views)."""
+def _check_dim(model: Model, theta: ParamVector):
     if theta.shape != (model.param_dim,):
         raise ValueError(
             f"theta has dim {theta.shape}, model expects ({model.param_dim},)"
         )
+
+
+def unpack(model: Model, theta: ParamVector) -> list:
+    """Split a flat parameter vector into per-layer blocks (views)."""
+    _check_dim(model, theta)
     return [theta[s].reshape(shape) for s, shape in model._blocks]
 
 
@@ -165,9 +176,35 @@ def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
     """Gradient of forward_loss w.r.t. the flat parameter vector."""
     x, y = _canonical_order(batch)
     n = x.shape[0]
-    blocks = unpack(model, theta)
-    hidden, delta = _forward(model, blocks, x)
+    if model.kind == "mlp1h":
+        # _forward and the generic steps below, written out on blocks sliced
+        # here: a per-call block list and helper calls cost more than the
+        # arithmetic at batch 32. Biases stay 1-D, which broadcasts the same.
+        _check_dim(model, theta)
+        (s1, shape1), (s2, _), (s3, shape3), (s4, _) = model._blocks
+        w2 = theta[s3].reshape(shape3)
+        hidden = x @ theta[s1].reshape(shape1)
+        hidden += theta[s2]
+        np.tanh(hidden, out=hidden)
+        delta = hidden @ w2
+        delta += theta[s4]
+        delta -= np.maximum.reduce(np.ascontiguousarray(delta.T), axis=0)[:, None]  # _row_max
+        np.exp(delta, out=delta)
+        delta /= delta.sum(axis=1, keepdims=True)
+        delta -= _identity(delta.shape[1]).take(np.asarray(y, dtype=np.int64), axis=0)  # one_hot
+        delta /= n
+        grad = np.empty(model.param_dim)
+        np.matmul(hidden.T, delta, out=grad[s3].reshape(shape3))
+        np.add.reduce(delta, axis=0, out=grad[s4])
+        delta = delta @ w2.T  # back through tanh: * (1 - hidden**2)
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        delta *= hidden
+        np.matmul(x.T, delta, out=grad[s1].reshape(shape1))
+        np.add.reduce(delta, axis=0, out=grad[s2])
+        return grad
 
+    _, delta = _forward(model, unpack(model, theta), x)
     if model.kind == "linear_regression":
         delta -= np.asarray(y, dtype=np.float64).reshape(n, -1)
     else:  # softmax minus one-hot
@@ -176,18 +213,10 @@ def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
         delta /= delta.sum(axis=1, keepdims=True)
         delta -= one_hot(np.asarray(y, dtype=np.int64), delta.shape[1])  # x - 0.0 == x
     delta /= n
-
     grad = np.empty(model.param_dim)
-    grad_blocks = unpack(model, grad)
-    if model.kind == "mlp1h":
-        np.matmul(hidden.T, delta, out=grad_blocks[2])
-        np.add.reduce(delta, axis=0, keepdims=True, out=grad_blocks[3])
-        delta = delta @ blocks[2].T  # back through tanh: * (1 - hidden**2)
-        np.square(hidden, out=hidden)
-        np.subtract(1.0, hidden, out=hidden)
-        delta *= hidden
-    np.matmul(x.T, delta, out=grad_blocks[0])
-    np.add.reduce(delta, axis=0, keepdims=True, out=grad_blocks[1])
+    w, b = unpack(model, grad)
+    np.matmul(x.T, delta, out=w)
+    np.add.reduce(delta, axis=0, keepdims=True, out=b)
     return grad
 
 

@@ -1,54 +1,69 @@
-"""The models' loss and gradient as written before their softmax row max
-was taken over a column-major copy and their one-hot subtracted as rows of
-a cached identity: the bitwise oracle for those two rewrites."""
+"""The models' loss and gradient written from the formulas, sharing no code
+with fedlbg.models: the parameter blocks are sliced here from the layer
+shapes, the forward pass is computed here, the softmax row max is taken
+row-major and the one-hot is subtracted by fancy indexing. Only the samples'
+canonical order is read from the batch, as the models read it. Each numpy
+operation is the one the models apply to the same values, so the two must
+agree bit for bit."""
 
 import numpy as np
 
 from fedlbg.data import Dataset
-from fedlbg.models import Model, _canonical_order, _forward, unpack
+from fedlbg.models import Model
 from fedlbg.numerics import ParamVector
 
 
+def blocks(model: Model, theta: ParamVector) -> list:
+    """The (rows, cols) blocks of theta, laid end to end in flatten order."""
+    out, start = [], 0
+    for rows, cols in model.layer_shapes:
+        out.append(theta[start : start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    assert theta.shape == (start,)
+    return out
+
+
+def forward(model: Model, params: list, x: np.ndarray) -> tuple:
+    """(hidden, logits) of the samples x; hidden is None for an affine model."""
+    if model.kind == "mlp1h":
+        w1, b1, w2, b2 = params
+        hidden = np.tanh(x @ w1 + b1)
+        return hidden, hidden @ w2 + b2
+    w, b = params
+    return None, x @ w + b
+
+
 def reference_forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
-    """forward_loss with the row-major `out.max(axis=1)`."""
-    x, y = _canonical_order(batch)
-    n = x.shape[0]
-    _, out = _forward(model, unpack(model, theta), x)
+    """Mean squared error / 2, or mean softmax cross-entropy."""
+    x, y = batch.canonical
+    n = len(x)
+    _, out = forward(model, blocks(model, theta), x)
     if model.kind == "linear_regression":
-        out -= np.asarray(y, dtype=np.float64).reshape(n, -1)
-        per_sample = 0.5 * np.sum(out**2, axis=1)
+        per_sample = 0.5 * np.sum((out - y.reshape(n, -1)) ** 2, axis=1)
     else:
-        out -= out.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(out).sum(axis=1))
-        per_sample = -(out[np.arange(n), np.asarray(y, dtype=np.int64)] - log_norm)
+        shifted = out - out.max(axis=1, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=1))
+        per_sample = -(shifted[np.arange(n), y.astype(np.int64)] - log_norm)
     return float(np.sum(per_sample) / n)
 
 
 def reference_gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
-    """gradient with the row-major `delta.max(axis=1)` and the one-hot
-    subtracted by fancy indexing."""
-    x, y = _canonical_order(batch)
-    n = x.shape[0]
-    blocks = unpack(model, theta)
-    hidden, delta = _forward(model, blocks, x)
+    """d loss / d theta by backpropagation, in flatten order."""
+    x, y = batch.canonical
+    n = len(x)
+    params = blocks(model, theta)
+    hidden, out = forward(model, params, x)
     if model.kind == "linear_regression":
-        delta -= np.asarray(y, dtype=np.float64).reshape(n, -1)
+        delta = out - y.reshape(n, -1)
     else:
-        delta -= delta.max(axis=1, keepdims=True)
-        np.exp(delta, out=delta)
-        delta /= delta.sum(axis=1, keepdims=True)
-        delta[np.arange(n), np.asarray(y, dtype=np.int64)] -= 1.0
-    delta /= n
+        exp = np.exp(out - out.max(axis=1, keepdims=True))
+        delta = exp / exp.sum(axis=1, keepdims=True)
+        delta[np.arange(n), y.astype(np.int64)] -= 1.0
+    delta = delta / n
 
-    grad = np.empty(model.param_dim)
-    grad_blocks = unpack(model, grad)
+    grads = []
     if model.kind == "mlp1h":
-        np.matmul(hidden.T, delta, out=grad_blocks[2])
-        np.add.reduce(delta, axis=0, keepdims=True, out=grad_blocks[3])
-        delta = delta @ blocks[2].T
-        np.square(hidden, out=hidden)
-        np.subtract(1.0, hidden, out=hidden)
-        delta *= hidden
-    np.matmul(x.T, delta, out=grad_blocks[0])
-    np.add.reduce(delta, axis=0, keepdims=True, out=grad_blocks[1])
-    return grad
+        grads = [hidden.T @ delta, delta.sum(axis=0)]
+        delta = (delta @ params[2].T) * (1.0 - hidden**2)
+    grads = [x.T @ delta, delta.sum(axis=0)] + grads
+    return np.concatenate([g.ravel() for g in grads])

@@ -1,3 +1,7 @@
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,10 +16,13 @@ from fedlbg.fl_core import (
     evaluate,
     local_round,
 )
-from fedlbg.harness import ExperimentConfig, simulate
+from fedlbg.harness import ExperimentConfig, parse_config, simulate
 from fedlbg.lbgm import LbgmPolicy, reconstruct
 from fedlbg.models import build_model, gradient
 from fedlbg.numerics import rng_stream
+import reference_sim
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quadratic_fixture():
@@ -264,3 +271,49 @@ def test_regression_on_label_shards_partitions_by_class():
     res = simulate(cfg)
     assert len(res.metrics.rows) == 4
     assert all(np.isfinite(r.test_metric) for r in res.metrics.rows)
+
+
+# the reference reduces samples in batch order, the simulator in canonical
+# order: losses agree to rounding, and a tag may differ only on a look-back
+# error within GATE_MARGIN of delta
+LOSS_RTOL = 1e-12
+GATE_MARGIN = 1e-9
+
+
+@pytest.mark.parametrize("seed", [3, 1000])
+@pytest.mark.parametrize("algorithm", ["vanilla", "lbgm"])
+def test_round_engine_matches_the_independent_reference(algorithm, seed):
+    text = (CONFIGS / "lbgm_noniid.cfg").read_text()
+    cfg = replace(parse_config(text), algorithm=algorithm, seed=seed, rounds=20)
+    result = simulate(cfg)
+    setup = build_experiment(cfg)  # the shared inputs, with fresh worker streams
+    (dim, hidden), _, (_, classes), _ = setup.model.layer_shapes
+    ref = reference_sim.simulate(
+        (setup.train_ds.inputs, setup.train_ds.labels),
+        (setup.test_ds.inputs, setup.test_ds.labels),
+        [w.shard for w in setup.workers], [w.rng for w in setup.workers],
+        setup.server.theta_global, (dim, hidden, classes), cfg.eta, cfg.batch_size,
+        cfg.rounds, None if algorithm == "vanilla" else cfg.delta)
+
+    # compare up to the first round whose tags differ: from there on the
+    # look-back gradients, and so the trajectories, part
+    rounds = cfg.rounds
+    for t in range(1, cfg.rounds + 1):
+        sent = [row for row in result.ledger.rows if row[0] == t]
+        ref_sent = [row for row in ref.ledger if row[0] == t]
+        differ = [k for (_, k, f), (_, _, r) in zip(sent, ref_sent) if f != r]
+        if differ:
+            errors = {k: ref.gates[t, k] for k in differ}
+            assert all(abs(e - cfg.delta) < GATE_MARGIN for e in errors.values()), errors
+            warnings.warn(f"round {t}: tags differ on a look-back error within "
+                          f"{GATE_MARGIN} of delta: {errors}")
+            rounds = t - 1
+            break
+        assert sent == ref_sent
+    assert len(ref.ledger) == len(result.ledger.rows)
+    rows = result.metrics.rows[: rounds + 1]
+    assert [r.test_metric for r in rows] == ref.test_accuracy[: rounds + 1]
+    losses = np.array([r.train_loss for r in rows])
+    assert np.allclose(losses, ref.train_loss[: rounds + 1], rtol=LOSS_RTOL, atol=0)
+    if algorithm == "lbgm":  # the gate is exercised, on both sides of delta
+        assert {f for t, _, f in ref.ledger if t <= rounds} == {1.0, float(setup.model.param_dim)}

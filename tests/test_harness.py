@@ -1,3 +1,4 @@
+import errno
 import math
 import multiprocessing
 import os
@@ -639,6 +640,24 @@ def test_analyzer_helper_that_dies_exits_1(tmp_path, monkeypatch, capsys):
         f"error: spectrum helper exited with code {-signal.SIGKILL} before answering"]
     assert multiprocessing.active_children() == []
     assert not any((tmp_path / "out" / name).exists() for name in ANALYZER_OUTPUTS)
+
+
+@needs_helper
+def test_analyzer_counts_in_process_when_the_helper_cannot_fork(tmp_path, monkeypatch):
+    def no_fork(self):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        assert run(small_run_config(tmp_path / "nofork", algorithm="centralized_analyze",
+                                    rounds=5)) == 0
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(analyzer, "_helper_context", lambda: None)
+    assert run(small_run_config(tmp_path / "inprocess", algorithm="centralized_analyze",
+                                rounds=5)) == 0
+    for name in ANALYZER_OUTPUTS:
+        got = (tmp_path / "nofork" / "out" / name).read_bytes()
+        assert got and got == (tmp_path / "inprocess" / "out" / name).read_bytes()
 
 
 def package_env():
