@@ -155,10 +155,14 @@ def csv_text(rows, header=None, cell=repr):
     """The CSV lines of rows of Python ints and floats, each with its
     newline, after the optional header; lazily, so a writer holds one line
     at a time. Each cell is its repr: the shortest string that reads back to
-    the same value, so every digit of a float is kept. `cell=str` takes rows
-    whose cells are that text already."""
+    the same value, so every digit of a float is kept. `cell=None` takes
+    rows whose cells are that text already, and joins them as they are."""
     if header is not None:
         yield header + "\n"
+    if cell is None:
+        for row in rows:
+            yield ",".join(row) + "\n"
+        return
     for row in rows:
         yield ",".join(map(cell, row)) + "\n"
 

@@ -277,7 +277,7 @@ def _matrix_csv(mat: np.ndarray):
     texts of a 0.0 / -0.0 mirror pair."""
     bits = mat.view(np.uint64)
     if mat.shape[0] == mat.shape[1] and np.array_equal(bits, bits.T):
-        return fl_core.csv_text(_symmetric_rows(mat), cell=str)
+        return fl_core.csv_text(_symmetric_rows(mat), cell=None)
     # one row at a time: a whole-matrix tolist() holds every float at once
     return fl_core.csv_text(row.tolist() for row in mat)
 

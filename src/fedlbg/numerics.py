@@ -29,6 +29,7 @@ STREAM_PARTITION = 2**40 + 1
 STREAM_SERVER = 2**40 + 2
 
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+_sqrt = math.sqrt  # bound once: a call looks up one name, not a module and its attribute
 
 
 @functools.cache
@@ -88,7 +89,8 @@ def norm_sq(a: ParamVector) -> float:
 
 
 def cosine_sim(a: ParamVector, b: ParamVector) -> float:
-    """Cosine similarity clamped to [-1, 1].
+    """Cosine similarity clamped to [-1, 1], at the cost of its three `dot`
+    calls and little else.
 
     The denominator is sqrt(na * nb) rather than sqrt(na) * sqrt(nb): with
     round-to-nearest, sqrt(x * x) == x, so the self-similarity of any
@@ -97,21 +99,28 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
     to a largest entry in [0.5, 1), which is exact and leaves the angle
     unchanged; so a nonzero vector whose squared norm underflows to 0 still
     has an angle. Zero vectors are a hard error; callers that can see zero
-    gradients must handle them before asking for an angle.
+    gradients must handle them before asking for an angle. The quotient is
+    always finite, so two comparisons clamp it to the bits of
+    min(1, max(-1, quotient)), -0.0 included.
     """
     try:
-        na, nb = dot(a, a), dot(b, b)
+        nn = dot(a, a) * dot(b, b)  # na * nb, formed once
     except FloatingPointError:  # an overflowing squared norm, or a non-finite entry
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise
-        na = nb = np.inf  # takes the rescale path
-    if not _FLOAT_MIN <= na * nb <= _FLOAT_MAX:  # not a normal float
+        nn = math.inf  # takes the rescale path
+    if not _FLOAT_MIN <= nn <= _FLOAT_MAX:  # not a normal float
         if not (a.any() and b.any()):
             raise ValueError("cosine_sim is undefined for zero-norm vectors")
         a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
         b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
-        na, nb = dot(a, a), dot(b, b)
-    return min(1.0, max(-1.0, dot(a, b) / math.sqrt(na * nb)))
+        nn = dot(a, a) * dot(b, b)
+    c = dot(a, b) / _sqrt(nn)
+    if c > 1.0:
+        return 1.0
+    if c < -1.0:
+        return -1.0
+    return c
 
 
 def fix_sign(v: ParamVector, *partners: np.ndarray):

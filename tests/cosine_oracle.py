@@ -1,0 +1,58 @@
+"""The cosine similarity as it was written before it was made leaner, with
+`min` and `max` as its clamp, and the analyzer's matrices built from it one
+pair at a time: the oracle that `numerics.cosine_sim`, `overlap_matrix` and
+`similarity_matrix` keep its bits."""
+
+import math
+import sys
+
+import numpy as np
+
+from fedlbg.numerics import ParamVector, dot
+
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+
+
+def cosine_sim(a: ParamVector, b: ParamVector) -> float:
+    """Cosine similarity clamped to [-1, 1].
+
+    The denominator is sqrt(na * nb) rather than sqrt(na) * sqrt(nb): with
+    round-to-nearest, sqrt(x * x) == x, so the self-similarity of any
+    nonzero vector is exactly 1. When na * nb under- or overflows, or na
+    or nb itself overflows, both vectors are first scaled by powers of two
+    to a largest entry in [0.5, 1), which is exact and leaves the angle
+    unchanged; so a nonzero vector whose squared norm underflows to 0 still
+    has an angle. Zero vectors are a hard error; callers that can see zero
+    gradients must handle them before asking for an angle.
+    """
+    try:
+        na, nb = dot(a, a), dot(b, b)
+    except FloatingPointError:  # an overflowing squared norm, or a non-finite entry
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise
+        na = nb = np.inf  # takes the rescale path
+    if not _FLOAT_MIN <= na * nb <= _FLOAT_MAX:  # not a normal float
+        if not (a.any() and b.any()):
+            raise ValueError("cosine_sim is undefined for zero-norm vectors")
+        a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+        b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
+        na, nb = dot(a, a), dot(b, b)
+    return min(1.0, max(-1.0, dot(a, b) / math.sqrt(na * nb)))
+
+
+def overlap(grads: np.ndarray, dirs) -> np.ndarray:
+    """Every (gradient, direction) cosine, each pair on its own; a zero
+    gradient's row is left zero."""
+    out = np.zeros((len(grads), len(dirs)))
+    for i, g in enumerate(grads):
+        for j, d in enumerate(dirs):
+            if g.any():
+                out[i, j] = cosine_sim(g, d)
+    return out
+
+
+def similarity(grads: np.ndarray) -> np.ndarray:
+    """Every (gradient, gradient) cosine, both orders of each pair computed
+    on their own; a pair with a zero gradient is left zero."""
+    return np.array([[cosine_sim(g, h) if g.any() and h.any() else 0.0 for h in grads]
+                     for g in grads]).reshape(len(grads), len(grads))

@@ -78,17 +78,26 @@ def _batches(shard, rng, batch_size):
             yield shard[perm[start : start + size]]
 
 
-def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, rounds, delta=None):
-    """Run `rounds` rounds of vanilla FL (delta None) or LBGM (delta set).
+def one_pass(shards, batch_size) -> int:
+    """The local steps of one pass over the longest shard: the default tau.
+    A batch_size <= 0 takes a whole shard in one step."""
+    longest = max(len(s) for s in shards)
+    return 1 if batch_size <= 0 else max(1, math.ceil(longest / batch_size))
+
+
+def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rounds,
+             delta=None):
+    """Run `rounds` rounds of vanilla FL (delta None) or LBGM (delta set),
+    each worker taking `tau` local steps a round.
 
     train and test are (inputs, labels); shards[k] are worker k's sample
-    indices and rngs[k] its stream; shape is (dim, hidden, classes).
+    indices and rngs[k] its stream; shape is (dim, hidden, classes). A
+    worker's pass over its shard runs on across rounds: a round that ends
+    mid-pass leaves the rest of that permutation to the next.
     """
     (x, y), (x_test, y_test) = train, test
     total = sum(len(s) for s in shards)
     weights = [len(s) / total for s in shards]
-    longest = max(len(s) for s in shards)
-    tau = 1 if batch_size <= 0 else max(1, math.ceil(longest / batch_size))  # one pass
     batches = [_batches(s, r, batch_size) for s, r in zip(shards, rngs)]
     worker_lbg, server_lbg = {}, {}
     theta = theta0.copy()

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -280,19 +281,37 @@ LOSS_RTOL = 1e-12
 GATE_MARGIN = 1e-9
 
 
-@pytest.mark.parametrize("seed", [3, 1000])
-@pytest.mark.parametrize("algorithm", ["vanilla", "lbgm"])
-def test_round_engine_matches_the_independent_reference(algorithm, seed):
+# besides the shipped config: full-shard batches, one step a round; a tau
+# of 4 against a 7-batch shard pass, so a pass runs on into the next round;
+# and the step size 1 / sqrt(tau * T)
+ENGINE_CASES = {
+    "shipped": {},
+    "full_shard": {"batch_size": 0},
+    "tau4": {"tau": 4},
+    "inv_sqrt_tau_t": {"eta_rule": "inv_sqrt_tau_t"},
+}
+
+
+@pytest.mark.parametrize("algorithm, seed, case", [
+    pytest.param(algorithm, seed, case,
+                 id="-".join([algorithm, str(seed)] + ([case] if ENGINE_CASES[case] else [])))
+    for case in ENGINE_CASES for algorithm in ("vanilla", "lbgm") for seed in (3, 1000)
+])
+def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
     text = (CONFIGS / "lbgm_noniid.cfg").read_text()
-    cfg = replace(parse_config(text), algorithm=algorithm, seed=seed, rounds=20)
+    cfg = replace(parse_config(text), algorithm=algorithm, seed=seed, rounds=20,
+                  **ENGINE_CASES[case])
     result = simulate(cfg)
     setup = build_experiment(cfg)  # the shared inputs, with fresh worker streams
     (dim, hidden), _, (_, classes), _ = setup.model.layer_shapes
+    shards = [w.shard for w in setup.workers]
+    tau = cfg.tau or reference_sim.one_pass(shards, cfg.batch_size)
+    eta = cfg.eta if cfg.eta_rule == "constant" else 1.0 / math.sqrt(tau * cfg.rounds)
     ref = reference_sim.simulate(
         (setup.train_ds.inputs, setup.train_ds.labels),
         (setup.test_ds.inputs, setup.test_ds.labels),
-        [w.shard for w in setup.workers], [w.rng for w in setup.workers],
-        setup.server.theta_global, (dim, hidden, classes), cfg.eta, cfg.batch_size,
+        shards, [w.rng for w in setup.workers],
+        setup.server.theta_global, (dim, hidden, classes), eta, cfg.batch_size, tau,
         cfg.rounds, None if algorithm == "vanilla" else cfg.delta)
 
     # compare up to the first round whose tags differ: from there on the

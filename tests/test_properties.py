@@ -4,7 +4,8 @@ compressors' round trips and error feedback, the content order against
 its earlier rank form, the models' canonical sample order, their
 invariance under batch order, their softmax reductions against the
 earlier row-major form, the partition against its earlier hand-dealt
-form, and config text against configs made in Python."""
+form, config text against configs made in Python, and the analyzer's
+cosine matrices against one computed a pair at a time."""
 
 import math
 import string
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedlbg import models
+from fedlbg import analyzer, models
 from fedlbg.compressors import ef_wrap, rank_r, sign_compress, topk
 from fedlbg.data import Dataset, content_order, partition
 from fedlbg.fl_core import ServerState
@@ -36,6 +37,7 @@ from fedlbg.models import (
     init_params,
 )
 from fedlbg.numerics import cosine_sim, dot, norm_sq, rng_stream
+import cosine_oracle
 import model_oracle
 from order_oracle import content_rank
 from partition_oracle import reference_partition
@@ -192,6 +194,94 @@ def test_dot_cosine_and_look_back_error_are_bit_identical_to_the_reference(pair)
         for x, y in ((view(a), view(b)), (view(a), b)):
             with np.errstate(invalid="ignore"):
                 assert outcome(dot, x, y) == outcome(reference_dot, x, y)
+
+
+# a factor that keeps the angle, or turns it around: such pairs have a
+# quotient that rounds past +-1 and is clamped
+PARALLEL = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+# quotient 0x1.0000000000001p+0 before the clamp
+PAST_ONE = (np.array([-2.7111624789659685, -1.8890132459676727]),
+            np.array([-3.556612154536391, -2.4780836717876396]))
+
+
+@st.composite
+def parallel_pairs(draw):
+    v = draw(hnp.arrays(np.float64, draw(st.integers(1, 8)), elements=NEAR_ONE)) * draw(SCALE)
+    return v, v * draw(PARALLEL)
+
+
+def test_a_quotient_past_one_is_clamped_to_one():
+    a, b = PAST_ONE
+    assert (dot(a, b) / math.sqrt(dot(a, a) * dot(b, b))).hex() == "0x1.0000000000001p+0"
+    assert cosine_sim(a, b).hex() == "0x1.0000000000000p+0"
+    assert cosine_sim(a, -b).hex() == "-0x1.0000000000000p+0"
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=parallel_pairs())
+@example(pair=PAST_ONE)
+@example(pair=(PAST_ONE[0], -PAST_ONE[1]))
+def test_cosine_of_parallel_and_antiparallel_pairs_is_bit_identical_to_the_reference(pair):
+    got = outcome(cosine_sim, *pair)
+    assert got == outcome(cosine_oracle.cosine_sim, *pair)
+    with np.errstate(over="ignore"):  # the reference raises on an underflowing squared norm
+        underflows = any(float(np.dot(v, v)) == 0.0 for v in pair)
+    if not underflows:
+        assert got == outcome(reference_cosine_sim, *pair)
+
+
+@st.composite
+def gradient_stacks(draw):
+    """A (T, M) stack whose rows are drawn at a scale where the squared norm,
+    or the product of two, is normal, underflows or overflows, or are zero,
+    or repeat, negate or scale an earlier row."""
+    dim = draw(st.integers(1, 6))
+    vectors = hnp.arrays(np.float64, dim, elements=draw(st.sampled_from([NEAR_ONE, ENTRY])))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["drawn", "zero", "repeat", "negate", "scale"]))
+        if kind == "zero":
+            rows.append(np.zeros(dim))
+        elif kind == "drawn" or not rows:
+            rows.append(draw(vectors) * draw(SCALE))
+        else:
+            base = draw(st.sampled_from(rows))
+            rows.append({"repeat": base, "negate": -base,
+                         "scale": base * draw(PARALLEL)}[kind])
+    return np.array(rows)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(grads=gradient_stacks())
+@example(grads=np.array([*PAST_ONE, -PAST_ONE[0], np.zeros(2), [1e-163, 0.0], [1e-163, 0.0]]))
+def test_overlap_and_similarity_are_bit_identical_to_the_per_pair_oracle(grads):
+    zero = [i for i, g in enumerate(grads) if not g.any()]
+    dirs = [g for g in grads if g.any()]
+    # numpy's own loop, used for one entry, warns on an overflowing square
+    with np.errstate(over="ignore"):
+        overflows = any(math.isinf(np.dot(g, g)) for g in grads)
+        if overflows:  # is_zero raises on it, as lbp_error does
+            with pytest.raises(FloatingPointError, match="not finite"):
+                analyzer.similarity_matrix(grads)
+            with pytest.raises(FloatingPointError, match="not finite"):
+                analyzer.overlap_matrix(grads, dirs)
+            return
+    with mock.patch.object(analyzer.log, "warning") as warn:
+        similarity = analyzer.similarity_matrix(grads)
+        assert same_bits(similarity, cosine_oracle.similarity(grads))
+    assert warn.call_args_list == [
+        mock.call("epoch %d gradient has zero norm; similarity row zeroed", i) for i in zero]
+    if not dirs:
+        return
+    with mock.patch.object(analyzer.log, "warning") as warn:
+        overlap = analyzer.overlap_matrix(grads, dirs)
+        assert same_bits(overlap, cosine_oracle.overlap(grads, dirs))
+    assert warn.call_args_list == [
+        mock.call("epoch %d gradient has zero norm; overlap row zeroed", i) for i in zero]
 
 
 @settings(deadline=None, max_examples=100)
