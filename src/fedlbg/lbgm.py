@@ -59,7 +59,7 @@ def lbp_error(g: ParamVector, lbg: ParamVector) -> float:
     """Squared sine of the angle between g and the look-back gradient.
 
     Zero current gradient has no direction to miss, so the error is 0; a
-    nonzero one whose squared norm underflows still has an angle. A zero
+    nonzero one whose squared norm under- or overflows has an angle. A zero
     LBG, or one whose squared norm underflows, cannot give a coefficient,
     so the error is 1, which forces a full transmission through any gate
     with delta < 1.

@@ -20,12 +20,12 @@ gathered once from those rows at its sorted slots, so neither a gradient
 nor the per-round evaluation on the training set sorts or copies rows
 again.
 
-The mlp1h gradient, called once per minibatch step, is one straight-line
-path: it slices its four blocks from the flat vector itself, runs the
-forward pass inline and writes the four gradient blocks into slices of one
-fresh vector. Its numpy operations are those of `_forward` and the generic
-path, on the same operands in the same order, so it rounds as they do; the
-linear kinds, `forward_loss` and `accuracy` go through `_forward`.
+All three kinds share one forward pass and one gradient. `_forward`
+slices each block from the flat vector as it uses it; mlp1h puts its tanh
+layer in front of the same affine output map the linear kinds use.
+`gradient`, called once per minibatch step, applies the loss head, writes
+the output layer's blocks into slices of one fresh vector and, only when
+there is a hidden layer, back-propagates through tanh into the first two.
 
 A reduction whose result does not depend on the order of its operands
 (max) may be re-laid for speed: the softmax row max is taken over a
@@ -131,31 +131,32 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     copy: at k = 10 and n >= 512 about 4x faster than `a.max(axis=1)`.
     Max is order-free, so only the sign of a zero maximum can differ; the
     softmax that follows does not see it (see forward_loss)."""
-    return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
+    return np.maximum.reduce(a.T.copy(), axis=0)[:, None]
 
 
-def _forward(model: Model, blocks: list, inputs: np.ndarray):
-    """Return per-layer activations needed by both loss and gradient, as
-    fresh arrays the caller may overwrite."""
+def _forward(model: Model, theta: ParamVector, inputs: np.ndarray):
+    """(hidden, out): the tanh layer's activations (None without one) and the
+    outputs, as fresh arrays the caller may overwrite. Each block is sliced
+    from theta; biases stay 1-D, which broadcasts the same."""
+    _check_dim(model, theta)
+    blocks, hidden = model._blocks, None
     if model.kind == "mlp1h":
-        w1, b1, w2, b2 = blocks
-        hidden = inputs @ w1
-        hidden += b1
+        (s1, shape1), (s2, _) = blocks[0], blocks[1]
+        hidden = inputs @ theta[s1].reshape(shape1)
+        hidden += theta[s2]
         np.tanh(hidden, out=hidden)
-        out = hidden @ w2
-        out += b2
-        return hidden, out
-    w, b = blocks
-    out = inputs @ w
-    out += b
-    return None, out
+        inputs = hidden
+    (sw, shape), (sb, _) = blocks[-2], blocks[-1]
+    out = inputs @ theta[sw].reshape(shape)
+    out += theta[sb]
+    return hidden, out
 
 
 def forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
     """Mean loss over the batch (MSE or cross-entropy by model kind)."""
     x, y = _canonical_order(batch)
     n = x.shape[0]
-    _, out = _forward(model, unpack(model, theta), x)
+    _, out = _forward(model, theta, x)
     if model.kind == "linear_regression":
         out -= np.asarray(y, dtype=np.float64).reshape(n, -1)
         per_sample = 0.5 * np.sum(out**2, axis=1)
@@ -176,35 +177,7 @@ def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
     """Gradient of forward_loss w.r.t. the flat parameter vector."""
     x, y = _canonical_order(batch)
     n = x.shape[0]
-    if model.kind == "mlp1h":
-        # _forward and the generic steps below, written out on blocks sliced
-        # here: a per-call block list and helper calls cost more than the
-        # arithmetic at batch 32. Biases stay 1-D, which broadcasts the same.
-        _check_dim(model, theta)
-        (s1, shape1), (s2, _), (s3, shape3), (s4, _) = model._blocks
-        w2 = theta[s3].reshape(shape3)
-        hidden = x @ theta[s1].reshape(shape1)
-        hidden += theta[s2]
-        np.tanh(hidden, out=hidden)
-        delta = hidden @ w2
-        delta += theta[s4]
-        delta -= np.maximum.reduce(np.ascontiguousarray(delta.T), axis=0)[:, None]  # _row_max
-        np.exp(delta, out=delta)
-        delta /= delta.sum(axis=1, keepdims=True)
-        delta -= _identity(delta.shape[1]).take(np.asarray(y, dtype=np.int64), axis=0)  # one_hot
-        delta /= n
-        grad = np.empty(model.param_dim)
-        np.matmul(hidden.T, delta, out=grad[s3].reshape(shape3))
-        np.add.reduce(delta, axis=0, out=grad[s4])
-        delta = delta @ w2.T  # back through tanh: * (1 - hidden**2)
-        np.square(hidden, out=hidden)
-        np.subtract(1.0, hidden, out=hidden)
-        delta *= hidden
-        np.matmul(x.T, delta, out=grad[s1].reshape(shape1))
-        np.add.reduce(delta, axis=0, out=grad[s2])
-        return grad
-
-    _, delta = _forward(model, unpack(model, theta), x)
+    hidden, delta = _forward(model, theta, x)
     if model.kind == "linear_regression":
         delta -= np.asarray(y, dtype=np.float64).reshape(n, -1)
     else:  # softmax minus one-hot
@@ -214,14 +187,23 @@ def gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
         delta -= one_hot(np.asarray(y, dtype=np.int64), delta.shape[1])  # x - 0.0 == x
     delta /= n
     grad = np.empty(model.param_dim)
-    w, b = unpack(model, grad)
-    np.matmul(x.T, delta, out=w)
-    np.add.reduce(delta, axis=0, keepdims=True, out=b)
+    blocks = model._blocks
+    (sw, shape), (sb, _) = blocks[-2], blocks[-1]
+    np.matmul((x if hidden is None else hidden).T, delta, out=grad[sw].reshape(shape))
+    np.add.reduce(delta, axis=0, out=grad[sb])
+    if hidden is not None:  # back through tanh: * (1 - hidden**2)
+        (s1, shape1), (s2, _) = blocks[0], blocks[1]
+        delta = delta @ theta[sw].reshape(shape).T
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        delta *= hidden
+        np.matmul(x.T, delta, out=grad[s1].reshape(shape1))
+        np.add.reduce(delta, axis=0, out=grad[s2])
     return grad
 
 
 def accuracy(model: Model, theta: ParamVector, batch: Dataset) -> float:
     """Fraction of correctly classified samples (classifiers only)."""
-    _, logits = _forward(model, unpack(model, theta), batch.inputs)
+    _, logits = _forward(model, theta, batch.inputs)
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == np.asarray(batch.labels, dtype=np.int64)))

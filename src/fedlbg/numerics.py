@@ -135,9 +135,15 @@ def fix_sign(v: ParamVector, *partners: np.ndarray):
 
 def is_zero(v: ParamVector) -> bool:
     """True for an all-zero vector. `norm_sq` runs first, as the traced
-    call counts expect; a nonzero vector whose squared norm underflows to 0
-    is not zero and still has an angle."""
-    return norm_sq(v) == 0.0 and not v.any()
+    call counts expect; a nonzero vector whose squared norm under- or
+    overflows is not zero and still has an angle. A non-finite entry
+    raises."""
+    try:
+        return norm_sq(v) == 0.0 and not v.any()
+    except FloatingPointError:  # an overflowing squared norm, or a non-finite entry
+        if not np.isfinite(v).all():
+            raise
+        return False
 
 
 def rng_stream(master_seed: int, stream_id: int) -> np.random.Generator:

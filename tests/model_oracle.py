@@ -1,10 +1,10 @@
-"""The models' loss and gradient written from the formulas, sharing no code
-with fedlbg.models: the parameter blocks are sliced here from the layer
-shapes, the forward pass is computed here, the softmax row max is taken
-row-major and the one-hot is subtracted by fancy indexing. Only the samples'
-canonical order is read from the batch, as the models read it. Each numpy
-operation is the one the models apply to the same values, so the two must
-agree bit for bit."""
+"""The models' loss, gradient and accuracy written from the formulas, sharing
+no code with fedlbg.models: the parameter blocks are sliced here from the
+layer shapes, the forward pass is computed here, the softmax row max is taken
+row-major and the one-hot is subtracted by fancy indexing. Loss and gradient
+read the samples in the batch's canonical order, as the models read them;
+accuracy reads them as stored. Each numpy operation is the one the models
+apply to the same values, so the two must agree bit for bit."""
 
 import numpy as np
 
@@ -67,3 +67,10 @@ def reference_gradient(model: Model, theta: ParamVector, batch: Dataset) -> Para
         delta = (delta @ params[2].T) * (1.0 - hidden**2)
     grads = [x.T @ delta, delta.sum(axis=0)] + grads
     return np.concatenate([g.ravel() for g in grads])
+
+
+def reference_accuracy(model: Model, theta: ParamVector, batch: Dataset) -> float:
+    """Fraction of the samples, in the batch's own order, whose largest
+    output is at their label."""
+    _, out = forward(model, blocks(model, theta), batch.inputs)
+    return float(np.mean(out.argmax(axis=1) == batch.labels.astype(np.int64)))

@@ -43,6 +43,7 @@ CASES = {
     "regression_iid": (
         "lbgm_noniid.cfg", ["model.kind=linear_regression", "train.partition=iid"]
     ),
+    "softmax_noniid": ("lbgm_noniid.cfg", ["model.kind=softmax_classifier"]),
     "analyze": ("analyze.cfg", []),
     # a 40x40 similarity matrix and a 40-row overlap matrix
     "analyze_40": ("analyze.cfg", ["train.rounds=40"]),
@@ -90,6 +91,10 @@ DIGESTS = {
     "sign_majority": {
         "metrics.csv": "dad2c91883b104013dbdaa9bd780edf674e444180b1a67065e2cc404d3bd077c",
         "ledger.csv": "d220c0415cee010222b5c86aaba42d8d09da3e71f3002f5d19d5c712b71f1b84",
+    },
+    "softmax_noniid": {
+        "metrics.csv": "eb2785bf13e697e2581bbd76f15cbe61090499eab87834dd038a12646b779945",
+        "ledger.csv": "7129ebb28790c7f5d0fa7ca3c62ae5f3cab6c4d9360a6432c3957f88618c7ab3",
     },
     "topk": {
         "metrics.csv": "e24b0647b16e578dbcec6287581fd1df3c1bed22ec6bad23ca6b48c4ceb50219",

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fedlbg.numerics import check_finite, cosine_sim, dot, fix_sign, norm_sq, rng_stream
+from fedlbg.numerics import check_finite, cosine_sim, dot, fix_sign, is_zero, norm_sq, rng_stream
 
 
 def vec(*values):
@@ -91,6 +91,16 @@ def test_cosine_of_a_vector_whose_squared_norm_underflows():
     assert c == pytest.approx(0.7071067811865475, rel=1e-15, abs=0.0)
     with pytest.raises(ValueError, match="zero-norm"):
         cosine_sim(vec(1e-200, 0), vec(0, 0))
+
+
+def test_is_zero_only_for_an_all_zero_vector():
+    assert is_zero(vec(0.0, -0.0))
+    assert not is_zero(vec(1e-163, 0))  # the squared norm underflows to 0
+    with np.errstate(over="ignore"):
+        assert not is_zero(vec(1e160, 0))  # the squared norm overflows
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                is_zero(vec(bad, 0))
 
 
 def test_cosine_rejects_nonfinite_entries():
