@@ -175,24 +175,25 @@ def _serve(conn, grads: np.ndarray, gram: np.ndarray):
 
 
 class SpectrumProgression:
-    """The per-epoch rows (epoch, n95, n99) of a (T, M) gradient stack and
-    its Gram matrix `gram`, both filled one epoch at a time: `add(epoch)`
-    once that epoch's gradient is recorded, `rows()` once all are.
+    """The (epochs, M) gradient stack `grads` of a run, its Gram matrix
+    `gram` and their per-epoch rows (epoch, n95, n99), the stack and Gram
+    matrix filled one epoch at a time: `add(epoch)` once that epoch's
+    gradient is stored in `grads`, `rows()` once all are.
 
     Where the platform can fork, the process may use two CPUs or more, and
-    every prefix of the stack is wide (M > T), one forked helper process counts the rows while the caller
-    goes on: it reads `gram` from shared memory, and `add` sends it only the
-    epoch's index, which cannot fill the pipe and block. The wide route reads the stack's shape, not its values,
-    so the helper never sees a gradient recorded after the fork; it stops
-    once it has answered or its parent is gone. Otherwise, or when the
-    fork fails with an OSError, `rows()` counts the rows in process. A
-    helper that dies without answering raises ChildProcessError. Use it as
-    a context manager, which stops the helper.
+    every prefix of the stack is wide (M > T), one forked helper process
+    counts the rows while the caller goes on: it reads `gram` from shared
+    memory, and `add` sends it only the epoch's index, which cannot fill the
+    pipe and block. The wide route reads the stack's shape, not its values,
+    so the helper never sees a gradient stored after the fork; it stops once
+    it has answered or its parent is gone. Otherwise, or when the fork fails
+    with an OSError, `rows()` counts the rows in process. A helper that dies
+    without answering raises ChildProcessError. Use it as a context manager,
+    which stops the helper.
     """
 
-    def __init__(self, grads: np.ndarray):
-        epochs, m = grads.shape
-        self._grads = grads
+    def __init__(self, epochs: int, m: int):
+        self.grads = np.empty((epochs, m))
         self._child = None
         ctx = _helper_context() if 0 < epochs < m else None
         if ctx is None:
@@ -201,12 +202,12 @@ class SpectrumProgression:
         import mmap
 
         # an anonymous mmap is shared with the child, and starts zeroed
-        shared = mmap.mmap(-1, epochs * epochs * self._grads.itemsize)
+        shared = mmap.mmap(-1, epochs * epochs * self.grads.itemsize)
         self.gram = np.frombuffer(shared, dtype=np.float64).reshape(epochs, epochs)
         self._conn, child_end = ctx.Pipe()
         # a daemon: at exit, multiprocessing joins other children, and this one waits on its parent
         self._child = ctx.Process(target=_serve,
-                                  args=(child_end, grads, self.gram), daemon=True)
+                                  args=(child_end, self.grads, self.gram), daemon=True)
         try:
             self._child.start()
         except OSError:  # no fork (EAGAIN, ENOMEM); the helper is only a speed-up
@@ -217,7 +218,7 @@ class SpectrumProgression:
 
     def add(self, epoch: int):
         # diagonal included, one np.vecdot gives the bits of one np.dot per pair
-        row = np.vecdot(self._grads[: epoch + 1], self._grads[epoch])
+        row = np.vecdot(self.grads[: epoch + 1], self.grads[epoch])
         self.gram[epoch, : epoch + 1] = self.gram[: epoch + 1, epoch] = row
         check_finite(row, f"Gram row of epoch {epoch}")
         if self._child is None:
@@ -231,13 +232,12 @@ class SpectrumProgression:
         """The rows of every added epoch, in order; raises what counting
         one of them raised."""
         if self._child is None:
-            return [_progression_row(self._grads, self.gram, e) for e in range(len(self.gram))]
+            return [_progression_row(self.grads, self.gram, e) for e in range(len(self.gram))]
         try:
             self._conn.send(None)
             answer = self._conn.recv()
         except (EOFError, OSError):
             raise self._died() from None
-        self.close()
         if isinstance(answer, Exception):
             raise answer
         return answer
@@ -266,31 +266,23 @@ class SpectrumProgression:
 def record_centralized(
     model: Model,
     dataset: Dataset,
-    epochs: int,
+    progression: SpectrumProgression,
     eta: float,
     batch_size: int,
     rng: np.random.Generator,
-):
-    """Centralized minibatch SGD, recording one accumulated gradient per epoch.
-
-    Returns (grads, progression): the (epochs, M) stack of epoch gradients
-    and its SpectrumProgression, which the caller closes.
-    """
+) -> np.ndarray:
+    """Centralized minibatch SGD for one epoch per row of `progression.grads`,
+    storing each epoch's accumulated gradient there and adding it to the
+    progression. Returns the filled stack."""
     n = dataset.n
     worker = WorkerState(0, np.arange(n), rng)
     theta = init_params(model, rng)
     cfg = RoundConfig(eta, one_pass_steps(n, batch_size), batch_size)
-
-    grads = np.empty((epochs, model.param_dim))
-    progression = SpectrumProgression(grads)
-    try:
-        for epoch in range(epochs):
-            grads[epoch], theta = local_round(worker, theta, cfg, model, dataset)
-            progression.add(epoch)
-    except BaseException:
-        progression.close()
-        raise
-    return grads, progression
+    grads = progression.grads
+    for epoch in range(len(grads)):
+        grads[epoch], theta = local_round(worker, theta, cfg, model, dataset)
+        progression.add(epoch)
+    return grads
 
 
 def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size: int,
@@ -299,8 +291,8 @@ def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size:
     (progression rows, overlap matrix, similarity matrix), the matrices 0 x 0
     when no epoch ran. The rows are collected last, so the spectrum helper
     counts them while the matrices are built; it stops before this returns."""
-    grads, progression = record_centralized(model, dataset, epochs, eta, batch_size, rng)
-    with progression:
+    with SpectrumProgression(epochs, model.param_dim) as progression:
+        grads = record_centralized(model, dataset, progression, eta, batch_size, rng)
         overlap = similarity = np.zeros((0, 0))
         if len(grads):
             overlap = overlap_matrix(grads, pgd(grads, 0.99))

@@ -227,10 +227,8 @@ def test_c10_low_rank_gradient_space():
     data_rng = rng_stream(0, 2**40)
     ds = synth_classification(1500, 20, 10, 6.0, data_rng)
     model = build_model("mlp1h", 20, 10, 32)
-    grads, spectrum = analyzer.record_centralized(
-        model, ds, 100, 0.05, 512, rng_stream(0, 0)
-    )
-    with spectrum:
+    with analyzer.SpectrumProgression(100, model.param_dim) as spectrum:
+        grads = analyzer.record_centralized(model, ds, spectrum, 0.05, 512, rng_stream(0, 0))
         progression = spectrum.rows()
     n95 = analyzer.n_pca(grads, 0.95)
     n99 = analyzer.n_pca(grads, 0.99)

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from fedlbg import analyzer
 from fedlbg.analyzer import (
+    SpectrumProgression,
     n_pca,
     overlap_matrix,
     pgd,
@@ -171,19 +173,22 @@ def test_a_row_whose_squared_norm_underflows_keeps_its_angle(caplog):
     assert "zero norm" not in caplog.text
 
 
+@contextmanager
 def record_fixture(epochs, batch_size=16, n=120, seed=36):
-    """record_centralized on a small mlp1h problem: (grads, progression)."""
+    """The SpectrumProgression that record_centralized fills on a small
+    mlp1h problem, its helper stopped on exit."""
     rng_data = rng_stream(seed, 1)
     ds = synth_classification(n, 6, 4, 5.0, rng_data)
     model = build_model("mlp1h", 6, 4, 8)
-    return record_centralized(model, ds, epochs, 0.1, batch_size, rng_stream(seed, 0))
+    with SpectrumProgression(epochs, model.param_dim) as progression:
+        record_centralized(model, ds, progression, 0.1, batch_size, rng_stream(seed, 0))
+        yield progression
 
 
 def centralized_fixture(epochs, **kwargs):
     """(grads, progression rows) of record_fixture, its helper stopped."""
-    grads, progression = record_fixture(epochs, **kwargs)
-    with progression:
-        return grads, progression.rows()
+    with record_fixture(epochs, **kwargs) as progression:
+        return progression.grads, progression.rows()
 
 
 def test_record_centralized_single_epoch():
@@ -202,8 +207,8 @@ def test_record_centralized_progression_matches_per_prefix_pca():
 
 def test_record_centralized_gram_equals_one_dot_per_pair():
     # the Gram matrix the spectrum rows are counted on, against np.dot per pair
-    grads, progression = record_fixture(40)
-    progression.close()
+    with record_fixture(40) as progression:
+        grads = progression.grads
     oracle = np.array([[float(np.dot(a, b)) for b in grads] for a in grads])
     assert progression.gram.tobytes() == oracle.tobytes()
 
@@ -215,13 +220,11 @@ needs_helper = pytest.mark.skipif(analyzer._helper_context() is None,
 @needs_helper
 @pytest.mark.parametrize("epochs", [1, 40])
 def test_forked_and_in_process_drivers_agree(monkeypatch, epochs):
-    _, forked = record_fixture(epochs)
-    with forked:
+    with record_fixture(epochs) as forked:
         assert forked._child is not None
         rows = forked.rows()
     monkeypatch.setattr(analyzer, "_helper_context", lambda: None)
-    _, in_process = record_fixture(epochs)
-    with in_process:
+    with record_fixture(epochs) as in_process:
         assert in_process._child is None
         assert in_process.rows() == rows
     assert len(rows) == epochs
@@ -232,9 +235,9 @@ import time
 import numpy as np
 from fedlbg.analyzer import SpectrumProgression
 
-grads = np.random.default_rng(0).standard_normal((600, 1000))
-progression = SpectrumProgression(grads)
-for epoch in range(len(grads)):
+progression = SpectrumProgression(600, 1000)
+progression.grads[:] = np.random.default_rng(0).standard_normal((600, 1000))
+for epoch in range(600):
     progression.add(epoch)
 print(progression._child.pid, flush=True)
 time.sleep(60)
@@ -270,8 +273,7 @@ def test_one_usable_cpu_starts_no_helper(monkeypatch):
     # the helper would only share the CPU, which measured slower
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    _, progression = record_fixture(3)
-    with progression:
+    with record_fixture(3) as progression:
         assert progression._child is None
         assert len(progression.rows()) == 3
 
@@ -279,9 +281,9 @@ def test_one_usable_cpu_starts_no_helper(monkeypatch):
 def test_a_stack_with_tall_prefixes_counts_in_process():
     # 95 epochs of a 92-parameter model: the last prefixes take the SVD route,
     # which reads the gradients themselves
-    grads, progression = record_fixture(95)
-    assert grads.shape == (95, 92)
-    with progression:
+    with record_fixture(95) as progression:
+        grads = progression.grads
+        assert grads.shape == (95, 92)
         assert progression._child is None
         rows = progression.rows()
     for t, n95, n99 in rows[88:]:
@@ -289,11 +291,10 @@ def test_a_stack_with_tall_prefixes_counts_in_process():
 
 
 def test_zero_epochs_start_no_helper():
-    grads, progression = record_fixture(0)
-    with progression:
+    with record_fixture(0) as progression:
         assert progression._child is None
         assert progression.rows() == []
-    assert grads.shape == (0, 92) and progression.gram.shape == (0, 0)
+    assert progression.grads.shape == (0, 92) and progression.gram.shape == (0, 0)
 
 
 def test_record_centralized_collinear_log_counts_one():

@@ -15,7 +15,7 @@ import pytest
 
 from fedlbg import analyzer, fl_core, harness
 from fedlbg.compressors import rank_r, sign_compress, topk
-from fedlbg.data import Dataset
+from fedlbg.data import Dataset, load_idx
 from fedlbg.fl_core import (
     LEDGER_HEADER,
     METRICS_HEADER,
@@ -466,6 +466,24 @@ def test_run_reports_savings_vs_baseline(tmp_path, capsys):
     assert "savings_vs_baseline=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("baseline", [
+    "missing.csv", "a_directory", "empty.csv", "no_cum_floats.csv", "not_utf8.csv",
+])
+def test_an_unreadable_baseline_warns_once_and_the_run_succeeds(tmp_path, capsys, baseline):
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "no_cum_floats.csv").write_text("round,train_loss\n1,0.5\n")
+    (tmp_path / "not_utf8.csv").write_bytes(b"round,cum_floats\n1,\xff\xfe\n")
+    cfg = small_run_config(tmp_path, algorithm="lbgm", rounds=2,
+                           baseline_metrics=str(tmp_path / baseline))
+    assert run(cfg) == 0
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning: cannot read baseline metrics: ")
+    assert "savings_vs_baseline=" not in out
+    assert (tmp_path / "out/metrics.csv").is_file()
+
+
 def test_vanilla_and_delta_zero_write_identical_metrics(tmp_path):
     run(small_run_config(tmp_path / "v", algorithm="vanilla", rounds=4))
     run(small_run_config(tmp_path / "l", algorithm="lbgm", delta=0.0, rounds=4))
@@ -745,11 +763,23 @@ def test_run_on_idx_dataset_with_subset(tmp_path):
     cfg = ExperimentConfig(
         algorithm="vanilla", seed=1, out=str(tmp_path / "out"),
         data_kind="idx", images=img, labels=lab, test_images=timg, test_labels=tlab,
-        subset=20, workers=2, rounds=2, batch_size=5, hidden=4,
+        subset=20, test_subset=4, workers=2, rounds=2, batch_size=5, hidden=4,
     )
+    train, test = build_datasets(cfg)
+    full_train, full_test = load_idx(img, lab), load_idx(timg, tlab)
+    assert (train.n, test.n) == (20, 4)
+    assert np.array_equal(train.inputs, full_train.inputs[:20])
+    assert np.array_equal(train.labels, full_train.labels[:20])
+    assert np.array_equal(test.inputs, full_test.inputs[:4])
+    assert np.array_equal(test.labels, full_test.labels[:4])
     assert run(cfg) == 0
     ledger = (tmp_path / "out/ledger.csv").read_text().splitlines()
     assert len(ledger) == 1 + 2 * 2
+    # accuracy over the 4 kept test rows
+    metrics = (tmp_path / "out/metrics.csv").read_text().splitlines()
+    col = metrics[0].split(",").index("test_metric")
+    quarters = [4 * float(line.split(",")[col]) for line in metrics[1:]]
+    assert quarters and all(q == int(q) for q in quarters)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -937,9 +967,9 @@ def test_analyzer_regression_fits_one_hot_targets(tmp_path, monkeypatch):
     record = analyzer.record_centralized
 
     def spy(*args):
-        grads, progression = record(*args)
+        grads = record(*args)
         stacks.append(grads)
-        return grads, progression
+        return grads
 
     monkeypatch.setattr(analyzer, "record_centralized", spy)
     cfg = ExperimentConfig(
