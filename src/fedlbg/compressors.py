@@ -92,22 +92,20 @@ def sign_compress(g: ParamVector) -> SignPayload:
     return SignPayload(np.packbits(bits), g.shape[0])
 
 
-def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
+def rank_r(blocks, r: int) -> LowRankPayload:
     """Best rank-r approximation of each matrix-shaped block via SVD.
 
-    Vector blocks (biases) pass through dense; r is clamped per block to
-    min(rows, cols).
+    `blocks` are the 2-D blocks of one gradient in flatten order, as
+    `models.unpack` gives them. Vector blocks (biases) pass through dense;
+    r is clamped per block to min(rows, cols).
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    blocks = []
-    off = 0
-    for rows, cols in layer_shapes:
-        size = rows * cols
-        block = g[off : off + size].reshape(rows, cols)
-        off += size
+    out = []
+    for block in blocks:
+        rows, cols = block.shape
         if min(rows, cols) <= 1:
-            blocks.append(block.copy())
+            out.append(block.copy())
             continue
         u, s, vt = np.linalg.svd(block, full_matrices=False)
         r_eff = min(r, rows, cols)
@@ -115,10 +113,8 @@ def rank_r(g: ParamVector, layer_shapes, r: int) -> LowRankPayload:
         v_r = vt[:r_eff].T.copy()
         for i in range(r_eff):  # each left factor starts positive
             fix_sign(u_r[:, i], v_r[:, i])
-        blocks.append((u_r, v_r))
-    if off != g.shape[0]:
-        raise ValueError("layer shapes do not cover the gradient vector")
-    return LowRankPayload(tuple(blocks))
+        out.append((u_r, v_r))
+    return LowRankPayload(tuple(out))
 
 
 def stack_lbgm(worker, payload, delta):

@@ -34,7 +34,7 @@ import numpy as np
 from . import analyzer, compressors, fl_core, lbgm
 from .data import parse_partition_mode
 from .fl_core import build_datasets
-from .models import MODEL_KINDS
+from .models import MODEL_KINDS, unpack
 from .numerics import one_blas_thread, rng_stream
 
 ALGORITHMS = (
@@ -233,7 +233,7 @@ def policy_for(cfg: ExperimentConfig, model):
     k = max(1, int(round(cfg.k_frac * m)))
     compress = {
         "topk": lambda g: compressors.topk(g, k),
-        "rank_r": lambda g: compressors.rank_r(g, model.layer_shapes, cfg.rank),
+        "rank_r": lambda g: compressors.rank_r(unpack(model, g), cfg.rank),
         "sign": compressors.sign_compress,
     }[base]
     return compressors.CompressedPolicy(

@@ -8,8 +8,8 @@ Three kinds are supported:
 * ``mlp1h`` — one tanh hidden layer followed by softmax cross-entropy.
 
 Parameters live in a single flat float64 vector. The flatten order is
-fixed: layer by layer, weight matrix (row-major) then bias. The
-per-layer compressors rely on these stable index blocks.
+fixed: layer by layer, weight matrix (row-major) then bias. `unpack`
+is the one split of it into blocks; the per-layer compressor takes them.
 
 Per-sample contributions are reduced in a canonical order derived from
 the sample content (bytewise sort of label + input rows), so loss and

@@ -12,6 +12,11 @@ worker's share of the samples, in ascending worker id, and steps
 theta <- theta - eta * sum. The ledger counts one float per scalar and M
 per gradient.
 
+The rank-r stacks compress g first: each weight matrix becomes its best
+rank-r approximation, truncated from its SVD, and each bias stays dense.
+The worker sends, and gates on, that densified vector in place of g; a
+payload costs r * (rows + cols) floats per matrix plus the biases.
+
 Samples are summed in the order the batch holds them, not in a canonical
 order, so the trajectory agrees with fedlbg's to rounding only. The
 reference shares only inputs with fedlbg: the datasets, the partition, the
@@ -56,6 +61,21 @@ def accuracy(theta, x, y, shape) -> float:
     return float(np.mean(z.argmax(axis=1) == y))
 
 
+def rank_r(g, shape, r):
+    """(dense, floats): g with each weight matrix replaced by its rank-r
+    truncated SVD and the biases kept, and the floats its payload costs."""
+    dense, floats = [], 0
+    for block in _params(g, *shape):
+        if block.ndim == 2:
+            u, s, vt = np.linalg.svd(block, full_matrices=False)
+            floats += min(r, len(s)) * sum(block.shape)
+            block = (u[:, :r] * s[:r]) @ vt[:r]
+        else:
+            floats += block.size
+        dense.append(block.ravel())
+    return np.concatenate(dense), float(floats)
+
+
 def loss_gradient(theta, x, y, shape):
     """d mean_loss / d theta, blocks in the order w1, b1, w2, b2."""
     _, _, w2, _ = _params(theta, *shape)
@@ -86,9 +106,10 @@ def one_pass(shards, batch_size) -> int:
 
 
 def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rounds,
-             delta=None):
+             delta=None, rank=None):
     """Run `rounds` rounds of vanilla FL (delta None) or LBGM (delta set),
-    each worker taking `tau` local steps a round.
+    each worker taking `tau` local steps a round, on raw gradients (rank
+    None) or on their rank-`rank` compression.
 
     train and test are (inputs, labels); shards[k] are worker k's sample
     indices and rngs[k] its stream; shape is (dim, hidden, classes). A
@@ -118,6 +139,9 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
                 step = loss_gradient(local, x[idx], y[idx], shape)
                 g += step
                 local -= eta * step
+            floats = float(len(g))
+            if rank is not None:
+                g, floats = rank_r(g, shape, rank)
             lbg = worker_lbg.get(k)
             scalar = False
             if delta is not None and lbg is not None:
@@ -130,7 +154,7 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
                 out.ledger.append((t, k, 1.0))
             else:
                 worker_lbg[k] = server_lbg[k] = received = g
-                out.ledger.append((t, k, float(len(g))))
+                out.ledger.append((t, k, floats))
             total_update += weights[k] * received
         theta = theta - eta * total_update
         record()

@@ -17,6 +17,7 @@ from fedlbg.compressors import (
 from fedlbg.fl_core import build_experiment, run_with_policy
 from fedlbg.harness import ExperimentConfig, policy_for, simulate
 from fedlbg.lbgm import FLOAT_BITS, TAG_PAYLOAD, TAG_SCALAR, DensePayload
+from fedlbg.models import build_model, unpack
 from fedlbg.numerics import rng_stream
 
 
@@ -124,30 +125,26 @@ def test_sign_odd_length_roundtrip():
     assert np.array_equal(sign_compress(g).densify(), g)
 
 
-def layer_shapes_for(blocks):
-    return tuple(blocks)
-
-
 def test_rank_r_exact_on_rank_one_block():
     rng = rng_stream(25, 0)
     u = rng.standard_normal(6)
     v = rng.standard_normal(4)
     g = np.outer(u, v).ravel()
-    p = rank_r(g, [(6, 4)], 1)
+    p = rank_r([g.reshape(6, 4)], 1)
     np.testing.assert_allclose(p.densify(), g, rtol=1e-9, atol=1e-12)
 
 
 def test_rank_r_full_rank_is_exact():
     rng = rng_stream(26, 0)
     g = rng.standard_normal(12)
-    p = rank_r(g, [(4, 3)], 3)
+    p = rank_r([g.reshape(4, 3)], 3)
     np.testing.assert_allclose(p.densify(), g, rtol=1e-9, atol=1e-12)
 
 
 def test_rank_r_hand_svd_oracle():
     # block ((2,0),(0,1)): singular values 2 and 1, rank-1 keeps ((2,0),(0,0))
     g = vec(2, 0, 0, 1)
-    p = rank_r(g, [(2, 2)], 1)
+    p = rank_r([g.reshape(2, 2)], 1)
     np.testing.assert_allclose(p.densify(), vec(2, 0, 0, 0), atol=1e-12)
     assert p.cost_floats == 4  # 1 * (2 + 2)
 
@@ -155,7 +152,8 @@ def test_rank_r_hand_svd_oracle():
 def test_rank_r_clamps_and_passes_vectors_dense():
     rng = rng_stream(27, 0)
     g = rng.standard_normal(2 * 3 + 1 * 3)
-    p = rank_r(g, [(2, 3), (1, 3)], 5)  # r clamped to 2 for the matrix block
+    # a (2, 3) weight and a (1, 3) bias; r clamped to 2 for the matrix block
+    p = rank_r(unpack(build_model("softmax_classifier", 2, 3), g), 5)
     np.testing.assert_allclose(p.densify(), g, rtol=1e-9, atol=1e-12)
     assert p.cost_floats == 2 * (2 + 3) + 3
 
@@ -166,7 +164,7 @@ def test_rank_r_error_non_increasing_in_r():
     g = block.ravel()
     errors = []
     for r in range(1, 7):
-        p = rank_r(g, [(8, 6)], r)
+        p = rank_r([block], r)
         errors.append(float(np.linalg.norm(p.densify() - g)))
     for lo, hi in zip(errors[1:], errors[:-1]):
         assert lo <= hi + 1e-12
@@ -175,8 +173,8 @@ def test_rank_r_error_non_increasing_in_r():
 def test_rank_r_deterministic_sign_convention():
     rng = rng_stream(29, 0)
     g = rng.standard_normal(30)
-    a = rank_r(g, [(5, 6)], 2)
-    b = rank_r(g.copy(), [(5, 6)], 2)
+    a = rank_r([g.reshape(5, 6)], 2)
+    b = rank_r([g.copy().reshape(5, 6)], 2)
     for (ua, va), (ub, vb) in zip(a.blocks, b.blocks):
         assert np.array_equal(ua, ub) and np.array_equal(va, vb)
         for col in range(ua.shape[1]):
@@ -187,7 +185,7 @@ def test_rank_r_deterministic_sign_convention():
 
 def test_rank_r_rejects_bad_rank():
     with pytest.raises(ValueError, match="rank"):
-        rank_r(vec(1, 2, 3, 4), [(2, 2)], 0)
+        rank_r([vec(1, 2, 3, 4).reshape(2, 2)], 0)
 
 
 def test_stack_lbgm_gate_and_costs():

@@ -291,11 +291,18 @@ ENGINE_CASES = {
     "inv_sqrt_tau_t": {"eta_rule": "inv_sqrt_tau_t"},
 }
 
+# floats of one payload on the shipped mlp1h (20 -> 32 -> 10): M = 1002
+# raw, or 2 * (20 + 32) + 32 + 2 * (32 + 10) + 10 at rank 2; the rank-r
+# stacks run on the shipped batches and on full shards
+PAYLOAD_FLOATS = {"vanilla": 1002.0, "lbgm": 1002.0, "rank_r": 230.0, "rank_r_lbgm": 230.0}
+RANK_CASES = ("shipped", "full_shard")
+
 
 @pytest.mark.parametrize("algorithm, seed, case", [
     pytest.param(algorithm, seed, case,
                  id="-".join([algorithm, str(seed)] + ([case] if ENGINE_CASES[case] else [])))
-    for case in ENGINE_CASES for algorithm in ("vanilla", "lbgm") for seed in (3, 1000)
+    for case in ENGINE_CASES for algorithm in PAYLOAD_FLOATS for seed in (3, 1000)
+    if case in RANK_CASES or not algorithm.startswith("rank_r")
 ])
 def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
     text = (CONFIGS / "lbgm_noniid.cfg").read_text()
@@ -312,7 +319,8 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
         (setup.test_ds.inputs, setup.test_ds.labels),
         shards, [w.rng for w in setup.workers],
         setup.server.theta_global, (dim, hidden, classes), eta, cfg.batch_size, tau,
-        cfg.rounds, None if algorithm == "vanilla" else cfg.delta)
+        cfg.rounds, cfg.delta if algorithm.endswith("lbgm") else None,
+        cfg.rank if algorithm.startswith("rank_r") else None)
 
     # compare up to the first round whose tags differ: from there on the
     # look-back gradients, and so the trajectories, part
@@ -334,5 +342,8 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
     assert [r.test_metric for r in rows] == ref.test_accuracy[: rounds + 1]
     losses = np.array([r.train_loss for r in rows])
     assert np.allclose(losses, ref.train_loss[: rounds + 1], rtol=LOSS_RTOL, atol=0)
-    if algorithm == "lbgm":  # the gate is exercised, on both sides of delta
-        assert {f for t, _, f in ref.ledger if t <= rounds} == {1.0, float(setup.model.param_dim)}
+    payload = PAYLOAD_FLOATS[algorithm]
+    # every payload costs what it should, and a gated run exercises the
+    # gate on both sides of delta
+    assert ({f for t, _, f in ref.ledger if t <= rounds}
+            == ({1.0, payload} if algorithm.endswith("lbgm") else {payload}))

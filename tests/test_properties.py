@@ -37,6 +37,7 @@ from fedlbg.models import (
     gradient,
     init_params,
     one_hot,
+    unpack,
 )
 from fedlbg.numerics import cosine_sim, dot, norm_sq, rng_stream
 import cosine_oracle
@@ -299,7 +300,7 @@ def test_ledger_cost_is_the_message_cost(rows, cols, rank, data):
     g = data.draw(hnp.arrays(np.float64, dim, elements=st.floats(-1e3, 1e3)))
     k = data.draw(st.integers(1, dim))
     payloads = (None, DensePayload(g), topk(g, k), sign_compress(g),
-                rank_r(g, [(rows, cols), (1, cols)], rank))
+                rank_r(unpack(build_model("softmax_classifier", rows, cols), g), rank))
     for payload in payloads:
         msg = UplinkMessage(rho=0.5, payload=payload)
         assert ledger_cost(msg) == (msg.cost_floats, 32 * msg.cost_floats)
@@ -346,7 +347,8 @@ def test_sign_densifies_to_the_signs(g):
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6), extra=st.integers(0, 3), data=st.data())
 def test_full_rank_r_densifies_back_to_the_gradient(rows, cols, extra, data):
     g = data.draw(tied_vectors(rows * cols + cols))
-    dense = rank_r(g, [(rows, cols), (1, cols)], min(rows, cols) + extra).densify()
+    dense = rank_r(unpack(build_model("softmax_classifier", rows, cols), g),
+                   min(rows, cols) + extra).densify()
     assert dense.shape == g.shape
     assert np.linalg.norm(dense - g) <= 1e-12 * np.linalg.norm(g)
 
