@@ -40,8 +40,6 @@ def _singular_values(stack: np.ndarray, gram=None) -> np.ndarray:
     sqrt(eps)-relative rather than eps-relative.
     """
     t, m = stack.shape
-    if t == 0:
-        raise ValueError("gradient stack is empty")
     eps = max(t, m) * np.finfo(np.float64).eps
     if m > t:
         w = np.linalg.eigvalsh(stack @ stack.T if gram is None else gram)
@@ -50,8 +48,6 @@ def _singular_values(stack: np.ndarray, gram=None) -> np.ndarray:
 
 
 def _count_for_mass(s: np.ndarray, variance: float, squared: bool) -> int:
-    if not 0.0 < variance <= 1.0:
-        raise ValueError(f"variance {variance} not in (0, 1]")
     vals = s**2 if squared else s
     total = vals.sum()
     if total == 0.0:
@@ -97,8 +93,6 @@ def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
 def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:
     """Cosine similarity of every epoch gradient (row of the (T, M) stack)
     with every principal direction; zero-norm gradients give a zero row."""
-    if not len(grads) or not len(pgds):
-        raise ValueError("need at least one gradient and one direction")
     out = np.zeros((len(grads), len(pgds)))
     for i, g in enumerate(grads):
         if is_zero(g):
@@ -111,8 +105,6 @@ def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:
 def similarity_matrix(grads: np.ndarray) -> np.ndarray:
     """Symmetric pairwise cosine similarity of the rows of a (T, M)
     gradient stack."""
-    if not len(grads):
-        raise ValueError("gradient stack is empty")
     rows = list(grads)  # one view per row, not one per pair
     out = np.zeros((len(rows), len(rows)))
     nonzero = [not is_zero(g) for g in rows]
@@ -193,12 +185,15 @@ class SpectrumProgression:
     """
 
     def __init__(self, epochs: int, m: int):
-        self.grads = np.empty((epochs, m))
         self._child = None
         ctx = _helper_context() if 0 < epochs < m else None
-        if ctx is None:
-            self.gram = np.zeros((epochs, epochs))
-            return
+        try:
+            self.grads = np.empty((epochs, m))
+            if ctx is None:
+                self.gram = np.zeros((epochs, epochs))
+                return
+        except ValueError as exc:  # numpy rejects a shape past its size limit before allocating
+            raise MemoryError(str(exc)) from None
         import mmap
 
         # an anonymous mmap is shared with the child, and starts zeroed
@@ -293,8 +288,6 @@ def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size:
     counts them while the matrices are built; it stops before this returns."""
     with SpectrumProgression(epochs, model.param_dim) as progression:
         grads = record_centralized(model, dataset, progression, eta, batch_size, rng)
-        overlap = similarity = np.zeros((0, 0))
-        if len(grads):
-            overlap = overlap_matrix(grads, pgd(grads, 0.99))
-            similarity = similarity_matrix(grads)
+        overlap = overlap_matrix(grads, pgd(grads, 0.99))
+        similarity = similarity_matrix(grads)
         return progression.rows(), overlap, similarity

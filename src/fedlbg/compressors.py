@@ -63,12 +63,9 @@ class LowRankPayload:
 
 def topk(g: ParamVector, k: int) -> SparsePayload:
     """Keep the k largest-magnitude entries; ties go to the lower index."""
-    m = g.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} out of range [1, {m}]")
     order = np.argsort(-np.abs(g), kind="stable")  # stable: ties by index
     keep = np.sort(order[:k])
-    return SparsePayload(keep.astype(np.int64), g[keep], m)
+    return SparsePayload(keep.astype(np.int64), g[keep], g.shape[0])
 
 
 def ef_wrap(residual: ParamVector, g: ParamVector, compress):
@@ -78,8 +75,6 @@ def ef_wrap(residual: ParamVector, g: ParamVector, compress):
     densify(payload) + new_residual == g + residual holding exactly for
     sparsifying compressors (kept coordinates cancel bit for bit).
     """
-    if residual.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {residual.shape} vs {g.shape}")
     p = g + residual
     payload = compress(p)
     new_residual = p - payload.densify()
@@ -99,8 +94,6 @@ def rank_r(blocks, r: int) -> LowRankPayload:
     `models.unpack` gives them. Vector blocks (biases) pass through dense;
     r is clamped per block to min(rows, cols).
     """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
     out = []
     for block in blocks:
         rows, cols = block.shape

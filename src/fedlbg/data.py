@@ -140,10 +140,6 @@ def synth_classification(
     class counts are balanced. separation = 0 collapses every class onto
     the same blob.
     """
-    if n < classes:
-        raise ValueError(f"need n >= classes, got n={n} classes={classes}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     centers = np.zeros((classes, d))
     scale = separation / np.sqrt(2.0)
     for c in range(classes):
@@ -174,8 +170,6 @@ def partition(ds: Dataset, k: int, mode: str, rng: np.random.Generator) -> Parti
     (label blocks dealt to workers cyclically) and then splits each
     label's samples evenly among the workers holding that label.
     """
-    if k < 1:
-        raise ValueError("K must be >= 1")
     if k > ds.n:
         raise ValueError(f"cannot split {ds.n} samples across {k} workers")
     kind, s = parse_partition_mode(mode)
@@ -183,8 +177,6 @@ def partition(ds: Dataset, k: int, mode: str, rng: np.random.Generator) -> Parti
     if kind == "iid":
         shards = np.array_split(rng.permutation(ds.n), k)
     else:
-        if ds.num_classes == 0:
-            raise ValueError("label_shard partitioning needs a classification dataset")
         if s > ds.num_classes:
             raise ValueError(
                 f"label_shard({s}) exceeds the {ds.num_classes} available labels"

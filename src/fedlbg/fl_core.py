@@ -39,12 +39,6 @@ class RoundConfig:
     tau: int
     batch_size: int  # <= 0 means full shard
 
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-
 
 class WorkerState:
     """Per-worker mutable state: shard, LBG, EF residual, RNG."""
@@ -98,8 +92,6 @@ def local_round(
     non-finite value stays non-finite in both running sums, so they are
     checked once, after the last step.
     """
-    if len(worker.shard) == 0:
-        raise ValueError(f"worker {worker.worker_id} has an empty shard")
     theta = theta_global.copy()
     g_sum = np.zeros_like(theta_global)
     for _ in range(cfg.tau):
@@ -284,9 +276,8 @@ def fit_targets(exp, datasets):
     if classes == 1 and exp.model_kind != "linear_regression":
         raise ValueError(f"{exp.labels}: every training label is 0; "
                          f"{exp.model_kind} needs at least 2 classes")
-    out_dim = classes if classes > 0 else 1
-    model = build_model(exp.model_kind, datasets[0].dim, out_dim, exp.hidden)
-    if exp.model_kind == "linear_regression" and classes > 0:
+    model = build_model(exp.model_kind, datasets[0].dim, classes, exp.hidden)
+    if exp.model_kind == "linear_regression":
         datasets = tuple(Dataset(ds.inputs, one_hot(ds.labels, classes), 0)
                          for ds in datasets)
     return model, datasets
@@ -319,7 +310,11 @@ def build_experiment(exp) -> ExperimentSetup:
     else:
         tau = one_pass_steps(max(len(sh) for sh in part.shards), batch_size)
     if exp.eta_rule == "inv_sqrt_tau_t":
-        eta = 1.0 / math.sqrt(tau * max(exp.rounds, 1))
+        try:
+            eta = 1.0 / math.sqrt(tau * max(exp.rounds, 1))
+        except OverflowError:  # an int product beyond the float range
+            raise ValueError("rounds, tau: eta_rule = inv_sqrt_tau_t needs tau * rounds "
+                             "within the float range") from None
     else:
         eta = exp.eta
 

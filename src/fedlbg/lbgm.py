@@ -64,8 +64,6 @@ def lbp_error(g: ParamVector, lbg: ParamVector) -> float:
     so the error is 1, which forces a full transmission through any gate
     with delta < 1.
     """
-    if g.shape != lbg.shape:
-        raise ValueError(f"dimension mismatch: {g.shape} vs {lbg.shape}")
     if is_zero(g):
         return 0.0
     if norm_sq(lbg) == 0.0:
@@ -75,10 +73,9 @@ def lbp_error(g: ParamVector, lbg: ParamVector) -> float:
 
 
 def lbc(g: ParamVector, lbg: ParamVector) -> float:
-    """Scalar projection coefficient of g onto span(lbg)."""
-    denom = norm_sq(lbg)
-    if denom == 0.0:
-        raise ValueError("look-back coefficient undefined for a zero LBG")
+    """Scalar projection coefficient of g onto span(lbg), for an LBG whose
+    squared norm is nonzero: `look_back` asks for it only then."""
+    denom = norm_sq(lbg)  # before <g, lbg>: the traced order of the dot calls
     return dot(g, lbg) / denom
 
 

@@ -57,23 +57,12 @@ def test_n_pca_all_zero_log():
     assert n_pca(grads, 0.99) == 0
 
 
-def test_n_pca_validates_variance():
-    grads = np.stack([np.ones(3)])
-    with pytest.raises(ValueError, match="variance"):
-        n_pca(grads, 0.0)
-    with pytest.raises(ValueError, match="variance"):
-        n_pca(grads, 1.5)
-
-
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])  # wide (Gram) and tall (SVD) routes
-def test_pgd_keeps_n_pca_directions_and_validates_variance(shape):
+def test_pgd_keeps_n_pca_directions(shape):
     grads = rng_stream(32, 0).standard_normal(shape)
     for variance in (0.5, 0.95, 1.0):
         assert len(pgd(grads, variance)) == n_pca(grads, variance)
         assert len(pgd(grads, variance, squared=True)) == n_pca(grads, variance, squared=True)
-    for variance in (0.0, 1.5):
-        with pytest.raises(ValueError, match="variance"):
-            pgd(grads, variance)
 
 
 def test_n_pca_ordering_invariant():
@@ -313,11 +302,10 @@ def test_record_centralized_deterministic():
         assert np.array_equal(ga, gb)
 
 
-def test_empty_stack_raises():
+def test_an_empty_stack_has_no_directions_and_empty_matrices():
+    # the stack of a zero-epoch run
     empty = np.zeros((0, 4))
-    for call in (lambda: n_pca(empty, 0.99), lambda: pgd(empty, 0.99),
-                 lambda: similarity_matrix(empty)):
-        with pytest.raises(ValueError, match="empty"):
-            call()
-    with pytest.raises(ValueError):
-        overlap_matrix(empty, [np.ones(4)])
+    assert n_pca(empty, 0.99) == 0
+    assert pgd(empty, 0.99) == []
+    assert overlap_matrix(empty, []).shape == (0, 0)
+    assert similarity_matrix(empty).shape == (0, 0)

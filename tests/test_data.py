@@ -103,14 +103,6 @@ def test_synth_zero_separation_is_chance_level():
     assert acc < 0.40
 
 
-def test_synth_preconditions():
-    rng = rng_stream(0, 9)
-    with pytest.raises(ValueError, match="n >= classes"):
-        synth_classification(2, 3, 4, 1.0, rng)
-    with pytest.raises(ValueError, match="d must be"):
-        synth_classification(10, 0, 2, 1.0, rng)
-
-
 def test_parse_partition_mode():
     assert parse_partition_mode("iid") == ("iid", None)
     assert parse_partition_mode("label_shard(3)") == ("label_shard", 3)
@@ -174,9 +166,6 @@ def test_partition_errors():
         partition(ds, 2, "label_shard(2)", rng)  # 4 of 5 labels
     with pytest.raises(ValueError, match="leaves worker 5 without samples"):
         partition(ds, 10, "label_shard(2)", rng)  # 2 samples per label, 4 holders
-    regression = Dataset(ds.inputs, ds.inputs.copy(), 0)
-    with pytest.raises(ValueError, match="classification"):
-        partition(regression, 2, "label_shard(2)", rng)
 
 
 def test_partition_deterministic():

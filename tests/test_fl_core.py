@@ -69,13 +69,6 @@ def test_local_round_two_step_quadratic_oracle():
     assert np.array_equal(theta, np.array([1.0 - 0.1 - 0.09, 0.0]))
 
 
-def test_local_round_empty_shard_errors():
-    model, ds = quadratic_fixture()
-    worker = WorkerState(3, np.array([], dtype=np.int64), rng_stream(0, 3))
-    with pytest.raises(ValueError, match="empty shard"):
-        local_round(worker, np.zeros(2), RoundConfig(0.1, 1, 0), model, ds)
-
-
 def test_local_round_rejects_overflowing_step():
     # the gradient (1e300) is finite; the step 1e300 * 1e300 is not
     model, ds = quadratic_fixture()
@@ -211,13 +204,6 @@ def test_centralized_recovery_single_worker_full_batch():
         g_tilde = reconstruct(replay.server, 0, msg)
         aggregate(replay.server, {0: g_tilde}, replay.weights, replay.round_config.eta)
     assert np.array_equal(replay.server.theta_global, theta)
-
-
-def test_round_config_validation():
-    with pytest.raises(ValueError, match="eta"):
-        RoundConfig(0.0, 1, 4)
-    with pytest.raises(ValueError, match="tau"):
-        RoundConfig(0.1, 0, 4)
 
 
 def test_default_tau_is_one_shard_pass():

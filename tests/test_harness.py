@@ -206,8 +206,11 @@ def test_cli_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
     (dict(algorithm="topk", error_feedback="false"),
      "error_feedback: value 'false' must be of type bool"),
     (dict(algorithm="lbgm", delta="0.5"), "delta: value '0.5' must be of type float"),
+    (dict(algorithm="lbgm", workers=0), "workers: value 0 must be >= 1"),
+    (dict(algorithm="lbgm", dim=0), "dim: value 0 must be >= 1"),
+    (dict(algorithm="lbgm", eta=0.0), "eta: value 0.0 must be > 0"),
 ], ids=["delta", "sample_fraction", "rank", "algorithm", "hidden", "k_frac", "eta", "seed",
-        "idx_paths", "partition", "bool_type", "float_type"])
+        "idx_paths", "partition", "bool_type", "float_type", "workers", "dim", "eta_zero"])
 def test_a_config_made_in_python_is_checked_like_text(tmp_path, kw, message):
     # from the constructor, and again from replace() of a valid config
     with pytest.raises(ConfigError) as made:
@@ -808,6 +811,9 @@ def test_run_on_idx_dataset_with_subset(tmp_path):
     (["--override", "algorithm=centralized_analyze", "--override", "data.n=1",
       "--override", "data.test_n=1"],
      "n, test_n: n + test_n = 1 + 1 must be >= classes = 3 for synth data"),
+    ([str(CONFIGS / "lbgm_noniid.cfg"), "--override", f"train.rounds={10**400}",
+      "--override", "train.eta_rule=inv_sqrt_tau_t"],
+     "rounds, tau: eta_rule = inv_sqrt_tau_t needs tau * rounds within the float range"),
 ])
 def test_cli_bad_setup_exits_2_with_one_line(tmp_path, capsys, argv, message):
     # errors found while building the experiment are bad input, not crashes
@@ -815,17 +821,22 @@ def test_cli_bad_setup_exits_2_with_one_line(tmp_path, capsys, argv, message):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(MINIMAL)
         argv = [str(config_path), *argv]
-    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("config,override", [
-    ("lbgm_noniid.cfg", "model.hidden=10000000000000"),  # a 2.2 PiB model
-    ("analyze.cfg", "train.rounds=100000000000"),  # a 729 TiB gradient stack
+@pytest.mark.parametrize("config,override,reason", [
+    ("lbgm_noniid.cfg", "model.hidden=10000000000000", "Unable to allocate "),  # a 2.2 PiB model
+    ("analyze.cfg", "train.rounds=100000000000", "Unable to allocate "),  # a 729 TiB stack
+    # stacks numpy rejects by their shape alone
+    ("analyze.cfg", f"train.rounds={2**62}", "array is too big"),
+    ("analyze.cfg", f"train.rounds={2**63}", "Maximum allowed dimension exceeded"),
 ])
 def test_an_experiment_too_large_to_allocate_exits_2_with_one_line(tmp_path, capsys, config,
-                                                                   override):
-    # both sizes exceed a 47-bit address space: the allocation fails at once
+                                                                   override, reason):
+    # every size exceeds a 47-bit address space: the allocation fails at once
     # and touches no memory, even where the kernel overcommits
     out = str(tmp_path / "out")
     assert main(["run", str(CONFIGS / config), "--override", override, "--out", out]) == 2
@@ -834,7 +845,8 @@ def test_an_experiment_too_large_to_allocate_exits_2_with_one_line(tmp_path, cap
     assert run(cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0] == err[1]
-    assert err[0].startswith("error: cannot allocate memory: Unable to allocate ")
+    assert err[0].startswith(f"error: cannot allocate memory: {reason}")
+    assert not any((tmp_path / "out").iterdir())
 
 
 def idx_argv(tmp_path, train_labels, test_labels, images=None, shape=(2, 2)):
