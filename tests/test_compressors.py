@@ -254,3 +254,15 @@ def test_error_feedback_only_for_topk():
     assert not ef(algorithm="topk", error_feedback=False)
     assert not ef(algorithm="sign")
     assert not ef(algorithm="rank_r")
+
+
+@pytest.mark.parametrize("k_frac,kept", [(1e-12, lambda m: 1), (1.0, lambda m: m)],
+                         ids=["smallest", "whole"])
+def test_policy_for_keeps_topk_k_within_the_vector(k_frac, kept):
+    # the config's k_frac range, rounded by policy_for, is topk's only source of k
+    model = build_experiment(base_config()).model
+    m = model.param_dim
+    g = rng_stream(22, 0).standard_normal(m)
+    payload = policy_for(base_config(k_frac=k_frac, error_feedback=False), model).compress(g)
+    assert len(payload.indices) == kept(m)
+    assert np.array_equal(payload.indices, np.sort(np.argsort(-np.abs(g))[:kept(m)]))
