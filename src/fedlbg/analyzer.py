@@ -118,8 +118,9 @@ def similarity_matrix(grads: np.ndarray) -> np.ndarray:
 
 
 def _progression_row(grads: np.ndarray, gram: np.ndarray, epoch: int) -> tuple:
-    """(epoch, n95, n99) of the gradients of epochs 0..epoch, counted on
-    their Gram matrix, the leading block of `gram`."""
+    """(epoch, n95, n99) of the gradients of epochs 0..epoch: a wide prefix
+    is counted on its Gram matrix, the leading block of `gram`, a tall one
+    on its singular values."""
     t = epoch + 1
     s = _singular_values(grads[:t], gram[:t, :t])
     return epoch, _count_for_mass(s, 0.95, False), _count_for_mass(s, 0.99, False)
@@ -135,9 +136,9 @@ def _helper_context():
         cpus = os.cpu_count() or 1
     if cpus < 2:
         return None
-    # fork, so the helper inherits the shared Gram mapping; multiprocessing's
-    # fork flushes stdio first, so buffered output is not printed twice.
-    # Imported here: the import would add to every `import fedlbg`.
+    # fork, so the helper inherits the filled stack and Gram matrix;
+    # multiprocessing's fork flushes stdio first, so buffered output is not
+    # printed twice. Imported here: the import would add to every `import fedlbg`.
     import multiprocessing
 
     try:
@@ -147,59 +148,59 @@ def _helper_context():
 
 
 def _serve(conn, grads: np.ndarray, gram: np.ndarray):
-    """The helper's loop: count the row of each epoch index received, and
-    answer the closing None with the rows, or with the first exception a
-    row raised. Before each index, checks its parent's sentinel: once the
-    parent is gone, returns without answering."""
-    from multiprocessing import connection, parent_process
-    parent = parent_process().sentinel
-    answer = []
-    while parent not in connection.wait([conn, parent]):
-        epoch = conn.recv()
-        if epoch is None:
-            conn.send(answer)
+    """The helper: count the row of every epoch and send the rows once, or
+    the first exception a row raised. Before each row, checks its parent's
+    sentinel: once the parent is gone, returns without answering."""
+    from multiprocessing import parent_process
+    parent = parent_process()
+    rows = []
+    for epoch in range(len(gram)):
+        if not parent.is_alive():
             return
-        if isinstance(answer, list):  # after a failure, only drain the pipe
-            try:
-                answer.append(_progression_row(grads, gram, epoch))
-            except Exception as exc:
-                answer = exc
+        try:
+            rows.append(_progression_row(grads, gram, epoch))
+        except Exception as exc:
+            conn.send(exc)
+            return
+    conn.send(rows)
 
 
 class SpectrumProgression:
     """The (epochs, M) gradient stack `grads` of a run, its Gram matrix
     `gram` and their per-epoch rows (epoch, n95, n99), the stack and Gram
     matrix filled one epoch at a time: `add(epoch)` once that epoch's
-    gradient is stored in `grads`, `rows()` once all are.
+    gradient is stored in `grads`, `start()` and `rows()` once all are.
 
-    Where the platform can fork, the process may use two CPUs or more, and
-    every prefix of the stack is wide (M > T), one forked helper process
-    counts the rows while the caller goes on: it reads `gram` from shared
-    memory, and `add` sends it only the epoch's index, which cannot fill the
-    pipe and block. The wide route reads the stack's shape, not its values,
-    so the helper never sees a gradient stored after the fork; it stops once
-    it has answered or its parent is gone. Otherwise, or when the fork fails
-    with an OSError, `rows()` counts the rows in process. A helper that dies
-    without answering raises ChildProcessError. Use it as a context manager,
-    which stops the helper.
+    Where the platform can fork and the process may use two CPUs or more,
+    `start()` forks one helper process that counts the rows while the
+    caller goes on: its fork-time copy of the stack and the Gram matrix is
+    complete, so nothing is shared or sent to it, and it answers once. It
+    stops once it has answered or its parent is gone. Otherwise, when the
+    fork fails with an OSError, or without `start()`, `rows()` counts the
+    rows in process. A helper that dies without answering raises
+    ChildProcessError. Use it as a context manager, which stops the helper.
     """
 
     def __init__(self, epochs: int, m: int):
         self._child = None
-        ctx = _helper_context() if 0 < epochs < m else None
         try:
             self.grads = np.empty((epochs, m))
-            if ctx is None:
-                self.gram = np.zeros((epochs, epochs))
-                return
+            self.gram = np.zeros((epochs, epochs))
         except ValueError as exc:  # numpy rejects a shape past its size limit before allocating
             raise MemoryError(str(exc)) from None
-        import mmap
 
-        # an anonymous mmap is shared with the child, and starts zeroed
-        shared = mmap.mmap(-1, epochs * epochs * self.grads.itemsize)
-        self.gram = np.frombuffer(shared, dtype=np.float64).reshape(epochs, epochs)
-        self._conn, child_end = ctx.Pipe()
+    def add(self, epoch: int):
+        # diagonal included, one np.vecdot gives the bits of one np.dot per pair
+        row = np.vecdot(self.grads[: epoch + 1], self.grads[epoch])
+        self.gram[epoch, : epoch + 1] = self.gram[: epoch + 1, epoch] = row
+        check_finite(row, f"Gram row of epoch {epoch}")
+
+    def start(self):
+        """Fork the helper, where one can run, to count every epoch's row."""
+        ctx = _helper_context() if len(self.gram) else None
+        if ctx is None:
+            return
+        self._conn, child_end = ctx.Pipe(duplex=False)
         # a daemon: at exit, multiprocessing joins other children, and this one waits on its parent
         self._child = ctx.Process(target=_serve,
                                   args=(child_end, self.grads, self.gram), daemon=True)
@@ -211,37 +212,21 @@ class SpectrumProgression:
         finally:
             child_end.close()
 
-    def add(self, epoch: int):
-        # diagonal included, one np.vecdot gives the bits of one np.dot per pair
-        row = np.vecdot(self.grads[: epoch + 1], self.grads[epoch])
-        self.gram[epoch, : epoch + 1] = self.gram[: epoch + 1, epoch] = row
-        check_finite(row, f"Gram row of epoch {epoch}")
-        if self._child is None:
-            return
-        try:
-            self._conn.send(epoch)
-        except OSError:
-            raise self._died() from None
-
     def rows(self) -> list:
         """The rows of every added epoch, in order; raises what counting
         one of them raised."""
         if self._child is None:
             return [_progression_row(self.grads, self.gram, e) for e in range(len(self.gram))]
         try:
-            self._conn.send(None)
             answer = self._conn.recv()
-        except (EOFError, OSError):
-            raise self._died() from None
+        except EOFError:
+            self.close()
+            raise ChildProcessError(
+                f"spectrum helper exited with code {self._child.exitcode} before answering"
+            ) from None
         if isinstance(answer, Exception):
             raise answer
         return answer
-
-    def _died(self) -> ChildProcessError:
-        self.close()
-        return ChildProcessError(
-            f"spectrum helper exited with code {self._child.exitcode} before answering"
-        )
 
     def close(self):
         if self._child is None:
@@ -284,10 +269,12 @@ def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size:
             rng: np.random.Generator):
     """Record the gradients of a centralized run and analyze them: returns
     (progression rows, overlap matrix, similarity matrix), the matrices 0 x 0
-    when no epoch ran. The rows are collected last, so the spectrum helper
-    counts them while the matrices are built; it stops before this returns."""
+    when no epoch ran. The spectrum helper starts once training has ended
+    and counts the rows while the matrices are built; they are collected
+    last, and the helper stops before this returns."""
     with SpectrumProgression(epochs, model.param_dim) as progression:
         grads = record_centralized(model, dataset, progression, eta, batch_size, rng)
+        progression.start()
         overlap = overlap_matrix(grads, pgd(grads, 0.99))
         similarity = similarity_matrix(grads)
         return progression.rows(), overlap, similarity

@@ -264,7 +264,9 @@ def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
 
 def _write(path: Path, lines):
     """Write a file from its lines as they are made, so that neither its
-    whole text nor its encoded bytes are ever held."""
+    whole text nor its encoded bytes are ever held. Creates the directory
+    it goes in, so a run that writes nothing leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.writelines(lines)
 
@@ -351,11 +353,12 @@ def run(cfg: ExperimentConfig) -> int:
     or settings found while building the experiment or an experiment too
     large to allocate, 3 when the run diverges
     or a decomposition does not converge (a federated run keeps the rows of
-    its completed rounds).
+    its completed rounds). The output directory is made by the first file
+    written, so a run that writes none leaves none, and an `out` that
+    cannot be written is reported once the run has ended.
     """
+    out_dir = Path(cfg.out)
     try:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         # divergence is reported once, by the finite checks of the models and
         # the round engine, not by numpy's overflow warnings on the way there
         with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():

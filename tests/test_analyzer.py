@@ -165,12 +165,13 @@ def test_a_row_whose_squared_norm_underflows_keeps_its_angle(caplog):
 @contextmanager
 def record_fixture(epochs, batch_size=16, n=120, seed=36):
     """The SpectrumProgression that record_centralized fills on a small
-    mlp1h problem, its helper stopped on exit."""
+    mlp1h problem, its helper started, and stopped on exit."""
     rng_data = rng_stream(seed, 1)
     ds = synth_classification(n, 6, 4, 5.0, rng_data)
     model = build_model("mlp1h", 6, 4, 8)
     with SpectrumProgression(epochs, model.param_dim) as progression:
         record_centralized(model, ds, progression, 0.1, batch_size, rng_stream(seed, 0))
+        progression.start()
         yield progression
 
 
@@ -207,16 +208,21 @@ needs_helper = pytest.mark.skipif(analyzer._helper_context() is None,
 
 
 @needs_helper
-@pytest.mark.parametrize("epochs", [1, 40])
+@pytest.mark.parametrize("epochs", [1, 40, 95])
 def test_forked_and_in_process_drivers_agree(monkeypatch, epochs):
+    # at 95 epochs of a 92-parameter model the last prefixes are tall: they
+    # take the SVD route, which reads the gradients themselves
     with record_fixture(epochs) as forked:
         assert forked._child is not None
+        grads = forked.grads
+        assert grads.shape == (epochs, 92)
         rows = forked.rows()
     monkeypatch.setattr(analyzer, "_helper_context", lambda: None)
     with record_fixture(epochs) as in_process:
         assert in_process._child is None
         assert in_process.rows() == rows
-    assert len(rows) == epochs
+    assert rows == [(t, n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
+                    for t in range(epochs)]
 
 
 HELPER_PARENT = """
@@ -228,6 +234,7 @@ progression = SpectrumProgression(600, 1000)
 progression.grads[:] = np.random.default_rng(0).standard_normal((600, 1000))
 for epoch in range(600):
     progression.add(epoch)
+progression.start()
 print(progression._child.pid, flush=True)
 time.sleep(60)
 """
@@ -236,9 +243,9 @@ time.sleep(60)
 @needs_helper
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to watch the helper in")
 def test_helper_stops_within_a_second_of_its_parents_death():
-    # 600 epoch indices are queued when the parent is killed, seconds of
-    # counting: the helper must stop at its parent's death, not at the end
-    # of the queue
+    # 600 rows are left to count when the parent is killed, seconds of
+    # counting: the helper must stop at its parent's death, not after the
+    # last row
     parent = subprocess.Popen([sys.executable, "-c", HELPER_PARENT], stdout=subprocess.PIPE,
                               env=package_env(), text=True)
     helper = None
@@ -265,18 +272,6 @@ def test_one_usable_cpu_starts_no_helper(monkeypatch):
     with record_fixture(3) as progression:
         assert progression._child is None
         assert len(progression.rows()) == 3
-
-
-def test_a_stack_with_tall_prefixes_counts_in_process():
-    # 95 epochs of a 92-parameter model: the last prefixes take the SVD route,
-    # which reads the gradients themselves
-    with record_fixture(95) as progression:
-        grads = progression.grads
-        assert grads.shape == (95, 92)
-        assert progression._child is None
-        rows = progression.rows()
-    for t, n95, n99 in rows[88:]:
-        assert (n95, n99) == (n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
 
 
 def test_zero_epochs_start_no_helper():

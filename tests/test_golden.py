@@ -47,6 +47,9 @@ CASES = {
     "analyze": ("analyze.cfg", []),
     # a 40x40 similarity matrix and a 40-row overlap matrix
     "analyze_40": ("analyze.cfg", ["train.rounds=40"]),
+    # 100 epochs of a 72-parameter model: the prefixes past 72 epochs are
+    # tall and counted on the SVD, in the spectrum helper where one runs
+    "analyze_tall": ("analyze.cfg", ["model.hidden=2", "train.rounds=100"]),
 }
 
 DIGESTS = {
@@ -59,6 +62,11 @@ DIGESTS = {
         "npca.csv": "fd272da5023199b1ffed36cf250714824e30f5ee36f083ad403dff13f4249b9a",
         "overlap.csv": "0cd3057967c7dd021798bf29668f70895a7e39f059c548a69e82a58866dfff1c",
         "similarity.csv": "3ca5c4b8791a64ec0fe0cdb32635debe283e78ee3154eca5456ab8b0c6d6b5c0",
+    },
+    "analyze_tall": {
+        "npca.csv": "bf1093febddc50bc93d7fbb3d549bea8aaaf8a3f71afa8e334215ff8fe30f242",
+        "overlap.csv": "1ae2b242d38d92d453c804c4eb3ef52dcabb55ac872dd4a0c28a123db07e1a84",
+        "similarity.csv": "6ff56660fd88ae601b1540d2c6fec68a2f2222f3babc35c298700b7cf52f978b",
     },
     "lbgm": {
         "metrics.csv": "a78a77481a1c0e01a8f8082fc4a5dbf514ff567c149a87f85542ee9f1a82ee4e",
