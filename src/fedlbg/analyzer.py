@@ -13,6 +13,8 @@ classical squared (explained-variance) convention is available via the
 import logging
 import math
 import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -126,43 +128,35 @@ def _progression_row(grads: np.ndarray, gram: np.ndarray, epoch: int) -> tuple:
     return epoch, _count_for_mass(s, 0.95, False), _count_for_mass(s, 0.99, False)
 
 
-def _helper_context():
-    """The multiprocessing context that forks the spectrum helper, or None
-    where the platform has no fork start method or this process may run on
-    one CPU only: there the helper would share it, and the run is slower."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    # fork, so the helper inherits the filled stack and Gram matrix;
-    # multiprocessing's fork flushes stdio first, so buffered output is not
-    # printed twice. Imported here: the import would add to every `import fedlbg`.
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # no fork start method on this platform
-        return None
+def _helper_can_run() -> bool:
+    """Whether the platform can fork the spectrum helper and this process
+    may use two CPUs or more: on one, the helper would share it, and the
+    run is slower."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return hasattr(os, "fork") and cpus >= 2
 
 
-def _serve(conn, grads: np.ndarray, gram: np.ndarray):
-    """The helper: count the row of every epoch and send the rows once, or
-    the first exception a row raised. Before each row, checks its parent's
-    sentinel: once the parent is gone, returns without answering."""
-    from multiprocessing import parent_process
-    parent = parent_process()
+def _answer(fd: int, answer):
+    """Pickle the helper's one answer into its pipe's write end, and close it."""
+    with open(fd, "wb") as pipe:
+        pickle.dump(answer, pipe)
+
+
+def _serve(fd: int, parent: int, grads: np.ndarray, gram: np.ndarray):
+    """The helper: count the row of every epoch and answer once with the
+    rows, or the first exception a row raised. Once `parent` is no longer
+    its parent, checked before each row, returns without answering."""
     rows = []
     for epoch in range(len(gram)):
-        if not parent.is_alive():
+        if os.getppid() != parent:
             return
         try:
             rows.append(_progression_row(grads, gram, epoch))
         except Exception as exc:
-            conn.send(exc)
+            _answer(fd, exc)
             return
-    conn.send(rows)
+    _answer(fd, rows)
 
 
 class SpectrumProgression:
@@ -172,13 +166,14 @@ class SpectrumProgression:
     gradient is stored in `grads`, `start()` and `rows()` once all are.
 
     Where the platform can fork and the process may use two CPUs or more,
-    `start()` forks one helper process that counts the rows while the
-    caller goes on: its fork-time copy of the stack and the Gram matrix is
-    complete, so nothing is shared or sent to it, and it answers once. It
-    stops once it has answered or its parent is gone. Otherwise, when the
-    fork fails with an OSError, or without `start()`, `rows()` counts the
-    rows in process. A helper that dies without answering raises
-    ChildProcessError. Use it as a context manager, which stops the helper.
+    `start()` forks one helper, pid `_child`, to count the rows on its
+    complete fork-time copy of the stack and Gram matrix while the caller
+    goes on. It pickles one answer into a pipe and leaves by os._exit, so
+    none of the caller's code or atexit handlers runs in it: 0 once it has
+    answered or found its parent gone, else 1. Otherwise, when the fork
+    fails with an OSError, or without `start()`, `rows()` counts the rows
+    in process. A helper that dies without a whole answer raises
+    ChildProcessError. Use it as a context manager, which stops and reaps it.
     """
 
     def __init__(self, epochs: int, m: int):
@@ -197,20 +192,25 @@ class SpectrumProgression:
 
     def start(self):
         """Fork the helper, where one can run, to count every epoch's row."""
-        ctx = _helper_context() if len(self.gram) else None
-        if ctx is None:
+        if not (len(self.gram) and _helper_can_run()):
             return
-        self._conn, child_end = ctx.Pipe(duplex=False)
-        # a daemon: at exit, multiprocessing joins other children, and this one waits on its parent
-        self._child = ctx.Process(target=_serve,
-                                  args=(child_end, self.grads, self.gram), daemon=True)
+        read_end, write_end = os.pipe()
+        parent = os.getpid()
         try:
-            self._child.start()
+            pid = os.fork()
         except OSError:  # no fork (EAGAIN, ENOMEM); the helper is only a speed-up
-            self._conn.close()
-            self._child = None
-        finally:
-            child_end.close()
+            os.close(read_end)
+            os.close(write_end)
+            return
+        if pid == 0:  # the helper
+            try:
+                os.close(read_end)
+                _serve(write_end, parent, self.grads, self.gram)
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        os.close(write_end)
+        self._child, self._answer = pid, open(read_end, "rb")
 
     def rows(self) -> list:
         """The rows of every added epoch, in order; raises what counting
@@ -218,12 +218,11 @@ class SpectrumProgression:
         if self._child is None:
             return [_progression_row(self.grads, self.gram, e) for e in range(len(self.gram))]
         try:
-            answer = self._conn.recv()
-        except EOFError:
-            self.close()
+            answer = pickle.load(self._answer)
+        except (EOFError, pickle.UnpicklingError):  # no answer, or part of one
+            code = self.close()
             raise ChildProcessError(
-                f"spectrum helper exited with code {self._child.exitcode} before answering"
-            ) from None
+                f"spectrum helper exited with code {code} before answering") from None
         if isinstance(answer, Exception):
             raise answer
         return answer
@@ -231,10 +230,10 @@ class SpectrumProgression:
     def close(self):
         if self._child is None:
             return
-        self._conn.close()
-        if self._child.is_alive():
-            self._child.kill()
-        self._child.join()
+        pid, self._child = self._child, None
+        self._answer.close()
+        os.kill(pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
     def __enter__(self):
         return self
@@ -255,7 +254,7 @@ def record_centralized(
     storing each epoch's accumulated gradient there and adding it to the
     progression. Returns the filled stack."""
     n = dataset.n
-    worker = WorkerState(0, np.arange(n), rng)
+    worker = WorkerState(np.arange(n), rng)
     theta = init_params(model, rng)
     cfg = RoundConfig(eta, one_pass_steps(n, batch_size), batch_size)
     grads = progression.grads

@@ -43,8 +43,7 @@ class RoundConfig:
 class WorkerState:
     """Per-worker mutable state: shard, LBG, EF residual, RNG."""
 
-    def __init__(self, worker_id: int, shard: np.ndarray, rng: np.random.Generator):
-        self.worker_id = worker_id
+    def __init__(self, shard: np.ndarray, rng: np.random.Generator):
         self.shard = np.asarray(shard, dtype=np.int64)
         self.lbg: Optional[ParamVector] = None
         self.ef_residual: Optional[ParamVector] = None
@@ -298,7 +297,7 @@ def build_experiment(exp) -> ExperimentSetup:
     model, (train_ds, test_ds) = fit_targets(exp, (train_ds, test_ds))
 
     worker_states = [
-        WorkerState(k, part.shards[k], rng_stream(exp.seed, k))
+        WorkerState(part.shards[k], rng_stream(exp.seed, k))
         for k in range(exp.workers)
     ]
     server = ServerState(init_params(model, worker_states[0].rng))

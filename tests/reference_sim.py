@@ -12,10 +12,18 @@ worker's share of the samples, in ascending worker id, and steps
 theta <- theta - eta * sum. The ledger counts one float per scalar and M
 per gradient.
 
-The rank-r stacks compress g first: each weight matrix becomes its best
-rank-r approximation, truncated from its SVD, and each bias stays dense.
-The worker sends, and gates on, that densified vector in place of g; a
-payload costs r * (rows + cols) floats per matrix plus the biases.
+The compressed stacks compress g first, and the worker sends, and gates
+on, that densified vector in place of g. Rank r: each weight matrix becomes
+its best rank-r approximation, truncated from its SVD, and each bias stays
+dense; a payload costs r * (rows + cols) floats per matrix plus the
+biases. Top-k: the k largest magnitudes are kept, ties going to the lower
+index, and the rest zeroed; a payload costs 2k floats, a value and an index
+each. With error feedback the worker compresses p = g + residual and
+carries p minus the compressed p as its next residual, every round,
+whatever the gate then sends. Sign: each coordinate becomes +1 or -1, with
+sign(0) = +1, at one bit each, M / 32 floats. With majority vote the
+server steps by the sign of the weighted sum, sign(0) = +1 again, in place
+of the sum.
 
 Samples are summed in the order the batch holds them, not in a canonical
 order, so the trajectory agrees with fedlbg's to rounding only. The
@@ -76,6 +84,21 @@ def rank_r(g, shape, r):
     return np.concatenate(dense), float(floats)
 
 
+def topk(g, k):
+    """(dense, floats): g with all but its k largest magnitudes zeroed, ties
+    going to the lower index, and the floats its payload costs."""
+    keep = sorted(range(len(g)), key=lambda i: (-abs(g[i]), i))[:k]
+    dense = np.zeros_like(g)
+    dense[keep] = g[keep]
+    return dense, 2.0 * k
+
+
+def sign(g):
+    """(dense, floats): the sign of each coordinate of g, sign(0) = +1, and
+    the floats its one-bit-per-coordinate payload costs."""
+    return np.where(g >= 0, 1.0, -1.0), len(g) / 32
+
+
 def loss_gradient(theta, x, y, shape):
     """d mean_loss / d theta, blocks in the order w1, b1, w2, b2."""
     _, _, w2, _ = _params(theta, *shape)
@@ -106,10 +129,13 @@ def one_pass(shards, batch_size) -> int:
 
 
 def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rounds,
-             delta=None, rank=None):
+             delta=None, compress=None, error_feedback=False, majority=False):
     """Run `rounds` rounds of vanilla FL (delta None) or LBGM (delta set),
-    each worker taking `tau` local steps a round, on raw gradients (rank
-    None) or on their rank-`rank` compression.
+    each worker taking `tau` local steps a round, on raw gradients
+    (compress None) or on compress(g), which returns (dense, floats): the
+    densified payload and its cost. With error feedback, compress sees g
+    plus the worker's residual; with majority, the server steps by the
+    sign of the weighted sum.
 
     train and test are (inputs, labels); shards[k] are worker k's sample
     indices and rngs[k] its stream; shape is (dim, hidden, classes). A
@@ -120,7 +146,7 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
     total = sum(len(s) for s in shards)
     weights = [len(s) / total for s in shards]
     batches = [_batches(s, r, batch_size) for s, r in zip(shards, rngs)]
-    worker_lbg, server_lbg = {}, {}
+    worker_lbg, server_lbg, residual = {}, {}, {}
     theta = theta0.copy()
     out = ReferenceRun()
 
@@ -140,8 +166,12 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
                 g += step
                 local -= eta * step
             floats = float(len(g))
-            if rank is not None:
-                g, floats = rank_r(g, shape, rank)
+            if error_feedback:
+                p = g + residual.get(k, 0.0)
+                g, floats = compress(p)
+                residual[k] = p - g
+            elif compress is not None:
+                g, floats = compress(g)
             lbg = worker_lbg.get(k)
             scalar = False
             if delta is not None and lbg is not None:
@@ -156,6 +186,8 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
                 worker_lbg[k] = server_lbg[k] = received = g
                 out.ledger.append((t, k, floats))
             total_update += weights[k] * received
+        if majority:
+            total_update = np.where(total_update >= 0, 1.0, -1.0)
         theta = theta - eta * total_update
         record()
     return out

@@ -203,8 +203,8 @@ def test_record_centralized_gram_equals_one_dot_per_pair():
     assert progression.gram.tobytes() == oracle.tobytes()
 
 
-needs_helper = pytest.mark.skipif(analyzer._helper_context() is None,
-                                reason="no fork start method, or one usable CPU")
+needs_helper = pytest.mark.skipif(not analyzer._helper_can_run(),
+                                  reason="no os.fork, or one usable CPU")
 
 
 @needs_helper
@@ -217,7 +217,7 @@ def test_forked_and_in_process_drivers_agree(monkeypatch, epochs):
         grads = forked.grads
         assert grads.shape == (epochs, 92)
         rows = forked.rows()
-    monkeypatch.setattr(analyzer, "_helper_context", lambda: None)
+    monkeypatch.setattr(analyzer, "_helper_can_run", lambda: False)
     with record_fixture(epochs) as in_process:
         assert in_process._child is None
         assert in_process.rows() == rows
@@ -235,7 +235,7 @@ progression.grads[:] = np.random.default_rng(0).standard_normal((600, 1000))
 for epoch in range(600):
     progression.add(epoch)
 progression.start()
-print(progression._child.pid, flush=True)
+print(progression._child, flush=True)
 time.sleep(60)
 """
 

@@ -38,7 +38,7 @@ def quadratic_fixture():
 
 
 def make_worker(n, seed=0):
-    return WorkerState(0, np.arange(n), rng_stream(seed, 0))
+    return WorkerState(np.arange(n), rng_stream(seed, 0))
 
 
 def test_local_round_tau_one_full_batch_is_single_gradient():
@@ -161,13 +161,13 @@ def test_identical_shards_equal_weights_match_single_worker():
     model, ds = quadratic_fixture()
     theta0 = np.array([1.0, 0.0])
 
-    workers = [WorkerState(k, np.arange(2), rng_stream(9, k)) for k in range(3)]
+    workers = [WorkerState(np.arange(2), rng_stream(9, k)) for k in range(3)]
     server = ServerState(theta0.copy())
     cfg = RoundConfig(0.1, 2, 0)
     grads = {k: local_round(w, theta0, cfg, model, ds)[0] for k, w in enumerate(workers)}
     aggregate(server, grads, {k: 1.0 / 3.0 for k in range(3)}, 0.1)
 
-    solo_worker = WorkerState(0, np.arange(2), rng_stream(10, 0))
+    solo_worker = WorkerState(np.arange(2), rng_stream(10, 0))
     solo_server = ServerState(theta0.copy())
     g, _ = local_round(solo_worker, theta0, cfg, model, ds)
     aggregate(solo_server, {0: g}, {0: 1.0}, 0.1)
@@ -269,44 +269,68 @@ GATE_MARGIN = 1e-9
 
 # besides the shipped config: full-shard batches, one step a round; a tau
 # of 4 against a 7-batch shard pass, so a pass runs on into the next round;
-# and the step size 1 / sqrt(tau * T)
+# the step size 1 / sqrt(tau * T); and majority-vote sign aggregation
 ENGINE_CASES = {
     "shipped": {},
     "full_shard": {"batch_size": 0},
     "tau4": {"tau": 4},
     "inv_sqrt_tau_t": {"eta_rule": "inv_sqrt_tau_t"},
+    "majority": {"sign_majority": True},
 }
 
-# floats of one payload on the shipped mlp1h (20 -> 32 -> 10): M = 1002
-# raw, or 2 * (20 + 32) + 32 + 2 * (32 + 10) + 10 at rank 2; the rank-r
-# stacks run on the shipped batches and on full shards
-PAYLOAD_FLOATS = {"vanilla": 1002.0, "lbgm": 1002.0, "rank_r": 230.0, "rank_r_lbgm": 230.0}
-RANK_CASES = ("shipped", "full_shard")
+# per algorithm, the floats of one payload on the shipped mlp1h (20 -> 32
+# -> 10) and the cases it runs: M = 1002 raw; 2 * (20 + 32) + 32 +
+# 2 * (32 + 10) + 10 at rank 2; a value and an index for each of the top
+# 10%, 100 coordinates; M / 32 for one sign bit each
+RAW_CASES = ("shipped", "full_shard", "tau4", "inv_sqrt_tau_t")
+ALGORITHMS = {
+    "vanilla": (1002.0, RAW_CASES),
+    "lbgm": (1002.0, RAW_CASES),
+    "rank_r": (230.0, ("shipped", "full_shard")),
+    "rank_r_lbgm": (230.0, ("shipped", "full_shard")),
+    "topk": (200.0, ("shipped",)),
+    "topk_lbgm": (200.0, ("shipped",)),
+    "sign": (31.3125, ("shipped", "majority")),
+    "sign_lbgm": (31.3125, ("shipped",)),
+}
+# the gated top-k and sign stacks run at the delta configs/topk_stack.cfg
+# ships: at the shipped 0.2, no compressed payload passes the gate in 20 rounds
+STACK_DELTA = parse_config((CONFIGS / "topk_stack.cfg").read_text()).delta
 
 
 @pytest.mark.parametrize("algorithm, seed, case", [
     pytest.param(algorithm, seed, case,
                  id="-".join([algorithm, str(seed)] + ([case] if ENGINE_CASES[case] else [])))
-    for case in ENGINE_CASES for algorithm in PAYLOAD_FLOATS for seed in (3, 1000)
-    if case in RANK_CASES or not algorithm.startswith("rank_r")
+    for case in ENGINE_CASES for algorithm in ALGORITHMS for seed in (3, 1000)
+    if case in ALGORITHMS[algorithm][1]
 ])
 def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
     text = (CONFIGS / "lbgm_noniid.cfg").read_text()
+    base = algorithm.removesuffix("_lbgm")
     cfg = replace(parse_config(text), algorithm=algorithm, seed=seed, rounds=20,
                   **ENGINE_CASES[case])
+    if base in ("topk", "sign"):
+        cfg = replace(cfg, delta=STACK_DELTA)
     result = simulate(cfg)
     setup = build_experiment(cfg)  # the shared inputs, with fresh worker streams
     (dim, hidden), _, (_, classes), _ = setup.model.layer_shapes
+    shape = (dim, hidden, classes)
     shards = [w.shard for w in setup.workers]
     tau = cfg.tau or reference_sim.one_pass(shards, cfg.batch_size)
     eta = cfg.eta if cfg.eta_rule == "constant" else 1.0 / math.sqrt(tau * cfg.rounds)
+    k = max(1, round(cfg.k_frac * setup.model.param_dim))
+    compress = {
+        "rank_r": lambda g: reference_sim.rank_r(g, shape, cfg.rank),
+        "topk": lambda g: reference_sim.topk(g, k),
+        "sign": reference_sim.sign,
+    }.get(base)
     ref = reference_sim.simulate(
         (setup.train_ds.inputs, setup.train_ds.labels),
         (setup.test_ds.inputs, setup.test_ds.labels),
         shards, [w.rng for w in setup.workers],
-        setup.server.theta_global, (dim, hidden, classes), eta, cfg.batch_size, tau,
-        cfg.rounds, cfg.delta if algorithm.endswith("lbgm") else None,
-        cfg.rank if algorithm.startswith("rank_r") else None)
+        setup.server.theta_global, shape, eta, cfg.batch_size, tau,
+        cfg.rounds, cfg.delta if algorithm.endswith("lbgm") else None, compress,
+        error_feedback=base == "topk" and cfg.error_feedback, majority=cfg.sign_majority)
 
     # compare up to the first round whose tags differ: from there on the
     # look-back gradients, and so the trajectories, part
@@ -328,7 +352,7 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
     assert [r.test_metric for r in rows] == ref.test_accuracy[: rounds + 1]
     losses = np.array([r.train_loss for r in rows])
     assert np.allclose(losses, ref.train_loss[: rounds + 1], rtol=LOSS_RTOL, atol=0)
-    payload = PAYLOAD_FLOATS[algorithm]
+    payload = ALGORITHMS[algorithm][0]
     # every payload costs what it should, and a gated run exercises the
     # gate on both sides of delta
     assert ({f for t, _, f in ref.ledger if t <= rounds}

@@ -1,7 +1,7 @@
 import errno
 import math
-import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -619,15 +619,21 @@ def test_cli_svd_failure_keeps_completed_rounds(tmp_path, capsys, monkeypatch):
 
 ANALYZER_OUTPUTS = ("npca.csv", "overlap.csv", "similarity.csv")
 
-needs_helper = pytest.mark.skipif(analyzer._helper_context() is None,
-                                reason="no fork start method, or one usable CPU")
+needs_helper = pytest.mark.skipif(not analyzer._helper_can_run(),
+                                  reason="no os.fork, or one usable CPU")
+
+
+def assert_no_child():
+    # any child of this process, running or not yet reaped, was left behind
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_helper
 def test_analyzer_leaves_no_child_after_success_or_divergence(tmp_path, capsys):
     cfg = small_run_config(tmp_path / "ok", algorithm="centralized_analyze", rounds=5)
     assert run(cfg) == 0
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     # training stops at epoch 5's non-finite Gram row, before a helper would start
     config_path = tmp_path / "diverge.cfg"
     config_path.write_text(DIVERGING.replace("lbgm", "centralized_analyze")
@@ -636,7 +642,7 @@ def test_analyzer_leaves_no_child_after_success_or_divergence(tmp_path, capsys):
     assert main(["run", str(config_path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: run diverged: Gram row of epoch 5 contains non-finite entries"]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     assert not out.exists()
 
 
@@ -669,7 +675,7 @@ def test_cli_analyzer_decomposition_failure_exits_3(tmp_path, capsys, monkeypatc
         assert run(replace(parse_config(text), out=str(out))) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: run diverged: Eigenvalues did not converge"]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     assert not out.exists()
 
 
@@ -690,21 +696,41 @@ def test_analyzer_helper_that_dies_exits_1(tmp_path, monkeypatch, capsys):
     assert run(cfg) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: spectrum helper exited with code {-signal.SIGKILL} before answering"]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+    assert not (tmp_path / "out").exists()
+
+
+@needs_helper
+def test_a_torn_answer_counts_as_a_dead_helper(tmp_path, monkeypatch, capsys):
+    # the helper inherits this patch when it forks: it writes half of its
+    # pickled answer and kills itself, so the pipe ends mid-pickle
+    def torn_answer(fd, answer):
+        data = pickle.dumps(answer)
+        with open(fd, "wb") as pipe:
+            pipe.write(data[: len(data) // 2])
+            pipe.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(analyzer, "_answer", torn_answer)
+    cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=5)
+    assert run(cfg) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: spectrum helper exited with code {-signal.SIGKILL} before answering"]
+    assert_no_child()
     assert not (tmp_path / "out").exists()
 
 
 @needs_helper
 def test_analyzer_counts_in_process_when_the_helper_cannot_fork(tmp_path, monkeypatch):
-    def no_fork(self):
+    def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     with monkeypatch.context() as patch:
-        patch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        patch.setattr(os, "fork", no_fork)
         assert run(small_run_config(tmp_path / "nofork", algorithm="centralized_analyze",
                                     rounds=5)) == 0
-    assert multiprocessing.active_children() == []
-    monkeypatch.setattr(analyzer, "_helper_context", lambda: None)
+    assert_no_child()
+    monkeypatch.setattr(analyzer, "_helper_can_run", lambda: False)
     assert run(small_run_config(tmp_path / "inprocess", algorithm="centralized_analyze",
                                 rounds=5)) == 0
     for name in ANALYZER_OUTPUTS:
@@ -767,8 +793,8 @@ def test_a_killed_run_leaves_no_spectrum_helper(tmp_path):
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    # the spectrum helper imports it when it starts, so importing the
-    # package stays light
+    # the spectrum helper is forked with os.fork: nothing in the package
+    # imports multiprocessing, so importing the package stays light
     code = "import sys, fedlbg; print('multiprocessing' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=package_env(), check=True)
