@@ -1,10 +1,12 @@
 """The models' loss, gradient and accuracy written from the formulas, sharing
 no code with fedlbg.models: the parameter blocks are sliced here from the
 layer shapes, the forward pass is computed here, the softmax row max is taken
-row-major and the one-hot is subtracted by fancy indexing. Loss and gradient
-read the samples in the batch's canonical order, as the models read them;
-accuracy reads them as stored. Each numpy operation is the one the models
-apply to the same values, so the two must agree bit for bit."""
+row-major and the one-hot is subtracted by fancy indexing. `loss`,
+`loss_gradient` and `accuracy` read the samples (x, y) in the order given;
+the `reference_*` functions read a batch as the models do: loss and gradient
+in the batch's canonical order, accuracy as stored. Each numpy operation is
+the one the models apply to the same values, so the two must agree bit for
+bit."""
 
 import numpy as np
 
@@ -33,9 +35,8 @@ def forward(model: Model, params: list, x: np.ndarray) -> tuple:
     return None, x @ w + b
 
 
-def reference_forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
+def loss(model: Model, theta: ParamVector, x: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error / 2, or mean softmax cross-entropy."""
-    x, y = batch.canonical
     n = len(x)
     _, out = forward(model, blocks(model, theta), x)
     if model.kind == "linear_regression":
@@ -47,9 +48,9 @@ def reference_forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> 
     return float(np.sum(per_sample) / n)
 
 
-def reference_gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
+def loss_gradient(model: Model, theta: ParamVector, x: np.ndarray,
+                  y: np.ndarray) -> ParamVector:
     """d loss / d theta by backpropagation, in flatten order."""
-    x, y = batch.canonical
     n = len(x)
     params = blocks(model, theta)
     hidden, out = forward(model, params, x)
@@ -69,8 +70,19 @@ def reference_gradient(model: Model, theta: ParamVector, batch: Dataset) -> Para
     return np.concatenate([g.ravel() for g in grads])
 
 
+def accuracy(model: Model, theta: ParamVector, x: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of the samples whose largest output is at their label."""
+    _, out = forward(model, blocks(model, theta), x)
+    return float(np.mean(out.argmax(axis=1) == y.astype(np.int64)))
+
+
+def reference_forward_loss(model: Model, theta: ParamVector, batch: Dataset) -> float:
+    return loss(model, theta, *batch.canonical)
+
+
+def reference_gradient(model: Model, theta: ParamVector, batch: Dataset) -> ParamVector:
+    return loss_gradient(model, theta, *batch.canonical)
+
+
 def reference_accuracy(model: Model, theta: ParamVector, batch: Dataset) -> float:
-    """Fraction of the samples, in the batch's own order, whose largest
-    output is at their label."""
-    _, out = forward(model, blocks(model, theta), batch.inputs)
-    return float(np.mean(out.argmax(axis=1) == batch.labels.astype(np.int64)))
+    return accuracy(model, theta, batch.inputs, batch.labels)

@@ -2,35 +2,40 @@
 the algorithm rather than from fedlbg's sources.
 
 One round: every worker starts from the server model and takes tau plain
-minibatch SGD steps on the mean softmax cross-entropy of a one-hidden-layer
-tanh network, summing its tau gradients into g. Vanilla FL sends g. LBGM
-sends only rho = <g, lbg> / ||lbg||^2 when the look-back error
-1 - cos^2(g, lbg) is at most delta, and otherwise sends g, which then
-replaces the look-back gradient lbg on both sides. The server replays
-rho * lbg for a scalar, sums the received gradients weighted by each
-worker's share of the samples, in ascending worker id, and steps
+minibatch SGD steps on its mean loss, summing its tau gradients into g.
+The model is any of the three kinds, whose loss, gradient and accuracy
+tests/model_oracle.py writes from the formulas: an affine map under half
+the squared error (linear_regression) or under softmax cross-entropy
+(softmax_classifier), or a tanh hidden layer under the latter (mlp1h).
+Vanilla FL sends g. LBGM sends only rho = <g, lbg> / ||lbg||^2 when the
+look-back error 1 - cos^2(g, lbg) is at most delta, and otherwise sends g,
+which then replaces the look-back gradient lbg on both sides. The server
+replays rho * lbg for a scalar, sums the received gradients weighted by
+each worker's share of the samples, in ascending worker id, and steps
 theta <- theta - eta * sum. The ledger counts one float per scalar and M
-per gradient.
+per gradient. Each round is scored by the training loss and, on the test
+set, by the accuracy of a classifier or the loss of a regression.
 
 The compressed stacks compress g first, and the worker sends, and gates
 on, that densified vector in place of g. Rank r: each weight matrix becomes
-its best rank-r approximation, truncated from its SVD, and each bias stays
-dense; a payload costs r * (rows + cols) floats per matrix plus the
-biases. Top-k: the k largest magnitudes are kept, ties going to the lower
-index, and the rest zeroed; a payload costs 2k floats, a value and an index
-each. With error feedback the worker compresses p = g + residual and
-carries p minus the compressed p as its next residual, every round,
-whatever the gate then sends. Sign: each coordinate becomes +1 or -1, with
-sign(0) = +1, at one bit each, M / 32 floats. With majority vote the
-server steps by the sign of the weighted sum, sign(0) = +1 again, in place
-of the sum.
+its best rank-r approximation, truncated from its SVD, and each block with
+a dimension of 1 (a bias) stays dense; a payload costs r * (rows + cols)
+floats per matrix plus the dense blocks. Top-k: the k largest magnitudes
+are kept, ties going to the lower index, and the rest zeroed; a payload
+costs 2k floats, a value and an index each. With error feedback the worker
+compresses p = g + residual and carries p minus the compressed p as its
+next residual, every round, whatever the gate then sends. Sign: each
+coordinate becomes +1 or -1, with sign(0) = +1, at one bit each, M / 32
+floats. With majority vote the server steps by the sign of the weighted
+sum, sign(0) = +1 again, in place of the sum.
 
 Samples are summed in the order the batch holds them, not in a canonical
 order, so the trajectory agrees with fedlbg's to rounding only. The
-reference shares only inputs with fedlbg: the datasets, the partition, the
-initial model, and each worker's random stream, from which it draws the
-batch indices as documented (one permutation of the shard per pass over
-it, consumed in batch-size slices, the last one shorter).
+reference shares only inputs with fedlbg: the model's kind and layer
+shapes, the datasets, the partition, the initial model, and each worker's
+random stream, from which it draws the batch indices as documented (one
+permutation of the shard per pass over it, consumed in batch-size slices,
+the last one shorter).
 """
 
 import math
@@ -38,43 +43,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import model_oracle
+
 
 @dataclass
 class ReferenceRun:
     train_loss: list = field(default_factory=list)  # rounds 0..T
-    test_accuracy: list = field(default_factory=list)  # rounds 0..T
+    test_metric: list = field(default_factory=list)  # rounds 0..T
     ledger: list = field(default_factory=list)  # (round, worker, floats)
     gates: dict = field(default_factory=dict)  # (round, worker) -> 1 - cos^2
 
 
-def _params(theta, dim, hidden, classes):
-    w1, b1, w2, b2 = np.split(theta, np.cumsum([dim * hidden, hidden, hidden * classes]))
-    return w1.reshape(dim, hidden), b1, w2.reshape(hidden, classes), b2
-
-
-def _forward(theta, x, shape):
-    w1, b1, w2, b2 = _params(theta, *shape)
-    h = np.tanh(x @ w1 + b1)
-    return h, h @ w2 + b2
-
-
-def mean_loss(theta, x, y, shape) -> float:
-    _, z = _forward(theta, x, shape)
-    z = z - z.max(axis=1, keepdims=True)
-    return float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(y)), y]))
-
-
-def accuracy(theta, x, y, shape) -> float:
-    _, z = _forward(theta, x, shape)
-    return float(np.mean(z.argmax(axis=1) == y))
-
-
-def rank_r(g, shape, r):
+def rank_r(g, model, r):
     """(dense, floats): g with each weight matrix replaced by its rank-r
-    truncated SVD and the biases kept, and the floats its payload costs."""
+    truncated SVD and each block with a dimension of 1 kept, and the floats
+    its payload costs."""
     dense, floats = [], 0
-    for block in _params(g, *shape):
-        if block.ndim == 2:
+    for block in model_oracle.blocks(model, g):
+        if min(block.shape) > 1:
             u, s, vt = np.linalg.svd(block, full_matrices=False)
             floats += min(r, len(s)) * sum(block.shape)
             block = (u[:, :r] * s[:r]) @ vt[:r]
@@ -99,18 +85,6 @@ def sign(g):
     return np.where(g >= 0, 1.0, -1.0), len(g) / 32
 
 
-def loss_gradient(theta, x, y, shape):
-    """d mean_loss / d theta, blocks in the order w1, b1, w2, b2."""
-    _, _, w2, _ = _params(theta, *shape)
-    h, z = _forward(theta, x, shape)
-    p = np.exp(z - z.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    p[np.arange(len(y)), y] -= 1.0
-    p /= len(y)
-    dh = (p @ w2.T) * (1.0 - h * h)
-    return np.concatenate([(x.T @ dh).ravel(), dh.sum(axis=0), (h.T @ p).ravel(), p.sum(axis=0)])
-
-
 def _batches(shard, rng, batch_size):
     """Index batches of a shard, forever: one permutation per pass."""
     n = len(shard)
@@ -128,7 +102,7 @@ def one_pass(shards, batch_size) -> int:
     return 1 if batch_size <= 0 else max(1, math.ceil(longest / batch_size))
 
 
-def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rounds,
+def simulate(train, test, shards, rngs, theta0, model, eta, batch_size, tau, rounds,
              delta=None, compress=None, error_feedback=False, majority=False):
     """Run `rounds` rounds of vanilla FL (delta None) or LBGM (delta set),
     each worker taking `tau` local steps a round, on raw gradients
@@ -138,7 +112,7 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
     sign of the weighted sum.
 
     train and test are (inputs, labels); shards[k] are worker k's sample
-    indices and rngs[k] its stream; shape is (dim, hidden, classes). A
+    indices and rngs[k] its stream; model gives the kind and layer shapes. A
     worker's pass over its shard runs on across rounds: a round that ends
     mid-pass leaves the rest of that permutation to the next.
     """
@@ -150,9 +124,11 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
     theta = theta0.copy()
     out = ReferenceRun()
 
+    score = model_oracle.loss if model.kind == "linear_regression" else model_oracle.accuracy
+
     def record():
-        out.train_loss.append(mean_loss(theta, x, y, shape))
-        out.test_accuracy.append(accuracy(theta, x_test, y_test, shape))
+        out.train_loss.append(model_oracle.loss(model, theta, x, y))
+        out.test_metric.append(score(model, theta, x_test, y_test))
 
     record()
     for t in range(1, rounds + 1):
@@ -162,7 +138,7 @@ def simulate(train, test, shards, rngs, theta0, shape, eta, batch_size, tau, rou
             g = np.zeros_like(theta)
             for _ in range(tau):
                 idx = next(batches[k])
-                step = loss_gradient(local, x[idx], y[idx], shape)
+                step = model_oracle.loss_gradient(model, local, x[idx], y[idx])
                 g += step
                 local -= eta * step
             floats = float(len(g))

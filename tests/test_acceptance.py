@@ -77,7 +77,8 @@ def test_c02_vanilla_recovery_delta_zero(tmp_path):
     same = (tmp_path / "v/metrics.csv").read_bytes() == (tmp_path / "l/metrics.csv").read_bytes()
     elapsed = time.monotonic() - start
     ok = same and elapsed < 60.0
-    _report(2, ok, f"delta=0 metrics CSV byte-identical to vanilla ({elapsed:.1f}s)")
+    _report(2, ok, f"delta=0 metrics CSV byte-identical to vanilla ({elapsed:.1f}s; "
+                   "holds while no gradient is collinear with its LBG to rounding)")
 
 
 def test_c03_centralized_recovery():

@@ -22,7 +22,7 @@ from fedlbg.analyzer import (
 from fedlbg.data import synth_classification
 from fedlbg.models import build_model
 from fedlbg.numerics import rng_stream
-from test_harness import package_env, process_state
+from support import needs_helper, package_env, process_state
 
 
 def test_n_pca_identical_gradients_is_one():
@@ -201,10 +201,6 @@ def test_record_centralized_gram_equals_one_dot_per_pair():
         grads = progression.grads
     oracle = np.array([[float(np.dot(a, b)) for b in grads] for a in grads])
     assert progression.gram.tobytes() == oracle.tobytes()
-
-
-needs_helper = pytest.mark.skipif(not analyzer._helper_can_run(),
-                                  reason="no os.fork, or one usable CPU")
 
 
 @needs_helper

@@ -5,10 +5,8 @@ import pytest
 
 from fedlbg.compressors import (
     CompressedPolicy,
-    LowRankPayload,
-    SignPayload,
-    SparsePayload,
     ef_wrap,
+    majority_sign,
     rank_r,
     sign_compress,
     stack_lbgm,
@@ -19,10 +17,7 @@ from fedlbg.harness import ExperimentConfig, policy_for, simulate
 from fedlbg.lbgm import FLOAT_BITS, TAG_PAYLOAD, TAG_SCALAR, DensePayload
 from fedlbg.models import build_model, unpack
 from fedlbg.numerics import rng_stream
-
-
-def vec(*v):
-    return np.asarray(v, dtype=np.float64)
+from support import vec
 
 
 def brute_force_topk(g, k):
@@ -256,8 +251,10 @@ def test_error_feedback_only_for_topk():
     assert not ef(algorithm="rank_r")
 
 
-@pytest.mark.parametrize("k_frac,kept", [(1e-12, lambda m: 1), (1.0, lambda m: m)],
-                         ids=["smallest", "whole"])
+# on M = 133, 0.3 * M = 39.9 keeps 40: k is rounded, not truncated
+@pytest.mark.parametrize("k_frac,kept", [(1e-12, lambda m: 1), (1.0, lambda m: m),
+                                         (0.3, lambda m: 40)],
+                         ids=["smallest", "whole", "rounded"])
 def test_policy_for_keeps_topk_k_within_the_vector(k_frac, kept):
     # the config's k_frac range, rounded by policy_for, is topk's only source of k
     model = build_experiment(base_config()).model
@@ -266,3 +263,10 @@ def test_policy_for_keeps_topk_k_within_the_vector(k_frac, kept):
     payload = policy_for(base_config(k_frac=k_frac, error_feedback=False), model).compress(g)
     assert len(payload.indices) == kept(m)
     assert np.array_equal(payload.indices, np.sort(np.argsort(-np.abs(g))[:kept(m)]))
+
+
+def test_majority_sign_sends_an_exact_zero_sum_to_plus_one():
+    # a tied vote steps like a zero coordinate in sign_compress, whichever
+    # zero the weighted sum rounds to
+    votes = majority_sign(vec(0.0, -0.0, 5e-324, -5e-324, -2.0))
+    assert votes.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0]

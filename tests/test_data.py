@@ -13,18 +13,7 @@ from fedlbg.data import (
 )
 from fedlbg.models import build_model, gradient, accuracy
 from fedlbg.numerics import rng_stream
-
-
-def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, stem="a"):
-    """Handcrafted IDX fixture, built byte by byte."""
-    n = len(labels)
-    images = tmp_path / f"{stem}-images.idx"
-    labs = tmp_path / f"{stem}-labels.idx"
-    images.write_bytes(
-        struct.pack(">IIII", 0x00000803, n, rows, cols) + bytes(pixels)
-    )
-    labs.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels))
-    return str(images), str(labs)
+from support import write_idx_pair
 
 
 def test_idx_fixture_roundtrips_exactly(tmp_path):

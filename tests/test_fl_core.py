@@ -1,7 +1,6 @@
 import math
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import pytest
 from fedlbg import models
 from fedlbg.data import Dataset, synth_classification
 from fedlbg.fl_core import (
+    CommLedger,
     RoundConfig,
     ServerState,
     WorkerState,
@@ -22,8 +22,7 @@ from fedlbg.lbgm import LbgmPolicy, reconstruct
 from fedlbg.models import build_model, gradient
 from fedlbg.numerics import rng_stream
 import reference_sim
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from support import CONFIGS
 
 
 def quadratic_fixture():
@@ -260,6 +259,15 @@ def test_regression_on_label_shards_partitions_by_class():
     assert all(np.isfinite(r.test_metric) for r in res.metrics.rows)
 
 
+def test_ledger_rejects_a_negative_float_count():
+    ledger = CommLedger()
+    ledger.append(1, 0, -0.0)  # a zero of either sign costs nothing
+    for floats in (-1.0, -5e-324):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            ledger.append(1, 1, floats)
+    assert ledger.rows == [(1, 0, -0.0)] and ledger.cum_floats == 0.0
+
+
 # the reference reduces samples in batch order, the simulator in canonical
 # order: losses agree to rounding, and a tag may differ only on a look-back
 # error within GATE_MARGIN of delta
@@ -269,29 +277,34 @@ GATE_MARGIN = 1e-9
 
 # besides the shipped config: full-shard batches, one step a round; a tau
 # of 4 against a 7-batch shard pass, so a pass runs on into the next round;
-# the step size 1 / sqrt(tau * T); and majority-vote sign aggregation
+# the step size 1 / sqrt(tau * T); majority-vote sign aggregation; and the
+# two affine kinds, a regression fitting one-hot targets on full shards
 ENGINE_CASES = {
     "shipped": {},
     "full_shard": {"batch_size": 0},
     "tau4": {"tau": 4},
     "inv_sqrt_tau_t": {"eta_rule": "inv_sqrt_tau_t"},
     "majority": {"sign_majority": True},
+    "softmax": {"model_kind": "softmax_classifier"},
+    "regression": {"model_kind": "linear_regression", "batch_size": 0},
 }
 
 # per algorithm, the floats of one payload on the shipped mlp1h (20 -> 32
-# -> 10) and the cases it runs: M = 1002 raw; 2 * (20 + 32) + 32 +
-# 2 * (32 + 10) + 10 at rank 2; a value and an index for each of the top
-# 10%, 100 coordinates; M / 32 for one sign bit each
-RAW_CASES = ("shipped", "full_shard", "tau4", "inv_sqrt_tau_t")
+# -> 10) and on the affine kinds (20 -> 10), and the cases it runs: M =
+# 1002 and 210 raw; 2 * (20 + 32) + 32 + 2 * (32 + 10) + 10 and
+# 2 * (20 + 10) + 10 at rank 2; a value and an index for each of the top
+# 10%, 100 and 21 coordinates; M / 32 for one sign bit each
+AFFINE = ("softmax", "regression")
+RAW_CASES = ("shipped", "full_shard", "tau4", "inv_sqrt_tau_t") + AFFINE
 ALGORITHMS = {
-    "vanilla": (1002.0, RAW_CASES),
-    "lbgm": (1002.0, RAW_CASES),
-    "rank_r": (230.0, ("shipped", "full_shard")),
-    "rank_r_lbgm": (230.0, ("shipped", "full_shard")),
-    "topk": (200.0, ("shipped",)),
-    "topk_lbgm": (200.0, ("shipped",)),
-    "sign": (31.3125, ("shipped", "majority")),
-    "sign_lbgm": (31.3125, ("shipped",)),
+    "vanilla": ((1002.0, 210.0), RAW_CASES),
+    "lbgm": ((1002.0, 210.0), RAW_CASES),
+    "rank_r": ((230.0, 70.0), ("shipped", "full_shard") + AFFINE),
+    "rank_r_lbgm": ((230.0, 70.0), ("shipped", "full_shard") + AFFINE),
+    "topk": ((200.0, 42.0), ("shipped",) + AFFINE),
+    "topk_lbgm": ((200.0, 42.0), ("shipped",) + AFFINE),
+    "sign": ((31.3125, 6.5625), ("shipped", "majority") + AFFINE),
+    "sign_lbgm": ((31.3125, 6.5625), ("shipped",) + AFFINE),
 }
 # the gated top-k and sign stacks run at the delta configs/topk_stack.cfg
 # ships: at the shipped 0.2, no compressed payload passes the gate in 20 rounds
@@ -313,14 +326,12 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
         cfg = replace(cfg, delta=STACK_DELTA)
     result = simulate(cfg)
     setup = build_experiment(cfg)  # the shared inputs, with fresh worker streams
-    (dim, hidden), _, (_, classes), _ = setup.model.layer_shapes
-    shape = (dim, hidden, classes)
     shards = [w.shard for w in setup.workers]
     tau = cfg.tau or reference_sim.one_pass(shards, cfg.batch_size)
     eta = cfg.eta if cfg.eta_rule == "constant" else 1.0 / math.sqrt(tau * cfg.rounds)
     k = max(1, round(cfg.k_frac * setup.model.param_dim))
     compress = {
-        "rank_r": lambda g: reference_sim.rank_r(g, shape, cfg.rank),
+        "rank_r": lambda g: reference_sim.rank_r(g, setup.model, cfg.rank),
         "topk": lambda g: reference_sim.topk(g, k),
         "sign": reference_sim.sign,
     }.get(base)
@@ -328,7 +339,7 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
         (setup.train_ds.inputs, setup.train_ds.labels),
         (setup.test_ds.inputs, setup.test_ds.labels),
         shards, [w.rng for w in setup.workers],
-        setup.server.theta_global, shape, eta, cfg.batch_size, tau,
+        setup.server.theta_global, setup.model, eta, cfg.batch_size, tau,
         cfg.rounds, cfg.delta if algorithm.endswith("lbgm") else None, compress,
         error_feedback=base == "topk" and cfg.error_feedback, majority=cfg.sign_majority)
 
@@ -349,10 +360,14 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
         assert sent == ref_sent
     assert len(ref.ledger) == len(result.ledger.rows)
     rows = result.metrics.rows[: rounds + 1]
-    assert [r.test_metric for r in rows] == ref.test_accuracy[: rounds + 1]
+    test_metrics = [r.test_metric for r in rows]
+    if cfg.model_kind == "linear_regression":  # the test loss
+        assert np.allclose(test_metrics, ref.test_metric[: rounds + 1], rtol=LOSS_RTOL, atol=0)
+    else:
+        assert test_metrics == ref.test_metric[: rounds + 1]
     losses = np.array([r.train_loss for r in rows])
     assert np.allclose(losses, ref.train_loss[: rounds + 1], rtol=LOSS_RTOL, atol=0)
-    payload = ALGORITHMS[algorithm][0]
+    payload = ALGORITHMS[algorithm][0][cfg.model_kind != "mlp1h"]
     # every payload costs what it should, and a gated run exercises the
     # gate on both sides of delta
     assert ({f for t, _, f in ref.ledger if t <= rounds}

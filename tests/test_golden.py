@@ -13,18 +13,14 @@ may round differently and fail these tests without a bug in fedlbg.
 """
 
 import hashlib
-import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedlbg import harness
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from support import ANALYZER_OUTPUTS, CONFIGS, write_idx_pair
 
 FL_FILES = ("metrics.csv", "ledger.csv")
-ANALYZER_FILES = ("npca.csv", "overlap.csv", "similarity.csv")
 
 # name -> (shipped config, overrides); every case runs 5 rounds or epochs
 # unless its overrides say otherwise
@@ -131,7 +127,7 @@ def run_case(name, out_dir) -> dict:
     for item in overrides:
         argv += ["--override", item]
     assert harness.main(argv) == 0
-    files = ANALYZER_FILES if config == "analyze.cfg" else FL_FILES
+    files = ANALYZER_OUTPUTS if config == "analyze.cfg" else FL_FILES
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in files}
 
 
@@ -146,28 +142,18 @@ IDX_DIGESTS = {
 }
 
 
-def write_idx(path, magic, dims, payload):
-    """One IDX file, built byte by byte: magic, big-endian sizes, payload."""
-    path.write_bytes(struct.pack(f">I{len(dims)}I", magic, *dims) + bytes(payload))
-    return str(path)
-
-
 def test_golden_digests_of_a_federated_run_on_idx_files(tmp_path):
     rng = np.random.default_rng(7)
-    files = {}
-    for split, n in (("train", 120), ("test", 30)):
-        files[f"{split}_images"] = write_idx(
-            tmp_path / f"{split}-images.idx", 0x00000803, (n, 4, 4),
-            rng.integers(0, 256, size=n * 16, dtype=np.uint8))
-        files[f"{split}_labels"] = write_idx(
-            tmp_path / f"{split}-labels.idx", 0x00000801, (n,), [i % 4 for i in range(n)])
+    (images, labels), (test_images, test_labels) = (
+        write_idx_pair(tmp_path, rng.integers(0, 256, size=n * 16, dtype=np.uint8),
+                       [i % 4 for i in range(n)], split, (4, 4))
+        for split, n in (("train", 120), ("test", 30)))
     config = tmp_path / "idx.cfg"
     config.write_text(
         f"algorithm = lbgm\nseed = 5\nout = {tmp_path / 'out'}\n"
         "[model]\nhidden = 8\n"
-        f"[data]\nkind = idx\nimages = {files['train_images']}\n"
-        f"labels = {files['train_labels']}\ntest_images = {files['test_images']}\n"
-        f"test_labels = {files['test_labels']}\nsubset = 100\n"
+        f"[data]\nkind = idx\nimages = {images}\nlabels = {labels}\n"
+        f"test_images = {test_images}\ntest_labels = {test_labels}\nsubset = 100\n"
         "[train]\nworkers = 4\nrounds = 5\nbatch_size = 8\npartition = label_shard(2)\n"
         "[lbgm]\ndelta = 0.2\n"
     )

@@ -38,8 +38,14 @@ from fedlbg.lbgm import DensePayload, UplinkMessage
 from fedlbg.models import build_model, gradient, init_params
 from fedlbg.numerics import one_blas_thread, rng_stream
 from ledger_oracle import ledger_cost
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from support import (
+    ANALYZER_OUTPUTS,
+    CONFIGS,
+    needs_helper,
+    package_env,
+    process_state,
+    write_idx_pair,
+)
 
 MINIMAL = """
 algorithm = lbgm
@@ -617,12 +623,6 @@ def test_cli_svd_failure_keeps_completed_rounds(tmp_path, capsys, monkeypatch):
     assert {line.split(",")[0] for line in ledger} == {"1", "2"}
 
 
-ANALYZER_OUTPUTS = ("npca.csv", "overlap.csv", "similarity.csv")
-
-needs_helper = pytest.mark.skipif(not analyzer._helper_can_run(),
-                                  reason="no os.fork, or one usable CPU")
-
-
 def assert_no_child():
     # any child of this process, running or not yet reaped, was left behind
     with pytest.raises(ChildProcessError):
@@ -738,23 +738,6 @@ def test_analyzer_counts_in_process_when_the_helper_cannot_fork(tmp_path, monkey
         assert got and got == (tmp_path / "inprocess" / "out" / name).read_bytes()
 
 
-def package_env():
-    """This process's environment, with the tested fedlbg first on the path
-    and BLAS on one thread."""
-    src = str(Path(analyzer.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
-
-
-def process_state(pid):
-    """The state letter of a process (Z for a zombie), or None once it is gone."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return None
-    return stat.rpartition(")")[2].split()[0]
-
-
 def children_file(pid):
     return Path(f"/proc/{pid}/task/{pid}/children")
 
@@ -799,17 +782,6 @@ def test_import_leaves_multiprocessing_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=package_env(), check=True)
     assert done.stdout == "False\n"
-
-
-def write_idx_pair(tmp_path, pixels, labels, stem, shape=(2, 2)):
-    import struct
-
-    n = len(labels)
-    images = tmp_path / f"{stem}-images.idx"
-    labs = tmp_path / f"{stem}-labels.idx"
-    images.write_bytes(struct.pack(">IIII", 0x00000803, n, *shape) + bytes(pixels))
-    labs.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels))
-    return str(images), str(labs)
 
 
 def test_run_on_idx_dataset_with_subset(tmp_path):

@@ -25,10 +25,7 @@ from fedlbg.lbgm import (
     reconstruct,
 )
 from fedlbg.numerics import dot, norm_sq, rng_stream
-
-
-def vec(*v):
-    return np.asarray(v, dtype=np.float64)
+from support import vec
 
 
 def look_back_message(g, lbg, delta):

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from fedlbg.numerics import check_finite, cosine_sim, dot, fix_sign, is_zero, norm_sq, rng_stream
-
-
-def vec(*values):
-    return np.asarray(values, dtype=float)
+from support import vec
 
 
 def test_dot_examples():

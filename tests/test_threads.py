@@ -7,16 +7,13 @@ one-CPU machine, where OpenBLAS runs one thread anyway.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from fedlbg import fl_core, harness, numerics
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from support import ANALYZER_OUTPUTS, CONFIGS, package_env
 
 
 def tiny_config(out_dir):
@@ -27,13 +24,11 @@ def tiny_config(out_dir):
 def analyze_digests(out_dir, threads):
     """Run configs/analyze.cfg in a fresh process on `threads` BLAS threads
     and return {file name: sha256} of its outputs."""
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-m", "fedlbg", "run", str(CONFIGS / "analyze.cfg"),
-                    "--out", str(out_dir)], env=env, check=True, capture_output=True)
+                    "--out", str(out_dir)], env=package_env(threads), check=True,
+                   capture_output=True)
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
-            for f in ("npca.csv", "overlap.csv", "similarity.csv")}
+            for f in ANALYZER_OUTPUTS}
 
 
 def test_analyzer_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
