@@ -1,16 +1,28 @@
-"""The cosine similarity as it was written before it was made leaner, with
-`min` and `max` as its clamp, and the analyzer's matrices built from it one
-pair at a time: the oracle that `numerics.cosine_sim`, `overlap_matrix` and
-`similarity_matrix` keep its bits."""
+"""The scalar numerics as they were written before they were made leaner:
+the inner product with numpy's dispatch, the cosine similarity on it with
+`min` and `max` as its clamp, the look-back error on both, and the
+analyzer's matrices built from the cosine one pair at a time. The oracle
+whose bits `numerics.dot`, `numerics.cosine_sim`, `lbgm.lbp_error`,
+`overlap_matrix` and `similarity_matrix` keep."""
 
 import math
 import sys
 
 import numpy as np
 
-from fedlbg.numerics import ParamVector, dot
+from fedlbg.numerics import ParamVector
 
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+
+
+def reference_dot(a, b):
+    """numerics.dot as it was written with numpy scalars."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    out = float(np.dot(a, b))
+    if not np.isfinite(out):
+        raise FloatingPointError("dot product is not finite")
+    return out
 
 
 def cosine_sim(a: ParamVector, b: ParamVector) -> float:
@@ -26,7 +38,7 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
     gradients must handle them before asking for an angle.
     """
     try:
-        na, nb = dot(a, a), dot(b, b)
+        na, nb = reference_dot(a, a), reference_dot(b, b)
     except FloatingPointError:  # an overflowing squared norm, or a non-finite entry
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise
@@ -36,8 +48,31 @@ def cosine_sim(a: ParamVector, b: ParamVector) -> float:
             raise ValueError("cosine_sim is undefined for zero-norm vectors")
         a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
         b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
-        na, nb = dot(a, a), dot(b, b)
-    return min(1.0, max(-1.0, dot(a, b) / math.sqrt(na * nb)))
+        na, nb = reference_dot(a, a), reference_dot(b, b)
+    return min(1.0, max(-1.0, reference_dot(a, b) / math.sqrt(na * nb)))
+
+
+def reference_is_zero(v):
+    """numerics.is_zero on the reference numerics: a finite vector whose
+    squared norm overflows is not zero."""
+    try:
+        return reference_dot(v, v) == 0.0 and not v.any()
+    except FloatingPointError:
+        if not np.isfinite(v).all():
+            raise
+        return False
+
+
+def reference_lbp_error(g, lbg):
+    """lbgm.lbp_error on the reference numerics."""
+    if g.shape != lbg.shape:
+        raise ValueError(f"dimension mismatch: {g.shape} vs {lbg.shape}")
+    if reference_is_zero(g):
+        return 0.0
+    if reference_dot(lbg, lbg) == 0.0:
+        return 1.0
+    c = cosine_sim(g, lbg)
+    return 1.0 - c * c
 
 
 def overlap(grads: np.ndarray, dirs) -> np.ndarray:

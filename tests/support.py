@@ -2,13 +2,14 @@
 match test_*.py, so pytest collects nothing from it."""
 
 import os
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedlbg import analyzer
+from fedlbg import analyzer, harness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -48,3 +49,56 @@ def process_state(pid):
     except FileNotFoundError:
         return None
     return stat.rpartition(")")[2].split()[0]
+
+
+def assert_no_child():
+    # any child of this process, running or not yet reaped, was left behind
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _state(path):
+    """A file's bytes, else whether anything is there."""
+    return path.read_bytes() if path.is_file() else path.exists()
+
+
+def assert_exit(tmp_path, capsys, monkeypatch, build, patch, code, line):
+    """Check the command line's exit contract on one failing run.
+
+    `build(tmp_path)` gives the arguments after `run`, or a config for
+    `harness.run`; `patch(monkeypatch)`, if given, is applied next. The run
+    starts in `tmp_path`, so the default `out` is `tmp_path/out`. It must
+    exit with `code` and print the one stderr line "error: " + `line`, where
+    "{tmp}" stands for `tmp_path` and a final "..." for text that numpy or a
+    codec writes. A federated run that diverges in round t (exit 3) keeps
+    rounds 0 to t - 1 in metrics.csv and ledger.csv; every other run leaves
+    `out` as it found it. No child process is left.
+    """
+    monkeypatch.chdir(tmp_path)
+    made = build(tmp_path)
+    if patch:
+        patch(monkeypatch)
+    out = tmp_path / "out"
+    before = _state(out)
+    if isinstance(made, harness.ExperimentConfig):
+        got = harness.run(made)
+    else:
+        got = harness.main(["run", *map(str, made)])
+    err = capsys.readouterr().err.splitlines()
+    line = "error: " + line.replace("{tmp}", str(tmp_path))
+    assert got == code, err
+    if line.endswith("..."):
+        assert len(err) == 1 and err[0].startswith(line[:-3]), err
+    else:
+        assert err == [line], err
+    diverged = re.match(r"error: run diverged in round (\d+)", line)
+    if diverged:
+        t = int(diverged[1])
+        metrics, ledger = ([row.split(",") for row in (out / name).read_text().splitlines()[1:]]
+                           for name in ("metrics.csv", "ledger.csv"))
+        assert [int(row[0]) for row in metrics] == list(range(t))
+        assert {int(row[0]) for row in ledger} == set(range(1, t))
+        assert sum(float(row[2]) for row in ledger) == float(metrics[-1][3])
+    else:
+        assert _state(out) == before
+    assert_no_child()

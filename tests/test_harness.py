@@ -1,8 +1,10 @@
 import errno
+import itertools
 import math
 import os
 import pickle
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -41,6 +43,8 @@ from ledger_oracle import ledger_cost
 from support import (
     ANALYZER_OUTPUTS,
     CONFIGS,
+    assert_exit,
+    assert_no_child,
     needs_helper,
     package_env,
     process_state,
@@ -177,23 +181,6 @@ def test_overrides_reject_unknown_and_malformed():
         parse_config(MINIMAL, overrides("train.workers=ten"))
 
 
-@pytest.mark.parametrize("flags,message", [
-    (["--override", "train.eta=-1"], "eta: value '-1' must be > 0 (--override train.eta=-1)"),
-    (["--seed", "-1"], "seed: value '-1' must be >= 0 (--seed -1)"),
-    (["--out", ""], "out: value '' must be non-empty (--out )"),
-    (["--override", "compress.sign_majority=maybe"],
-     "sign_majority: cannot parse 'maybe' as bool (--override compress.sign_majority=maybe)"),
-    (["--override", "train.eta=inf"], "eta: value 'inf' must be finite (--override train.eta=inf)"),
-    (["--override", "data.separation=inf"],
-     "separation: value 'inf' must be finite (--override data.separation=inf)"),
-])
-def test_cli_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text(MINIMAL)
-    assert main(["run", str(config_path), *flags]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-
-
 @pytest.mark.parametrize("kw, message", [
     (dict(algorithm="lbgm", delta=5.0), "delta: value 5.0 must be in [0, 1]"),
     (dict(algorithm="lbgm_sampled", sample_fraction=2.0),
@@ -215,8 +202,11 @@ def test_cli_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
     (dict(algorithm="lbgm", workers=0), "workers: value 0 must be >= 1"),
     (dict(algorithm="lbgm", dim=0), "dim: value 0 must be >= 1"),
     (dict(algorithm="lbgm", eta=0.0), "eta: value 0.0 must be > 0"),
+    (dict(algorithm="lbgm", n=1, test_n=1, classes=3),
+     "n, test_n: n + test_n = 1 + 1 must be >= classes = 3 for synth data"),
 ], ids=["delta", "sample_fraction", "rank", "algorithm", "hidden", "k_frac", "eta", "seed",
-        "idx_paths", "partition", "bool_type", "float_type", "workers", "dim", "eta_zero"])
+        "idx_paths", "partition", "bool_type", "float_type", "workers", "dim", "eta_zero",
+        "synth_count"])
 def test_a_config_made_in_python_is_checked_like_text(tmp_path, kw, message):
     # from the constructor, and again from replace() of a valid config
     with pytest.raises(ConfigError) as made:
@@ -240,17 +230,7 @@ def test_a_float_key_given_an_int_beyond_the_float_range_must_be_finite(tmp_path
     assert str(made.value) == str(replaced.value) == f"{name}: value {shown} must be finite"
 
 
-def test_too_few_synth_samples_for_the_classes_names_n_and_test_n(tmp_path, capsys):
-    message = "n, test_n: n + test_n = 1 + 1 must be >= classes = 10 for synth data"
-    out = tmp_path / "out"
-    assert main(["run", str(CONFIGS / "lbgm_noniid.cfg"), "--override", "data.n=1",
-                 "--override", "data.test_n=1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert not out.exists()
-    with pytest.raises(ConfigError) as made:
-        ExperimentConfig(algorithm="lbgm", n=1, test_n=1)
-    assert str(made.value) == message
-    # enough samples for one of each class; idx data takes its classes from its labels
+def test_one_synth_sample_per_class_is_enough_and_idx_data_takes_its_classes_from_its_labels():
     assert ExperimentConfig(algorithm="lbgm", n=6, test_n=4).n == 6
     assert ExperimentConfig(algorithm="lbgm", data_kind="idx", n=1, test_n=1, images="i",
                             labels="l", test_images="ti", test_labels="tl").n == 1
@@ -310,20 +290,6 @@ def test_run_writes_metrics_and_ledger(tmp_path, capsys):
     assert "vanilla:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("algorithm", ["lbgm", "centralized_analyze"])
-def test_an_out_that_is_a_regular_file_exits_1_with_one_line(tmp_path, capsys, algorithm):
-    # the output directory is made by the first file written, so this is
-    # reported once the run has ended, as an I/O error
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text(MINIMAL.replace("lbgm", algorithm))
-    out = tmp_path / "out"
-    out.write_text("a file\n")
-    assert main(["run", str(config_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert out.read_text() == "a file\n"
-
-
 @pytest.mark.parametrize("algorithm", ["lbgm", "topk_lbgm", "diverging"])
 def test_each_federated_file_is_its_to_csv_byte_for_byte(tmp_path, algorithm):
     # the files are written line by line and to_csv joins the same lines; a
@@ -374,6 +340,7 @@ def test_run_centralized_analyze_outputs(tmp_path, capsys):
     assert similarity.shape == (5, 5)
     assert overlap.shape[0] == 5
     assert "centralized_analyze" in capsys.readouterr().out
+    assert_no_child()  # the spectrum helper, where one ran, is reaped
 
 
 def test_matrix_csv_is_repr_of_each_float_byte_for_byte():
@@ -537,18 +504,6 @@ def test_cli_round_trip(tmp_path, capsys):
     assert "lbgm:" in capsys.readouterr().out
 
 
-def test_cli_reports_config_errors(tmp_path, capsys):
-    config_path = tmp_path / "bad.cfg"
-    config_path.write_text("algorithm = lbgm\n[lbgm]\ndelta = 2.0\n")
-    assert main(["run", str(config_path)]) == 2
-    assert "delta" in capsys.readouterr().err
-
-
-def test_cli_missing_file(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "nope.cfg")]) == 2
-    assert "error" in capsys.readouterr().err
-
-
 DIVERGING = """\
 algorithm = lbgm
 seed = 3
@@ -566,142 +521,95 @@ batch_size = 10
 eta = 5
 """
 
-
-# where each run diverges pins which finite check fires first: a worker's
-# look-back dot product, or the loss that evaluate computes on the server model
-@pytest.mark.parametrize("overrides, t, stderr", [
-    ([], 25, "error: run diverged in round 25 (worker 0): dot product is not finite"),
-    (["algorithm=vanilla", "train.eta=50"], 15,
-     "error: run diverged in round 15 (worker 2): dot product is not finite"),
-    (["train.eta=50"], 15, "error: run diverged in round 15: loss is not finite"),
-], ids=["lbgm", "vanilla-eta50", "lbgm-eta50"])
-def test_cli_diverging_run_keeps_completed_rounds(tmp_path, capsys, overrides, t, stderr):
-    config_path = tmp_path / "diverge.cfg"
-    config_path.write_text(DIVERGING)
-    out = tmp_path / "out"
-    argv = ["run", str(config_path), "--out", str(out)]
-    for item in overrides:
-        argv += ["--override", item]
-    assert main(argv) == 3
-    assert capsys.readouterr().err.splitlines() == [stderr]
-    metrics = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
-    assert [int(row[0]) for row in metrics] == list(range(t))
-    ledger = [line.split(",") for line in (out / "ledger.csv").read_text().splitlines()[1:]]
-    assert {int(row[0]) for row in ledger} == set(range(1, t))
-    assert sum(float(row[2]) for row in ledger) == float(metrics[-1][3])
+ANALYZE = MINIMAL.replace("lbgm", "centralized_analyze").replace("rounds = 2", "rounds = 5")
+DIVERGING_ANALYZER = DIVERGING.replace("lbgm", "centralized_analyze").replace("eta = 5", "eta = 50")
+NO_PIXELS = "pixels, expected at least one image of at least one pixel"
+HELPER_DIED = f"spectrum helper exited with code {-signal.SIGKILL} before answering"
 
 
-def test_cli_diverging_analyzer_exits_3(tmp_path, capsys):
-    config_path = tmp_path / "diverge.cfg"
-    config_path.write_text(DIVERGING.replace("lbgm", "centralized_analyze")
-                           .replace("eta = 5", "eta = 50"))
-    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "error: run diverged: Gram row of epoch 5 contains non-finite entries"]
+def config(text, *overrides, flags=(), edit=None, encoding="utf-8"):
+    """A row's arguments: `text` as the config file, an --override flag for
+    each item, then `flags`; `edit(tmp)` runs first."""
+    def build(tmp):
+        if edit:
+            edit(tmp)
+        (tmp / "exp.cfg").write_text(text, encoding)
+        return [tmp / "exp.cfg", *(f for item in overrides for f in ("--override", item)), *flags]
+    return build
 
 
-def test_cli_svd_failure_keeps_completed_rounds(tmp_path, capsys, monkeypatch):
+def shipped(name, *overrides):
+    """A row's arguments: a shipped config writing to `out`, with overrides."""
+    return config((CONFIGS / name).read_text(), *overrides, flags=["--out", "out"])
+
+
+def idx(train_labels, test_labels, *overrides, shape=(2, 2), edit=None):
+    """A row's arguments: a vanilla config on an IDX train pair and test pair
+    (train-images.idx, train-labels.idx, ...) of images of `shape` pixels;
+    `edit(tmp)` runs once they are written."""
+    def build(tmp):
+        rng = np.random.default_rng(0)
+        for stem, labels in (("train", train_labels), ("test", test_labels)):
+            pixels = rng.integers(0, 256, size=math.prod(shape) * len(labels), dtype=np.uint8)
+            write_idx_pair(tmp, list(pixels), labels, stem, shape)
+        return config(f"algorithm = vanilla\nout = {tmp / 'out'}\n[data]\nkind = idx\n"
+                      f"images = {tmp}/train-images.idx\nlabels = {tmp}/train-labels.idx\n"
+                      f"test_images = {tmp}/test-images.idx\ntest_labels = {tmp}/test-labels.idx\n"
+                      "[train]\nworkers = 2\nrounds = 1\nbatch_size = 5\n",
+                      *overrides, edit=edit)(tmp)
+    return build
+
+
+def resize(name, by):
+    """An edit: the file `name` cut short by -`by` bytes, or given `by` more."""
+    def edit(tmp):
+        data = (tmp / name).read_bytes()
+        (tmp / name).write_bytes(data[:len(data) + by] + bytes(max(by, 0)))
+    return edit
+
+
+def svd_failing_at_call_15(monkeypatch):
     # two weight blocks per worker and round: call 15 is round 3, worker 1
-    svd, calls = np.linalg.svd, []
+    svd, calls = np.linalg.svd, itertools.count(1)
 
-    def fail_at_fifteen(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 15:
+    def svd_or_fail(*args, **kwargs):
+        if next(calls) == 15:
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", fail_at_fifteen)
-    config_path = tmp_path / "rank.cfg"
-    config_path.write_text(MINIMAL.replace("lbgm", "rank_r_lbgm").replace("rounds = 2", "rounds = 5"))
-    out = tmp_path / "out"
-    assert main(["run", str(config_path), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "error: run diverged in round 3 (worker 1): SVD did not converge"]
-    metrics = (out / "metrics.csv").read_text().splitlines()[1:]
-    assert [line.split(",")[0] for line in metrics] == ["0", "1", "2"]
-    ledger = (out / "ledger.csv").read_text().splitlines()[1:]
-    assert {line.split(",")[0] for line in ledger} == {"1", "2"}
+    monkeypatch.setattr(np.linalg, "svd", svd_or_fail)
 
 
-def assert_no_child():
-    # any child of this process, running or not yet reaped, was left behind
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def eigvalsh_failing_at_two(monkeypatch):
+    # epoch 1's 2 x 2 Gram, in the helper where one runs, else in this
+    # process: the error comes from the spectrum, not from pgd's 5 x 5 Gram
+    eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh_or_fail(a, *args, **kwargs):
+        if len(a) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_or_fail)
 
 
-@needs_helper
-def test_analyzer_leaves_no_child_after_success_or_divergence(tmp_path, capsys):
-    cfg = small_run_config(tmp_path / "ok", algorithm="centralized_analyze", rounds=5)
-    assert run(cfg) == 0
-    assert_no_child()
-    # training stops at epoch 5's non-finite Gram row, before a helper would start
-    config_path = tmp_path / "diverge.cfg"
-    config_path.write_text(DIVERGING.replace("lbgm", "centralized_analyze")
-                           .replace("eta = 5", "eta = 50").replace("rounds = 60", "rounds = 10"))
-    out = tmp_path / "diverged"
-    assert main(["run", str(config_path), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "error: run diverged: Gram row of epoch 5 contains non-finite entries"]
-    assert_no_child()
-    assert not out.exists()
-
-
-def eigvalsh_failing_at_two(a, *args, eigvalsh=np.linalg.eigvalsh, **kwargs):
-    # epoch 1's 2 x 2 Gram: in the helper where one runs, else in this process
-    if len(a) == 2:
+def eigh_failing(monkeypatch):  # in pgd
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
 
 
-def eigh_failing(*args, **kwargs):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")  # in pgd
-
-
-@pytest.mark.parametrize("entry", ["main", "run"])
-@pytest.mark.parametrize("name, patch", [("eigvalsh", eigvalsh_failing_at_two),
-                                         ("eigh", eigh_failing)], ids=["spectrum", "pgd"])
-def test_cli_analyzer_decomposition_failure_exits_3(tmp_path, capsys, monkeypatch, name, patch,
-                                                    entry):
-    # in the spectrum case only epoch 1's 2 x 2 Gram fails, so the error
-    # comes from the spectrum, not from pgd's 5 x 5 Gram
-    monkeypatch.setattr(np.linalg, name, patch)
-    text = MINIMAL.replace("lbgm", "centralized_analyze").replace("rounds = 2", "rounds = 5")
-    out = tmp_path / "out"
-    if entry == "main":
-        config_path = tmp_path / "analyze.cfg"
-        config_path.write_text(text)
-        assert main(["run", str(config_path), "--out", str(out)]) == 3
-    else:
-        assert run(replace(parse_config(text), out=str(out))) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "error: run diverged: Eigenvalues did not converge"]
-    assert_no_child()
-    assert not out.exists()
-
-
-@needs_helper
-def test_analyzer_helper_that_dies_exits_1(tmp_path, monkeypatch, capsys):
+def helper_dying_at_its_first_row(monkeypatch):
     # the helper inherits this patch when it forks, and kills itself at its
     # first row: it dies before it can answer, whatever the parent is doing
-    test_pid = os.getpid()
-    row = analyzer._progression_row
+    test_pid, row = os.getpid(), analyzer._progression_row
 
     def row_or_die(*args):
         if os.getpid() != test_pid:
             os.kill(os.getpid(), signal.SIGKILL)
         return row(*args)
-
     monkeypatch.setattr(analyzer, "_progression_row", row_or_die)
-    cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=5)
-    assert run(cfg) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: spectrum helper exited with code {-signal.SIGKILL} before answering"]
-    assert_no_child()
-    assert not (tmp_path / "out").exists()
 
 
-@needs_helper
-def test_a_torn_answer_counts_as_a_dead_helper(tmp_path, monkeypatch, capsys):
+def helper_tearing_its_answer(monkeypatch):
     # the helper inherits this patch when it forks: it writes half of its
     # pickled answer and kills itself, so the pipe ends mid-pickle
     def torn_answer(fd, answer):
@@ -710,14 +618,147 @@ def test_a_torn_answer_counts_as_a_dead_helper(tmp_path, monkeypatch, capsys):
             pipe.write(data[: len(data) // 2])
             pipe.flush()
             os.kill(os.getpid(), signal.SIGKILL)
-
     monkeypatch.setattr(analyzer, "_answer", torn_answer)
-    cfg = small_run_config(tmp_path, algorithm="centralized_analyze", rounds=5)
-    assert run(cfg) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: spectrum helper exited with code {-signal.SIGKILL} before answering"]
-    assert_no_child()
-    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("build, patch, code, line", [
+    # a config error, in the file or in a flag, which the line names
+    pytest.param(config(MINIMAL, "train.eta=-1"), None, 2,
+                 "eta: value '-1' must be > 0 (--override train.eta=-1)", id="flag_eta"),
+    pytest.param(config(MINIMAL, flags=["--seed", "-1"]), None, 2,
+                 "seed: value '-1' must be >= 0 (--seed -1)", id="flag_seed"),
+    pytest.param(config(MINIMAL, flags=["--out", ""]), None, 2,
+                 "out: value '' must be non-empty (--out )", id="flag_out"),
+    pytest.param(config(MINIMAL, "compress.sign_majority=maybe"), None, 2, "sign_majority: "
+                 "cannot parse 'maybe' as bool (--override compress.sign_majority=maybe)",
+                 id="flag_bool"),
+    pytest.param(config(MINIMAL, "train.eta=inf"), None, 2,
+                 "eta: value 'inf' must be finite (--override train.eta=inf)", id="flag_eta_inf"),
+    pytest.param(config(MINIMAL, "data.separation=inf"), None, 2,
+                 "separation: value 'inf' must be finite (--override data.separation=inf)",
+                 id="flag_separation_inf"),
+    pytest.param(config("algorithm = lbgm\n[lbgm]\ndelta = 2.0\n"), None, 2,
+                 "delta: value '2.0' must be in [0, 1] (line 3)", id="file_delta"),
+    pytest.param(lambda tmp: [tmp / "nope.cfg"], None, 2,
+                 "[Errno 2] No such file or directory: '{tmp}/nope.cfg'", id="no_file"),
+    pytest.param(lambda tmp: [tmp], None, 2, "[Errno 21] Is a directory: '{tmp}'",
+                 id="file_is_a_directory"),
+    pytest.param(config(MINIMAL + "# caf\xe9\n", encoding="latin-1"), None, 2,
+                 "{tmp}/exp.cfg: not UTF-8 text...", id="file_not_utf8"),
+    pytest.param(shipped("lbgm_noniid.cfg", "data.n=1", "data.test_n=1"), None, 2,
+                 "n, test_n: n + test_n = 1 + 1 must be >= classes = 10 for synth data",
+                 id="synth_count"),
+    pytest.param(config(MINIMAL, "algorithm=centralized_analyze", "data.n=1", "data.test_n=1"),
+                 None, 2, "n, test_n: n + test_n = 1 + 1 must be >= classes = 3 for synth data",
+                 id="synth_count_analyzer"),
+    pytest.param(shipped("lbgm_noniid.cfg", f"train.rounds={10**400}",
+                         "train.eta_rule=inv_sqrt_tau_t"), None, 2,
+                 "rounds, tau: eta_rule = inv_sqrt_tau_t needs tau * rounds within the float "
+                 "range", id="eta_rule_range"),
+    # bad data or settings found while the experiment is built
+    pytest.param(shipped("vanilla_noniid.cfg", "data.n=5"), None, 2,
+                 "cannot split 5 samples across 10 workers", id="n_below_workers"),
+    pytest.param(shipped("vanilla_noniid.cfg", "data.n=10"), None, 2,
+                 "label_shard(3) leaves worker 4 without samples", id="empty_shard"),
+    pytest.param(config(MINIMAL, "train.partition=label_shard(5)"), None, 2,
+                 "label_shard(5) exceeds the 3 available labels", id="wide_shard"),
+    pytest.param(config(MINIMAL, "train.workers=50", "data.n=20"), None, 2,
+                 "cannot split 20 samples across 50 workers", id="workers_above_n"),
+    # every size exceeds a 47-bit address space: the allocation fails at once
+    # and touches no memory, even where the kernel overcommits
+    pytest.param(shipped("lbgm_noniid.cfg", "model.hidden=10000000000000"), None, 2,  # 2.2 PiB
+                 "cannot allocate memory: Unable to allocate ...", id="alloc_model"),
+    pytest.param(shipped("analyze.cfg", "train.rounds=100000000000"), None, 2,  # 729 TiB
+                 "cannot allocate memory: Unable to allocate ...", id="alloc_stack"),
+    # stacks numpy rejects by their shape alone
+    pytest.param(shipped("analyze.cfg", f"train.rounds={2**62}"), None, 2,
+                 "cannot allocate memory: array is too big...", id="alloc_2e62"),
+    pytest.param(shipped("analyze.cfg", f"train.rounds={2**63}"), None, 2,
+                 "cannot allocate memory: Maximum allowed dimension exceeded...", id="alloc_2e63"),
+    pytest.param(idx([0, 1] * 5, [0, 1], edit=lambda tmp: (tmp / "train-images.idx").write_bytes(
+                     b"\x00\x00\x08\x01" + bytes(12))), None, 2,
+                 "{tmp}/train-images.idx: bad magic 0x00000801 at byte 0, expected 0x00000803",
+                 id="idx_bad_magic"),
+    pytest.param(idx([0, 1] * 5, [0, 1], edit=resize("test-labels.idx", 3)), None, 2,
+                 "{tmp}/test-labels.idx: 3 trailing bytes at byte 10", id="idx_trailing_bytes"),
+    pytest.param(idx([0, 1] * 5, [0, 1], edit=resize("train-images.idx", -3)), None, 2,
+                 "{tmp}/train-images.idx: truncated at byte 53, expected 56 bytes",
+                 id="idx_truncated"),
+    pytest.param(idx([0, 1] * 5, [0, 1], edit=lambda tmp: (tmp / "train-labels.idx").write_bytes(
+                     struct.pack(">II", 0x00000801, 9) + bytes(9))), None, 2,
+                 "count mismatch at byte 4: {tmp}/train-images.idx has 10 images, "
+                 "{tmp}/train-labels.idx has 9 labels", id="idx_count_mismatch"),
+    # an empty training set reaches the analyzer's per-worker shard check
+    pytest.param(idx([], [], "algorithm=centralized_analyze"), None, 2,
+                 "{tmp}/train-images.idx: 0 images of 2x2 " + NO_PIXELS,
+                 id="idx_empty_train_analyzer"),
+    # an empty test set gives a NaN test loss, read as divergence
+    pytest.param(idx([0, 1] * 5, []), None, 2,
+                 "{tmp}/test-images.idx: 0 images of 2x2 " + NO_PIXELS, id="idx_empty_test_mlp1h"),
+    pytest.param(idx([0, 1] * 5, [], "model.kind=linear_regression"), None, 2,
+                 "{tmp}/test-images.idx: 0 images of 2x2 " + NO_PIXELS,
+                 id="idx_empty_test_regression"),
+    # 0-pixel inputs give init_params a zero fan-in
+    pytest.param(idx([0, 1] * 5, [0, 1], shape=(0, 0)), None, 2,
+                 "{tmp}/train-images.idx: 10 images of 0x0 " + NO_PIXELS, id="idx_zero_pixels"),
+    # all-zero training labels give a one-class softmax: nothing to learn
+    pytest.param(idx([0] * 10, [0, 0], "model.kind=mlp1h"), None, 2,
+                 "{tmp}/train-labels.idx: every training label is 0; mlp1h needs at least 2 "
+                 "classes", id="idx_one_class"),
+    pytest.param(idx([0] * 10, [0, 0], "algorithm=centralized_analyze",
+                     "model.kind=softmax_classifier"), None, 2,
+                 "{tmp}/train-labels.idx: every training label is 0; softmax_classifier needs at "
+                 "least 2 classes", id="idx_one_class_analyzer"),
+    pytest.param(idx([0, 1, 2] * 4, [0, 1, 2, 5, 4]), None, 2,
+                 "{tmp}/test-labels.idx: label 5 is not one of the 3 training classes",
+                 id="idx_test_label_outside"),
+    # where each run diverges pins which finite check fires first: a worker's
+    # look-back dot product, or the loss that evaluate computes on the server model
+    pytest.param(config(DIVERGING), None, 3,
+                 "run diverged in round 25 (worker 0): dot product is not finite",
+                 id="diverged_lbgm"),
+    pytest.param(config(DIVERGING, "algorithm=vanilla", "train.eta=50"), None, 3,
+                 "run diverged in round 15 (worker 2): dot product is not finite",
+                 id="diverged_vanilla_eta50"),
+    pytest.param(config(DIVERGING, "train.eta=50"), None, 3,
+                 "run diverged in round 15: loss is not finite", id="diverged_lbgm_eta50"),
+    pytest.param(config(MINIMAL, "algorithm=rank_r_lbgm", "train.rounds=5"),
+                 svd_failing_at_call_15, 3,
+                 "run diverged in round 3 (worker 1): SVD did not converge", id="svd_failure"),
+    # training stops at epoch 5's non-finite Gram row, before a helper would start
+    pytest.param(config(DIVERGING_ANALYZER), None, 3,
+                 "run diverged: Gram row of epoch 5 contains non-finite entries",
+                 id="diverged_analyzer"),
+    pytest.param(config(DIVERGING_ANALYZER, "train.rounds=10"), None, 3,
+                 "run diverged: Gram row of epoch 5 contains non-finite entries",
+                 id="diverged_analyzer_10_epochs"),
+    pytest.param(config(ANALYZE), eigvalsh_failing_at_two, 3,
+                 "run diverged: Eigenvalues did not converge", id="spectrum_failure"),
+    pytest.param(config(ANALYZE), eigh_failing, 3,
+                 "run diverged: Eigenvalues did not converge", id="pgd_failure"),
+    # fedlbg.run returns the command line's codes, and raises nothing
+    pytest.param(lambda tmp: parse_config(ANALYZE), eigvalsh_failing_at_two, 3,
+                 "run diverged: Eigenvalues did not converge", id="spectrum_failure_run"),
+    # the output directory is made by the first file written, so an `out`
+    # that is a regular file is reported once the run has ended
+    *(pytest.param(config(MINIMAL, f"algorithm={algorithm}",
+                          edit=lambda tmp: (tmp / "out").write_text("a file\n")), None, 1,
+                   "[Errno 17] File exists: 'out'", id=f"out_a_file_{algorithm}")
+      for algorithm in ("lbgm", "centralized_analyze")),
+    pytest.param(config(ANALYZE), helper_dying_at_its_first_row, 1, HELPER_DIED,
+                 id="helper_died", marks=needs_helper),
+    pytest.param(config(ANALYZE), helper_tearing_its_answer, 1, HELPER_DIED,
+                 id="helper_torn_answer", marks=needs_helper),
+])
+def test_a_failing_run_exits_with_its_code_one_line_and_no_stray_output(
+        tmp_path, capsys, monkeypatch, build, patch, code, line):
+    assert_exit(tmp_path, capsys, monkeypatch, build, patch, code, line)
+
+
+def test_a_regression_runs_on_the_one_class_labels_a_classifier_rejects(tmp_path):
+    # a regression fits the one-hot targets of labels that are all 0
+    argv = idx([0] * 10, [0, 0], "model.kind=linear_regression")(tmp_path)
+    assert main(["run", *map(str, argv)]) == 0
 
 
 @needs_helper
@@ -814,137 +855,6 @@ def test_run_on_idx_dataset_with_subset(tmp_path):
     assert quarters and all(q == int(q) for q in quarters)
 
 
-@pytest.mark.parametrize("argv,message", [
-    ([str(CONFIGS / "vanilla_noniid.cfg"), "--override", "data.n=5"],
-     "cannot split 5 samples across 10 workers"),
-    ([str(CONFIGS / "vanilla_noniid.cfg"), "--override", "data.n=10"],
-     "label_shard(3) leaves worker 4 without samples"),
-    (["--override", "train.partition=label_shard(5)"],
-     "label_shard(5) exceeds the 3 available labels"),
-    (["--override", "train.workers=50", "--override", "data.n=20"],
-     "cannot split 20 samples across 50 workers"),
-    (["--override", "algorithm=centralized_analyze", "--override", "data.n=1",
-      "--override", "data.test_n=1"],
-     "n, test_n: n + test_n = 1 + 1 must be >= classes = 3 for synth data"),
-    ([str(CONFIGS / "lbgm_noniid.cfg"), "--override", f"train.rounds={10**400}",
-      "--override", "train.eta_rule=inv_sqrt_tau_t"],
-     "rounds, tau: eta_rule = inv_sqrt_tau_t needs tau * rounds within the float range"),
-])
-def test_cli_bad_setup_exits_2_with_one_line(tmp_path, capsys, argv, message):
-    # errors found while building the experiment are bad input, not crashes
-    if not argv[0].endswith(".cfg"):
-        config_path = tmp_path / "exp.cfg"
-        config_path.write_text(MINIMAL)
-        argv = [str(config_path), *argv]
-    out = tmp_path / "out"
-    assert main(["run", *argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("config,override,reason", [
-    ("lbgm_noniid.cfg", "model.hidden=10000000000000", "Unable to allocate "),  # a 2.2 PiB model
-    ("analyze.cfg", "train.rounds=100000000000", "Unable to allocate "),  # a 729 TiB stack
-    # stacks numpy rejects by their shape alone
-    ("analyze.cfg", f"train.rounds={2**62}", "array is too big"),
-    ("analyze.cfg", f"train.rounds={2**63}", "Maximum allowed dimension exceeded"),
-])
-def test_an_experiment_too_large_to_allocate_exits_2_with_one_line(tmp_path, capsys, config,
-                                                                   override, reason):
-    # every size exceeds a 47-bit address space: the allocation fails at once
-    # and touches no memory, even where the kernel overcommits
-    out = str(tmp_path / "out")
-    assert main(["run", str(CONFIGS / config), "--override", override, "--out", out]) == 2
-    cfg = parse_config((CONFIGS / config).read_text(),
-                       [(override, "--override"), (f"out={out}", "--out")])
-    assert run(cfg) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and err[0] == err[1]
-    assert err[0].startswith(f"error: cannot allocate memory: {reason}")
-    assert not (tmp_path / "out").exists()
-
-
-def idx_argv(tmp_path, train_labels, test_labels, images=None, shape=(2, 2)):
-    """`run` arguments for a vanilla config on an IDX pair of images of
-    `shape` pixels (2x2 by default)."""
-    rng = np.random.default_rng(0)
-    size = shape[0] * shape[1]
-    img, lab = write_idx_pair(
-        tmp_path, list(rng.integers(0, 256, size=size * len(train_labels), dtype=np.uint8)),
-        train_labels, "train", shape)
-    timg, tlab = write_idx_pair(
-        tmp_path, list(rng.integers(0, 256, size=size * len(test_labels), dtype=np.uint8)),
-        test_labels, "test", shape)
-    config_path = tmp_path / "idx.cfg"
-    config_path.write_text(
-        f"algorithm = vanilla\nout = {tmp_path / 'out'}\n[data]\nkind = idx\n"
-        f"images = {images or img}\nlabels = {lab}\n"
-        f"test_images = {timg}\ntest_labels = {tlab}\n"
-        "[train]\nworkers = 2\nrounds = 1\nbatch_size = 5\n"
-    )
-    return ["run", str(config_path)], tlab
-
-
-def test_cli_idx_bad_magic_exits_2_with_one_line(tmp_path, capsys):
-    bad = tmp_path / "bad-images.idx"
-    bad.write_bytes(b"\x00\x00\x08\x01" + bytes(12))
-    argv, _ = idx_argv(tmp_path, [0, 1] * 5, [0, 1], images=bad)
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {bad}: bad magic 0x00000801 at byte 0, expected 0x00000803"]
-
-
-def test_cli_idx_labels_with_trailing_bytes_exit_2_with_one_line(tmp_path, capsys):
-    argv, tlab = idx_argv(tmp_path, [0, 1] * 5, [0, 1])
-    with open(tlab, "ab") as f:
-        f.write(bytes(3))
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {tlab}: 3 trailing bytes at byte 10"]
-
-
-@pytest.mark.parametrize("train,test,override,shape,stem,found", [
-    # an empty training set reaches the analyzer's per-worker shard check
-    ([], [], ["algorithm=centralized_analyze"], (2, 2), "train", "0 images of 2x2"),
-    # an empty test set gives a NaN test loss, read as divergence
-    ([0, 1] * 5, [], [], (2, 2), "test", "0 images of 2x2"),
-    ([0, 1] * 5, [], ["model.kind=linear_regression"], (2, 2), "test", "0 images of 2x2"),
-    # 0-pixel inputs give init_params a zero fan-in
-    ([0, 1] * 5, [0, 1], [], (0, 0), "train", "10 images of 0x0"),
-], ids=["empty_train_analyzer", "empty_test_mlp1h", "empty_test_regression", "zero_pixels"])
-def test_cli_idx_without_images_or_pixels_exits_2_with_one_line(
-        tmp_path, capsys, train, test, override, shape, stem, found):
-    argv, _ = idx_argv(tmp_path, train, test, shape=shape)
-    for item in override:
-        argv += ["--override", item]
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {tmp_path / stem}-images.idx: {found} pixels, "
-                   "expected at least one image of at least one pixel"]
-
-
-@pytest.mark.parametrize("algorithm, kind", [("vanilla", "mlp1h"),
-                                             ("centralized_analyze", "softmax_classifier")])
-def test_cli_idx_one_class_exits_2_with_one_line(tmp_path, capsys, algorithm, kind):
-    # all-zero training labels give a one-class softmax: nothing to learn
-    argv, _ = idx_argv(tmp_path, [0] * 10, [0, 0])
-    argv += ["--override", f"algorithm={algorithm}"]
-    assert main(argv + ["--override", f"model.kind={kind}"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {tmp_path / 'train'}-labels.idx: every training label is 0; "
-        f"{kind} needs at least 2 classes"]
-    # a regression fits the one-hot targets of the same labels
-    assert main(argv + ["--override", "model.kind=linear_regression"]) == 0
-
-
-def test_cli_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
-    config_path = tmp_path / "latin1.cfg"
-    config_path.write_bytes(MINIMAL.encode() + "# caf\xe9\n".encode("latin-1"))
-    assert main(["run", str(config_path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {config_path}: not UTF-8 text")
-
-
 @pytest.mark.parametrize("text", [MINIMAL, MINIMAL.lstrip(), "# header\n" + MINIMAL],
                          ids=["blank_line_1", "key_on_line_1", "comment_on_line_1"])
 def test_cli_config_with_a_byte_order_mark_runs(tmp_path, monkeypatch, text):
@@ -964,13 +874,6 @@ def test_cli_seed_and_out_values_are_stripped_like_file_values(tmp_path, monkeyp
     assert main(["run", str(config_path)]) == 0
     assert main(["run", str(config_path), "--seed", "7", "--out", " x "]) == 0
     assert configs[0] == configs[1] and configs[1].out == "x"
-
-
-def test_cli_idx_test_label_outside_training_classes_exits_2(tmp_path, capsys):
-    argv, tlab = idx_argv(tmp_path, [0, 1, 2] * 4, [0, 1, 2, 5, 4])
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {tlab}: label 5 is not one of the 3 training classes"]
 
 
 def test_regression_on_idx_test_set_missing_a_class(tmp_path):

@@ -268,36 +268,6 @@ def test_delta_sq_proxy_logged_and_finite():
     assert all(np.isfinite(p) and p >= 0.0 for p in proxies)
 
 
-def test_sampled_fraction_one_rescales_step_by_worker_count():
-    # Algorithm-3 scaling: with every worker sampled, the update is the
-    # full-participation update divided by K
-    cfg = base_config(rounds=1)
-    full = simulate(cfg)
-    sampled = simulate(base_config(algorithm="lbgm_sampled", sample_fraction=1.0, rounds=1))
-    setup = build_experiment(cfg)
-    theta0 = setup.server.theta_global
-
-    # reconstruct final thetas from scratch for comparison
-    def final_theta(sample_fraction):
-        s = build_experiment(cfg)
-        policy = LbgmPolicy(cfg.delta)
-        participants = list(range(4))
-        eta = s.round_config.eta / (4 if sample_fraction else 1)
-        g_tilde = {}
-        for k in participants:
-            g, _ = local_round(s.workers[k], s.server.theta_global, s.round_config,
-                               s.model, s.train_ds)
-            msg, _ = policy.process(s.workers[k], g)
-            g_tilde[k] = reconstruct(s.server, k, msg)
-        aggregate(s.server, g_tilde, s.weights, eta)
-        return s.server.theta_global
-
-    delta_full = final_theta(False) - theta0
-    delta_sampled = final_theta(True) - theta0
-    np.testing.assert_allclose(delta_sampled, delta_full / 4.0, rtol=1e-12, atol=1e-15)
-    assert len(sampled.metrics.rows) == len(full.metrics.rows)
-
-
 def test_sampled_participant_counts_and_first_message():
     cfg = base_config(algorithm="lbgm_sampled", workers=10, n=600, rounds=12,
                       sample_fraction=0.5)
