@@ -265,8 +265,13 @@ def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
 def _write(path: Path, lines):
     """Write a file from its lines as they are made, so that neither its
     whole text nor its encoded bytes are ever held. Creates the directory
-    it goes in, so a run that writes nothing leaves none."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    it goes in, so a run that writes nothing leaves none. A regular file in
+    the way of that directory is reported as an error of the `out` key."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise OSError(f"out: cannot make the output directory "
+                      f"{str(path.parent)!r}: {exc.strerror}") from None
     with open(path, "w") as f:
         f.writelines(lines)
 

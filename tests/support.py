@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fedlbg import analyzer, harness
+from fedlbg.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -17,6 +18,17 @@ ANALYZER_OUTPUTS = ("npca.csv", "overlap.csv", "similarity.csv")
 
 needs_helper = pytest.mark.skipif(not analyzer._helper_can_run(),
                                   reason="no os.fork, or one usable CPU")
+
+
+def federated_config(algorithm, **kw):
+    """A small federated run: 4 workers on label shards of 5-class blobs,
+    an mlp1h, 10 rounds. Each gated test passes its delta."""
+    cfg = dict(
+        seed=7, n=400, test_n=100, dim=10, classes=5, separation=6.0, workers=4, rounds=10,
+        batch_size=20, eta=0.05, hidden=8, partition_mode="label_shard(2)", model_kind="mlp1h",
+    )
+    cfg.update(kw)
+    return ExperimentConfig(algorithm=algorithm, **cfg)
 
 
 def vec(*values):

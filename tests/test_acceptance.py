@@ -117,8 +117,9 @@ def test_c04_gradient_correctness():
             classes = 0 if kind == "linear_regression" else 3
             err = fd_check(model, theta, Dataset(ds.inputs, labels, classes), 1e-5)
             worst[kind] = max(worst[kind], err)
-    ok = all(v < 1e-4 for v in worst.values())
-    detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
+    bounds = {"linear_regression": 1e-6, "softmax_classifier": 1e-4, "mlp1h": 1e-4}
+    ok = all(worst[kind] < bound for kind, bound in bounds.items())
+    detail = ", ".join(f"{k}={v:.2e} (<{bounds[k]:.0e})" for k, v in worst.items())
     _report(4, ok, f"finite-difference gradient check (step 1e-5): {detail}")
 
 
@@ -214,9 +215,10 @@ def test_c09_device_sampling():
     participants_per_round = {}
     for rnd, worker, floats in sampled.ledger.rows:
         first_messages.setdefault(worker, floats)
-        participants_per_round.setdefault(rnd, set()).add(worker)
+        participants_per_round.setdefault(rnd, []).append(worker)
     first_full = all(f == m for f in first_messages.values())
-    exact_half = all(len(p) == 5 for p in participants_per_round.values())
+    # one ledger row per participant: 5 rows, from 5 distinct workers
+    exact_half = all(len(p) == len(set(p)) == 5 for p in participants_per_round.values())
     ok = acc_gap <= 0.10 and first_full and exact_half
     _report(9, ok,
             f"50% sampling: accuracy gap {acc_gap:.3f} (<=0.10), "

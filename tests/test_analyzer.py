@@ -163,36 +163,15 @@ def test_a_row_whose_squared_norm_underflows_keeps_its_angle(caplog):
 
 
 @contextmanager
-def record_fixture(epochs, batch_size=16, n=120, seed=36):
+def record_fixture(epochs):
     """The SpectrumProgression that record_centralized fills on a small
     mlp1h problem, its helper started, and stopped on exit."""
-    rng_data = rng_stream(seed, 1)
-    ds = synth_classification(n, 6, 4, 5.0, rng_data)
+    ds = synth_classification(120, 6, 4, 5.0, rng_stream(36, 1))
     model = build_model("mlp1h", 6, 4, 8)
     with SpectrumProgression(epochs, model.param_dim) as progression:
-        record_centralized(model, ds, progression, 0.1, batch_size, rng_stream(seed, 0))
+        record_centralized(model, ds, progression, 0.1, 16, rng_stream(36, 0))
         progression.start()
         yield progression
-
-
-def centralized_fixture(epochs, **kwargs):
-    """(grads, progression rows) of record_fixture, its helper stopped."""
-    with record_fixture(epochs, **kwargs) as progression:
-        return progression.grads, progression.rows()
-
-
-def test_record_centralized_single_epoch():
-    grads, progression = centralized_fixture(1)
-    assert grads.shape == (1, build_model("mlp1h", 6, 4, 8).param_dim)
-    assert progression == [(0, 1, 1)]
-
-
-def test_record_centralized_progression_matches_per_prefix_pca():
-    grads, progression = centralized_fixture(12)
-    for t, n95, n99 in progression:
-        prefix = grads[: t + 1]
-        assert n95 == n_pca(prefix, 0.95)
-        assert n99 == n_pca(prefix, 0.99)
 
 
 def test_record_centralized_gram_equals_one_dot_per_pair():
@@ -203,19 +182,20 @@ def test_record_centralized_gram_equals_one_dot_per_pair():
     assert progression.gram.tobytes() == oracle.tobytes()
 
 
-@needs_helper
 @pytest.mark.parametrize("epochs", [1, 40, 95])
 def test_forked_and_in_process_drivers_agree(monkeypatch, epochs):
     # at 95 epochs of a 92-parameter model the last prefixes are tall: they
-    # take the SVD route, which reads the gradients themselves
+    # take the SVD route, which reads the gradients themselves. Where no
+    # helper can run, both runs count in process, and are still compared
     with record_fixture(epochs) as forked:
-        assert forked._child is not None
+        assert (forked._child is not None) == analyzer._helper_can_run()
         grads = forked.grads
         assert grads.shape == (epochs, 92)
         rows = forked.rows()
     monkeypatch.setattr(analyzer, "_helper_can_run", lambda: False)
     with record_fixture(epochs) as in_process:
         assert in_process._child is None
+        assert in_process.grads.tobytes() == grads.tobytes()
         assert in_process.rows() == rows
     assert rows == [(t, n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
                     for t in range(epochs)]
@@ -277,20 +257,12 @@ def test_zero_epochs_start_no_helper():
     assert progression.grads.shape == (0, 92) and progression.gram.shape == (0, 0)
 
 
-def test_record_centralized_collinear_log_counts_one():
+def test_n_pca_of_each_prefix_of_collinear_gradients_is_one():
     # scaled copies of a single direction: every prefix, any variance
     v = np.array([0.6, -0.8, 0.0])
     grads = np.stack([c * v for c in (1.0, 0.5, 0.25, 0.125)])
     for t in range(1, 5):
         assert n_pca(grads[:t], 0.99) == 1
-
-
-def test_record_centralized_deterministic():
-    grads_a, prog_a = centralized_fixture(5)
-    grads_b, prog_b = centralized_fixture(5)
-    assert prog_a == prog_b
-    for ga, gb in zip(grads_a, grads_b):
-        assert np.array_equal(ga, gb)
 
 
 def test_an_empty_stack_has_no_directions_and_empty_matrices():

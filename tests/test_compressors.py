@@ -13,11 +13,11 @@ from fedlbg.compressors import (
     topk,
 )
 from fedlbg.fl_core import build_experiment, run_with_policy
-from fedlbg.harness import ExperimentConfig, policy_for, simulate
+from fedlbg.harness import policy_for, simulate
 from fedlbg.lbgm import FLOAT_BITS, TAG_PAYLOAD, TAG_SCALAR, DensePayload
 from fedlbg.models import build_model, unpack
 from fedlbg.numerics import rng_stream
-from support import vec
+from support import federated_config, vec
 
 
 def brute_force_topk(g, k):
@@ -66,20 +66,6 @@ def test_topk_idempotent():
     again = topk(p.densify(), 7)
     assert np.array_equal(p.indices, again.indices)
     assert np.array_equal(p.values, again.values)
-
-
-def test_ef_conservation_exact():
-    rng = rng_stream(22, 0)
-    m = 200
-    for k in (2, 20, 200):
-        residual = np.zeros(m)
-        g_prev_sum = np.zeros(m)
-        for _ in range(20):
-            g = rng.standard_normal(m)
-            payload, new_residual = ef_wrap(residual, g, lambda v: topk(v, k))
-            assert np.array_equal(payload.densify() + new_residual, g + residual)
-            residual = new_residual
-            g_prev_sum += g
 
 
 def test_ef_lossless_compressor_keeps_residual_zero():
@@ -190,65 +176,48 @@ def test_stack_lbgm_gate_and_costs():
     assert rotated.tag == TAG_PAYLOAD and sin2 == 1.0
 
 
-def base_config(**kw):
-    cfg = dict(
-        algorithm="topk", seed=7, n=400, test_n=100, dim=10, classes=5,
-        separation=6.0, workers=4, rounds=10, batch_size=20, eta=0.05,
-        hidden=8, partition_mode="label_shard(2)", model_kind="mlp1h", delta=0.5,
-    )
-    cfg.update(kw)
-    return ExperimentConfig(**cfg)
-
-
 def test_identity_compressor_reduces_to_plain_lbgm():
-    setup = build_experiment(base_config(delta=0.2))
+    setup = build_experiment(federated_config("topk"))
     stacked = run_with_policy(setup, CompressedPolicy(DensePayload, delta=0.2))
-    plain = simulate(base_config(algorithm="lbgm", delta=0.2))
+    plain = simulate(federated_config("lbgm", delta=0.2))
     assert stacked.metrics.to_csv() == plain.metrics.to_csv()
     assert stacked.ledger.to_csv() == plain.ledger.to_csv()
 
 
 def test_delta_zero_stacking_matches_baseline_ledger():
-    baseline = simulate(base_config(algorithm="topk"))
-    gated = simulate(base_config(algorithm="topk_lbgm", delta=0.0))
+    baseline = simulate(federated_config("topk"))
+    gated = simulate(federated_config("topk_lbgm", delta=0.0))
     assert gated.ledger.to_csv() == baseline.ledger.to_csv()
-
-
-def test_stacked_topk_saves_floats_at_matched_rounds():
-    cfg = dict(model_kind="softmax_classifier", batch_size=0, rounds=20)
-    baseline = simulate(base_config(algorithm="topk", **cfg))
-    stacked = simulate(base_config(algorithm="topk_lbgm", **cfg))
-    assert stacked.metrics.final().cum_floats < baseline.metrics.final().cum_floats
 
 
 def test_sign_lbgm_bit_ledger_monotone_vs_sign():
     cfg = dict(model_kind="softmax_classifier", batch_size=0, rounds=15,
                partition_mode="iid", eta=0.01, delta=0.7)
-    baseline = simulate(base_config(algorithm="sign", **cfg))
-    stacked = simulate(base_config(algorithm="sign_lbgm", **cfg))
+    baseline = simulate(federated_config("sign", **cfg))
+    stacked = simulate(federated_config("sign_lbgm", **cfg))
     for rb, rs in zip(baseline.metrics.rows, stacked.metrics.rows):
         assert rs.cum_bits <= rb.cum_bits
 
 
 def test_sign_majority_vote_flag_changes_aggregation():
-    plain = simulate(base_config(algorithm="sign", partition_mode="iid", eta=0.01))
+    plain = simulate(federated_config("sign", partition_mode="iid", eta=0.01))
     majority = simulate(
-        base_config(algorithm="sign", partition_mode="iid", eta=0.01, sign_majority=True)
+        federated_config("sign", partition_mode="iid", eta=0.01, sign_majority=True)
     )
     assert plain.metrics.to_csv() != majority.metrics.to_csv()
     assert plain.ledger.to_csv() == majority.ledger.to_csv()  # same wire traffic
 
 
 def test_error_feedback_only_for_topk():
-    model = build_experiment(base_config()).model
+    model = build_experiment(federated_config("topk")).model
 
-    def ef(**kw):
-        return policy_for(base_config(**kw), model).error_feedback
+    def ef(algorithm, **kw):
+        return policy_for(federated_config(algorithm, **kw), model).error_feedback
 
-    assert ef(algorithm="topk")
-    assert not ef(algorithm="topk", error_feedback=False)
-    assert not ef(algorithm="sign")
-    assert not ef(algorithm="rank_r")
+    assert ef("topk")
+    assert not ef("topk", error_feedback=False)
+    assert not ef("sign")
+    assert not ef("rank_r")
 
 
 # on M = 133, 0.3 * M = 39.9 keeps 40: k is rounded, not truncated
@@ -257,10 +226,11 @@ def test_error_feedback_only_for_topk():
                          ids=["smallest", "whole", "rounded"])
 def test_policy_for_keeps_topk_k_within_the_vector(k_frac, kept):
     # the config's k_frac range, rounded by policy_for, is topk's only source of k
-    model = build_experiment(base_config()).model
+    model = build_experiment(federated_config("topk")).model
     m = model.param_dim
     g = rng_stream(22, 0).standard_normal(m)
-    payload = policy_for(base_config(k_frac=k_frac, error_feedback=False), model).compress(g)
+    payload = policy_for(federated_config("topk", k_frac=k_frac, error_feedback=False),
+                         model).compress(g)
     assert len(payload.indices) == kept(m)
     assert np.array_equal(payload.indices, np.sort(np.argsort(-np.abs(g))[:kept(m)]))
 

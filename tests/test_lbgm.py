@@ -1,4 +1,3 @@
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,7 @@ from fedlbg.fl_core import (
     local_round,
     run_with_policy,
 )
-from fedlbg.harness import ExperimentConfig, simulate
+from fedlbg.harness import simulate
 from fedlbg.lbgm import (
     DensePayload,
     LbgmPolicy,
@@ -24,8 +23,8 @@ from fedlbg.lbgm import (
     look_back,
     reconstruct,
 )
-from fedlbg.numerics import dot, norm_sq, rng_stream
-from support import vec
+from fedlbg.numerics import rng_stream
+from support import federated_config, vec
 
 
 def look_back_message(g, lbg, delta):
@@ -79,23 +78,6 @@ def test_gate_scale_invariance():
         for c in (2.0, -3.0, 1e-6):
             assert lbp_error(c * g, lbg) == pytest.approx(lbp_error(g, lbg), abs=1e-12)
             assert lbc(c * g, lbg) == pytest.approx(c * lbc(g, lbg), rel=1e-12)
-
-
-def test_projection_identities():
-    # residual after removing the projection is orthogonal to the LBG and
-    # carries exactly the squared-sine share of the gradient energy
-    rng = rng_stream(12, 0)
-    for dim in (2, 10, 100):
-        for _ in range(300):
-            g = rng.standard_normal(dim)
-            lbg = rng.standard_normal(dim)
-            rho = lbc(g, lbg)
-            resid = g - rho * lbg
-            rhs = norm_sq(g) * lbp_error(g, lbg)
-            assert norm_sq(resid) == pytest.approx(rhs, rel=1e-8, abs=1e-12)
-            assert dot(resid, lbg) == pytest.approx(
-                0.0, abs=1e-9 * math.sqrt(norm_sq(g) * norm_sq(lbg))
-            )
 
 
 def test_look_back_first_round_sends_full():
@@ -210,26 +192,16 @@ def test_full_send_stores_one_read_only_vector():
             stored[0] = 1.0
 
 
-def base_config(**kw):
-    cfg = dict(
-        algorithm="lbgm", seed=7, n=400, test_n=100, dim=10, classes=5,
-        separation=6.0, workers=4, rounds=10, batch_size=20, eta=0.05,
-        hidden=8, partition_mode="label_shard(2)", model_kind="mlp1h", delta=0.2,
-    )
-    cfg.update(kw)
-    return ExperimentConfig(**cfg)
-
-
 def test_delta_zero_matches_vanilla_bit_for_bit():
-    res_v = simulate(base_config(algorithm="vanilla"))
-    res_l = simulate(base_config(delta=0.0))
+    res_v = simulate(federated_config("vanilla"))
+    res_l = simulate(federated_config("lbgm", delta=0.0))
     assert res_l.metrics.to_csv() == res_v.metrics.to_csv()
     assert res_l.ledger.to_csv() == res_v.ledger.to_csv()
 
 
 def test_ledger_monotone_vs_vanilla():
-    res_v = simulate(base_config(algorithm="vanilla", rounds=15))
-    res_l = simulate(base_config(rounds=15))
+    res_v = simulate(federated_config("vanilla", rounds=15))
+    res_l = simulate(federated_config("lbgm", delta=0.2, rounds=15))
     for rv, rl in zip(res_v.metrics.rows, res_l.metrics.rows):
         assert rl.cum_floats <= rv.cum_floats
     # round 1 initializes every LBG (equal cost); recycling bites from round 2
@@ -238,7 +210,7 @@ def test_ledger_monotone_vs_vanilla():
 
 
 def test_server_and_worker_lbg_copies_stay_bit_identical():
-    cfg = base_config(rounds=8)
+    cfg = federated_config("lbgm", delta=0.2, rounds=8)
     setup = build_experiment(cfg)
     policy = LbgmPolicy(cfg.delta)
     for t in range(8):
@@ -254,7 +226,7 @@ def test_server_and_worker_lbg_copies_stay_bit_identical():
 
 
 def test_scalar_rounds_reduce_cost_and_log_fraction():
-    res = simulate(base_config(rounds=12))
+    res = simulate(federated_config("lbgm", delta=0.2, rounds=12))
     fractions = [r.scalar_fraction for r in res.metrics.rows[1:]]
     assert fractions[0] == 0.0  # first round must initialize LBGs
     assert max(fractions) > 0.0
@@ -262,33 +234,14 @@ def test_scalar_rounds_reduce_cost_and_log_fraction():
 
 
 def test_delta_sq_proxy_logged_and_finite():
-    res = simulate(base_config(rounds=6))
+    res = simulate(federated_config("lbgm", delta=0.2, rounds=6))
     proxies = [r.delta_sq_proxy for r in res.metrics.rows]
     assert proxies[0] == 0.0
     assert all(np.isfinite(p) and p >= 0.0 for p in proxies)
 
 
-def test_sampled_participant_counts_and_first_message():
-    cfg = base_config(algorithm="lbgm_sampled", workers=10, n=600, rounds=12,
-                      sample_fraction=0.5)
-    res = simulate(cfg)
-    setup = build_experiment(cfg)
-    m = setup.model.param_dim
-    by_round = {}
-    first_seen = {}
-    for rnd, worker, floats in res.ledger.rows:
-        by_round.setdefault(rnd, []).append(worker)
-        if worker not in first_seen:
-            first_seen[worker] = floats
-    for rnd, workers in by_round.items():
-        assert len(workers) == 5, f"round {rnd} had {len(workers)} participants"
-        assert len(set(workers)) == 5
-    for worker, floats in first_seen.items():
-        assert floats == m, f"worker {worker} first message was not a full gradient"
-
-
 def test_run_with_policy_validates_sample_fraction():
-    setup = build_experiment(base_config())
+    setup = build_experiment(federated_config("lbgm"))
     for fraction in (0.0, 1.5):
         with pytest.raises(ValueError, match="not in"):
             run_with_policy(setup, LbgmPolicy(0.2), sample_fraction=fraction)
