@@ -144,9 +144,26 @@ ONE_OF_ALGORITHMS = ("must be one of {vanilla, lbgm, lbgm_sampled, topk, topk_lb
     (dict(algorithm="lbgm", eta=0.0), "eta: value 0.0 must be > 0"),
     (dict(algorithm="lbgm", n=1, test_n=1, classes=3),
      "n, test_n: n + test_n = 1 + 1 must be >= classes = 3 for synth data"),
+    (dict(algorithm="lbgm", n=0), "n: value 0 must be >= 1"),
+    (dict(algorithm="lbgm", test_n=0), "test_n: value 0 must be >= 1"),
+    (dict(algorithm="lbgm", classes=1), "classes: value 1 must be >= 2"),
+    (dict(algorithm="lbgm", separation=-0.5), "separation: value -0.5 must be >= 0"),
+    (dict(algorithm="lbgm", subset=-1), "subset: value -1 must be >= 0"),
+    (dict(algorithm="lbgm", test_subset=-1), "test_subset: value -1 must be >= 0"),
+    (dict(algorithm="lbgm", rounds=-1), "rounds: value -1 must be >= 0"),
+    (dict(algorithm="lbgm", tau=-1), "tau: value -1 must be >= 0 (0 = one shard pass)"),
+    (dict(algorithm="lbgm", batch_size=-1), "batch_size: value -1 must be >= 0 (0 = full shard)"),
+    (dict(algorithm="lbgm", model_kind="cnn"),
+     "model_kind: value 'cnn' must be one of {linear_regression, softmax_classifier, mlp1h}"),
+    (dict(algorithm="lbgm", data_kind="csv"), "data_kind: value 'csv' must be one of {synth, idx}"),
+    (dict(algorithm="lbgm", eta_rule="linear"),
+     "eta_rule: value 'linear' must be one of {constant, inv_sqrt_tau_t}"),
+    (dict(algorithm="lbgm", data_kind="idx", images="i", labels="l", test_images="ti"),
+     "test_labels: required when data kind = idx"),
 ], ids=["delta", "sample_fraction", "rank", "algorithm", "hidden", "k_frac", "eta", "seed",
         "idx_paths", "partition", "bool_type", "float_type", "workers", "dim", "eta_zero",
-        "synth_count"])
+        "synth_count", "n", "test_n", "classes", "separation", "subset", "test_subset", "rounds",
+        "tau", "batch_size", "model_kind", "data_kind", "eta_rule", "idx_test_labels"])
 def test_a_config_made_in_python_is_checked_like_text(tmp_path, kw, message):
     # from the constructor, and again from replace() of a valid config
     with pytest.raises(ConfigError) as made:
