@@ -13,8 +13,8 @@ classical squared (explained-variance) convention is available via the
 import logging
 import math
 import os
-import pickle
 import signal
+import struct
 
 import numpy as np
 
@@ -137,26 +137,20 @@ def _helper_can_run() -> bool:
     return hasattr(os, "fork") and cpus >= 2
 
 
-def _answer(fd: int, answer):
-    """Pickle the helper's one answer into its pipe's write end, and close it."""
-    with open(fd, "wb") as pipe:
-        pickle.dump(answer, pipe)
+# one row (epoch, n95, n99) on the helper's pipe: 24 bytes, at most PIPE_BUF,
+# so each os.write of one is atomic
+_RECORD = struct.Struct("=3q")
 
 
 def _serve(fd: int, parent: int, grads: np.ndarray, gram: np.ndarray):
-    """The helper: count the row of every epoch and answer once with the
-    rows, or the first exception a row raised. Once `parent` is no longer
-    its parent, checked before each row, returns without answering."""
-    rows = []
-    for epoch in range(len(gram)):
+    """The helper: count the row of every epoch from the last one down,
+    writing each to `fd` as one record as soon as it is counted. A row that
+    raises ends it. Once `parent` is no longer its parent, checked before
+    each row, returns."""
+    for epoch in reversed(range(len(gram))):
         if os.getppid() != parent:
             return
-        try:
-            rows.append(_progression_row(grads, gram, epoch))
-        except Exception as exc:
-            _answer(fd, exc)
-            return
-    _answer(fd, rows)
+        os.write(fd, _RECORD.pack(*_progression_row(grads, gram, epoch)))
 
 
 class SpectrumProgression:
@@ -168,16 +162,21 @@ class SpectrumProgression:
     Where the platform can fork and the process may use two CPUs or more,
     `start()` forks one helper, pid `_child`, to count the rows on its
     complete fork-time copy of the stack and Gram matrix while the caller
-    goes on. It pickles one answer into a pipe and leaves by os._exit, so
-    none of the caller's code or atexit handlers runs in it: 0 once it has
-    answered or found its parent gone, else 1. Otherwise, when the fork
-    fails with an OSError, or without `start()`, `rows()` counts the rows
-    in process. A helper that dies without a whole answer raises
-    ChildProcessError. Use it as a context manager, which stops and reaps it.
+    goes on. It counts from the last epoch down and writes each row to a
+    pipe as it goes, and leaves by os._exit, so none of the caller's code
+    or atexit handlers runs in it: 0 once it has counted every row or found
+    its parent gone, else 1. `rows()` counts from epoch 0 up, in process,
+    until it reaches the first epoch whose row the helper has written,
+    taking what the pipe holds without waiting; so it never waits for the
+    helper, and a helper that dies or stops costs only speed. Without a
+    helper (one CPU, a failed fork, or no `start()`) it counts every row.
+    Use it as a context manager, which stops and reaps the helper.
     """
 
     def __init__(self, epochs: int, m: int):
-        self._child = None
+        self._child = self._pipe = None
+        self._pending = bytearray()  # the helper's bytes past its last whole record
+        self._received = []  # the helper's rows, last epoch first
         try:
             self.grads = np.empty((epochs, m))
             self.gram = np.zeros((epochs, epochs))
@@ -210,30 +209,41 @@ class SpectrumProgression:
                 os._exit(1)
             os._exit(0)
         os.close(write_end)
-        self._child, self._answer = pid, open(read_end, "rb")
+        os.set_blocking(read_end, False)
+        self._child, self._pipe = pid, open(read_end, "rb", buffering=0)
+
+    def _receive(self) -> list:
+        """The helper's rows so far, last epoch first: takes every whole
+        record its pipe holds, without waiting, and closes the pipe at end
+        of file, which comes once the helper has finished, died or failed."""
+        while self._pipe is not None and (data := self._pipe.read(1 << 16)) is not None:
+            if not data:
+                self._pipe.close()
+                self._pipe = None
+                break
+            self._pending += data
+        whole = len(self._pending) - len(self._pending) % _RECORD.size
+        self._received += _RECORD.iter_unpack(self._pending[:whole])
+        del self._pending[:whole]
+        return self._received
 
     def rows(self) -> list:
-        """The rows of every added epoch, in order; raises what counting
-        one of them raised."""
-        if self._child is None:
-            return [_progression_row(self.grads, self.gram, e) for e in range(len(self.gram))]
-        try:
-            answer = pickle.load(self._answer)
-        except (EOFError, pickle.UnpicklingError):  # no answer, or part of one
-            code = self.close()
-            raise ChildProcessError(
-                f"spectrum helper exited with code {code} before answering") from None
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
+        """The rows of every added epoch, in order; raises what counting the
+        first failing one raised. Counts up from epoch 0 until the helper's
+        rows, which come down from the last epoch, begin."""
+        epochs, counted = len(self.gram), []
+        while len(counted) + len(self._receive()) < epochs:
+            counted.append(_progression_row(self.grads, self.gram, len(counted)))
+        return counted + self._received[: epochs - len(counted)][::-1]
 
     def close(self):
         if self._child is None:
             return
         pid, self._child = self._child, None
-        self._answer.close()
+        if self._pipe is not None:
+            self._pipe.close()
         os.kill(pid, signal.SIGKILL)
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        os.waitpid(pid, 0)
 
     def __enter__(self):
         return self
@@ -269,8 +279,9 @@ def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size:
     """Record the gradients of a centralized run and analyze them: returns
     (progression rows, overlap matrix, similarity matrix), the matrices 0 x 0
     when no epoch ran. The spectrum helper starts once training has ended
-    and counts the rows while the matrices are built; they are collected
-    last, and the helper stops before this returns."""
+    and counts the rows from the last epoch down while the matrices are
+    built; this process counts the rest from epoch 0 up once they are, and
+    the helper stops before this returns."""
     with SpectrumProgression(epochs, model.param_dim) as progression:
         grads = record_centralized(model, dataset, progression, eta, batch_size, rng)
         progression.start()

@@ -1,8 +1,10 @@
 """Helpers the test modules share, one copy each. The file name does not
 match test_*.py, so pytest collects nothing from it."""
 
+import itertools
 import os
 import re
+import signal
 import struct
 from pathlib import Path
 
@@ -67,6 +69,22 @@ def assert_no_child():
     # any child of this process, running or not yet reaped, was left behind
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def helper_acting_at(monkeypatch, record, act):
+    """Patch os.write so that a spectrum helper forked after this writes
+    `record` whole rows, then acts: "kill" (SIGKILLs itself), "tear"
+    (writes half of the next row, then SIGKILLs itself) or "stop" (SIGSTOPs
+    itself). This process's own writes are untouched."""
+    test_pid, write, written = os.getpid(), os.write, itertools.count()
+
+    def write_or_act(fd, data):
+        if os.getpid() != test_pid and next(written) == record:
+            if act == "tear":
+                write(fd, data[: len(data) // 2])
+            os.kill(os.getpid(), signal.SIGSTOP if act == "stop" else signal.SIGKILL)
+        return write(fd, data)
+    monkeypatch.setattr(os, "write", write_or_act)
 
 
 def _state(path):

@@ -22,7 +22,7 @@ from fedlbg.analyzer import (
 from fedlbg.data import synth_classification
 from fedlbg.models import build_model
 from fedlbg.numerics import rng_stream
-from support import needs_helper, package_env, process_state
+from support import helper_acting_at, needs_helper, package_env, process_state
 
 
 def test_n_pca_identical_gradients_is_one():
@@ -182,16 +182,46 @@ def test_record_centralized_gram_equals_one_dot_per_pair():
     assert progression.gram.tobytes() == oracle.tobytes()
 
 
+def wait_for(pid, events):
+    """Wait, at most 30 s, until the child `pid` reports one of the waitid
+    `events`, and leave it to be reaped."""
+    deadline = time.monotonic() + 30
+    while os.waitid(os.P_PID, pid, events | os.WNOWAIT | os.WNOHANG) is None:
+        assert time.monotonic() < deadline, f"process {pid} neither stopped nor exited"
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("written", ["all", "none", "some", "both"])
 @pytest.mark.parametrize("epochs", [1, 40, 95])
-def test_forked_and_in_process_drivers_agree(monkeypatch, epochs):
+def test_forked_and_in_process_drivers_agree(monkeypatch, epochs, written):
     # at 95 epochs of a 92-parameter model the last prefixes are tall: they
-    # take the SVD route, which reads the gradients themselves. Where no
-    # helper can run, both runs count in process, and are still compared
+    # take the SVD route, which reads the gradients themselves. The helper
+    # stops itself once it has written all, none or half of the rows, and
+    # rows() starts once it has: it counts the rest in process. In "both",
+    # the helper is resumed while rows() counts its last row, and writes
+    # that row and every row below it too. Where no helper can run, both
+    # runs count in process, and are still compared
+    record = {"all": epochs, "none": 0}.get(written, epochs // 2)
+    helper_acting_at(monkeypatch, record, "stop")
     with record_fixture(epochs) as forked:
-        assert (forked._child is not None) == analyzer._helper_can_run()
+        helper = forked._child
+        assert (helper is not None) == analyzer._helper_can_run()
+        if helper is not None:
+            wait_for(helper, os.WEXITED | os.WSTOPPED)
+        row, counted = analyzer._progression_row, []
+
+        def count(grads, gram, epoch):
+            counted.append(epoch)
+            if helper is not None and written == "both" and epoch == epochs - record - 1:
+                os.kill(helper, signal.SIGCONT)
+                wait_for(helper, os.WEXITED)
+            return row(grads, gram, epoch)
         grads = forked.grads
         assert grads.shape == (epochs, 92)
-        rows = forked.rows()
+        with monkeypatch.context() as patch:
+            patch.setattr(analyzer, "_progression_row", count)
+            rows = forked.rows()
+    assert counted == list(range(epochs if helper is None else epochs - record))
     monkeypatch.setattr(analyzer, "_helper_can_run", lambda: False)
     with record_fixture(epochs) as in_process:
         assert in_process._child is None

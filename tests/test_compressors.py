@@ -220,10 +220,11 @@ def test_error_feedback_only_for_topk():
     assert not ef("rank_r")
 
 
-# on M = 133, 0.3 * M = 39.9 keeps 40: k is rounded, not truncated
+# on M = 133, 0.3 * M = 39.9 keeps 40: k is rounded, not truncated; and
+# 0.5 * M = 66.5 keeps 66: a half is rounded to even, not up
 @pytest.mark.parametrize("k_frac,kept", [(1e-12, lambda m: 1), (1.0, lambda m: m),
-                                         (0.3, lambda m: 40)],
-                         ids=["smallest", "whole", "rounded"])
+                                         (0.3, lambda m: 40), (0.5, lambda m: 66)],
+                         ids=["smallest", "whole", "rounded", "half_even"])
 def test_policy_for_keeps_topk_k_within_the_vector(k_frac, kept):
     # the config's k_frac range, rounded by policy_for, is topk's only source of k
     model = build_experiment(federated_config("topk")).model

@@ -2,7 +2,6 @@ import errno
 import itertools
 import math
 import os
-import pickle
 import signal
 import struct
 import subprocess
@@ -42,6 +41,7 @@ from support import (
     CONFIGS,
     assert_exit,
     assert_no_child,
+    helper_acting_at,
     needs_helper,
     package_env,
     process_state,
@@ -456,7 +456,6 @@ eta = 5
 ANALYZE = MINIMAL.replace("lbgm", "centralized_analyze").replace("rounds = 2", "rounds = 5")
 DIVERGING_ANALYZER = DIVERGING.replace("lbgm", "centralized_analyze").replace("eta = 5", "eta = 50")
 NO_PIXELS = "pixels, expected at least one image of at least one pixel"
-HELPER_DIED = f"spectrum helper exited with code {-signal.SIGKILL} before answering"
 
 
 def config(text, *overrides, flags=(), edit=None, encoding="utf-8"):
@@ -527,30 +526,6 @@ def eigh_failing(monkeypatch):  # in pgd
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigh", fail)
-
-
-def helper_dying_at_its_first_row(monkeypatch):
-    # the helper inherits this patch when it forks, and kills itself at its
-    # first row: it dies before it can answer, whatever the parent is doing
-    test_pid, row = os.getpid(), analyzer._progression_row
-
-    def row_or_die(*args):
-        if os.getpid() != test_pid:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return row(*args)
-    monkeypatch.setattr(analyzer, "_progression_row", row_or_die)
-
-
-def helper_tearing_its_answer(monkeypatch):
-    # the helper inherits this patch when it forks: it writes half of its
-    # pickled answer and kills itself, so the pipe ends mid-pickle
-    def torn_answer(fd, answer):
-        data = pickle.dumps(answer)
-        with open(fd, "wb") as pipe:
-            pipe.write(data[: len(data) // 2])
-            pipe.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-    monkeypatch.setattr(analyzer, "_answer", torn_answer)
 
 
 @pytest.mark.parametrize("build, patch, code, line", [
@@ -703,10 +678,6 @@ def helper_tearing_its_answer(monkeypatch):
       for algorithm in ("lbgm", "centralized_analyze")
       for name, out, reason in [("out_a_file", "out", "File exists"),
                                 ("out_below_a_file", "out/sub", "Not a directory")]),
-    pytest.param(config(ANALYZE), helper_dying_at_its_first_row, 1, HELPER_DIED,
-                 id="helper_died", marks=needs_helper),
-    pytest.param(config(ANALYZE), helper_tearing_its_answer, 1, HELPER_DIED,
-                 id="helper_torn_answer", marks=needs_helper),
 ])
 def test_a_failing_run_exits_with_its_code_one_line_and_no_stray_output(
         tmp_path, capsys, monkeypatch, build, patch, code, line):
@@ -719,21 +690,43 @@ def test_a_regression_runs_on_the_one_class_labels_a_classifier_rejects(tmp_path
     assert main(["run", *map(str, argv)]) == 0
 
 
-@needs_helper
-def test_analyzer_counts_in_process_when_the_helper_cannot_fork(tmp_path, monkeypatch):
-    def no_fork():
+def no_fork(monkeypatch):
+    def fail():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", fail)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "fork", no_fork)
-        assert run(small_run_config(tmp_path / "nofork", algorithm="centralized_analyze",
-                                    rounds=5)) == 0
+
+@needs_helper
+@pytest.mark.parametrize("patch", [
+    no_fork,
+    lambda monkeypatch: helper_acting_at(monkeypatch, 0, "kill"),
+    lambda monkeypatch: helper_acting_at(monkeypatch, 3, "kill"),
+    lambda monkeypatch: helper_acting_at(monkeypatch, 3, "tear"),
+    lambda monkeypatch: helper_acting_at(monkeypatch, 3, "stop"),
+], ids=["fork_failed", "helper_killed_at_its_first_row", "helper_killed_after_some_rows",
+        "helper_torn_row", "helper_stopped"])
+def test_the_spectrum_helper_is_only_a_speed_up(tmp_path, monkeypatch, patch):
+    # the fork fails, or the helper, counting 40 rows from the last one
+    # down, ends or stops after writing 0 or 3 of them: the run counts the
+    # rest in process, without waiting for it, and writes the same bytes. A
+    # run that waits is failed by the alarm, after 5 s
+    with monkeypatch.context() as in_process:
+        in_process.setattr(analyzer, "_helper_can_run", lambda: False)
+        assert run(small_run_config(tmp_path / "inprocess", algorithm="centralized_analyze",
+                                    rounds=40)) == 0
+    patch(monkeypatch)
+    handler = signal.signal(signal.SIGALRM,
+                            lambda *_: pytest.fail("the run waited for the helper"))
+    signal.alarm(5)
+    try:
+        assert run(small_run_config(tmp_path / "helped", algorithm="centralized_analyze",
+                                    rounds=40)) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
     assert_no_child()
-    monkeypatch.setattr(analyzer, "_helper_can_run", lambda: False)
-    assert run(small_run_config(tmp_path / "inprocess", algorithm="centralized_analyze",
-                                rounds=5)) == 0
     for name in ANALYZER_OUTPUTS:
-        got = (tmp_path / "nofork" / "out" / name).read_bytes()
+        got = (tmp_path / "helped" / "out" / name).read_bytes()
         assert got and got == (tmp_path / "inprocess" / "out" / name).read_bytes()
 
 
