@@ -12,6 +12,7 @@ classical squared (explained-variance) convention is available via the
 
 import logging
 import math
+import mmap
 import os
 import signal
 import struct
@@ -140,14 +141,23 @@ def _helper_can_run() -> bool:
 # one row (epoch, n95, n99) on the helper's pipe: 24 bytes, at most PIPE_BUF,
 # so each os.write of one is atomic
 _RECORD = struct.Struct("=3q")
+# the count of epochs stored, on the pipe that feeds the helper: each write
+# is one atomic 8-byte count, so every read of a multiple of 8 bytes gives
+# whole counts
+_COUNT = struct.Struct("=q")
 
 
-def _serve(fd: int, parent: int, grads: np.ndarray, gram: np.ndarray):
-    """The helper: count the row of every epoch from the last one down,
-    writing each to `fd` as one record as soon as it is counted. A row that
-    raises ends it. Once `parent` is no longer its parent, checked before
-    each row, returns."""
-    for epoch in reversed(range(len(gram))):
+def _serve(feed: int, fd: int, parent: int, grads: np.ndarray, gram: np.ndarray):
+    """The helper: count the row of every epoch from epoch 0 up, once `feed`
+    has announced it stored (the latest count read, or every epoch at end
+    of file), writing each to `fd` as one record as soon as it is counted.
+    A row that raises ends it. Once `parent` is no longer its parent,
+    checked before each row, returns."""
+    epochs, ready = len(gram), 0
+    for epoch in range(epochs):
+        while ready <= epoch:
+            counts = os.read(feed, 1 << 12)
+            ready = _COUNT.unpack_from(counts, len(counts) - _COUNT.size)[0] if counts else epochs
         if os.getppid() != parent:
             return
         os.write(fd, _RECORD.pack(*_progression_row(grads, gram, epoch)))
@@ -157,29 +167,43 @@ class SpectrumProgression:
     """The (epochs, M) gradient stack `grads` of a run, its Gram matrix
     `gram` and their per-epoch rows (epoch, n95, n99), the stack and Gram
     matrix filled one epoch at a time: `add(epoch)` once that epoch's
-    gradient is stored in `grads`, `start()` and `rows()` once all are.
+    gradient is stored in `grads`, `rows()` once all are.
 
-    Where the platform can fork and the process may use two CPUs or more,
-    `start()` forks one helper, pid `_child`, to count the rows on its
-    complete fork-time copy of the stack and Gram matrix while the caller
-    goes on. It counts from the last epoch down and writes each row to a
-    pipe as it goes, and leaves by os._exit, so none of the caller's code
-    or atexit handlers runs in it: 0 once it has counted every row or found
-    its parent gone, else 1. `rows()` counts from epoch 0 up, in process,
-    until it reaches the first epoch whose row the helper has written,
-    taking what the pipe holds without waiting; so it never waits for the
-    helper, and a helper that dies or stops costs only speed. Without a
-    helper (one CPU, a failed fork, or no `start()`) it counts every row.
-    Use it as a context manager, which stops and reaps the helper.
+    The stack and Gram matrix share one anonymous shared mapping. Where it
+    can be made, the platform can fork and the process may use two CPUs or
+    more, `start()`, called before the first `add`, forks one helper, pid
+    `_child`, that sees each epoch as it is stored. `add` announces each
+    epoch on a feed pipe, without waiting: a count the full pipe cannot
+    take is dropped, and a later one replaces it; after the last epoch the
+    feed is closed, and its end of file tells the helper every epoch is
+    ready. The helper counts each announced row from epoch 0 up, writes
+    each to a second pipe as it goes, and leaves by os._exit, so none of
+    the caller's code or atexit handlers runs in it: 0 once it has counted
+    every row or found its parent gone, else 1. `rows()` counts from the
+    last epoch down, in process, until it reaches the rows the helper has
+    written, taking what the pipe holds without waiting; so it never waits
+    for the helper, and a helper that dies or stops costs only speed.
+    Without a helper (one CPU, no mapping, a failed fork, or no `start()`)
+    it counts every row. Use it as a context manager, which stops and
+    reaps the helper.
     """
 
     def __init__(self, epochs: int, m: int):
-        self._child = self._pipe = None
+        self._child = self._feed = self._pipe = None
         self._pending = bytearray()  # the helper's bytes past its last whole record
-        self._received = []  # the helper's rows, last epoch first
+        self._received = []  # the helper's rows, from epoch 0 up
         try:
-            self.grads = np.empty((epochs, m))
-            self.gram = np.zeros((epochs, epochs))
+            shared = mmap.mmap(-1, 8 * epochs * (m + epochs))
+        except (OSError, OverflowError):  # 0 bytes, or more than can be mapped
+            shared = None
+        self._shared = shared is not None
+        try:
+            if shared is None:  # numpy allocates, or raises why it cannot
+                self.grads = np.empty((epochs, m))
+                self.gram = np.zeros((epochs, epochs))
+            else:
+                self.grads = np.ndarray((epochs, m), buffer=shared)
+                self.gram = np.ndarray((epochs, epochs), buffer=shared, offset=self.grads.nbytes)
         except ValueError as exc:  # numpy rejects a shape past its size limit before allocating
             raise MemoryError(str(exc)) from None
 
@@ -188,32 +212,48 @@ class SpectrumProgression:
         row = np.vecdot(self.grads[: epoch + 1], self.grads[epoch])
         self.gram[epoch, : epoch + 1] = self.gram[: epoch + 1, epoch] = row
         check_finite(row, f"Gram row of epoch {epoch}")
+        if self._feed is None:
+            return
+        if epoch + 1 == len(self.gram):
+            os.close(self._feed)
+            self._feed = None
+            return
+        try:
+            os.write(self._feed, _COUNT.pack(epoch + 1))
+        except (BlockingIOError, BrokenPipeError):  # a full pipe, or the helper gone
+            pass
 
     def start(self):
-        """Fork the helper, where one can run, to count every epoch's row."""
-        if not (len(self.gram) and _helper_can_run()):
+        """Fork the helper, where one can run, to count each epoch's row once
+        `add` has announced it."""
+        if not (self._shared and _helper_can_run()):
             return
+        feed_read, feed_write = os.pipe()
         read_end, write_end = os.pipe()
         parent = os.getpid()
         try:
             pid = os.fork()
         except OSError:  # no fork (EAGAIN, ENOMEM); the helper is only a speed-up
-            os.close(read_end)
-            os.close(write_end)
+            for fd in (feed_read, feed_write, read_end, write_end):
+                os.close(fd)
             return
         if pid == 0:  # the helper
             try:
+                os.close(feed_write)
                 os.close(read_end)
-                _serve(write_end, parent, self.grads, self.gram)
+                _serve(feed_read, write_end, parent, self.grads, self.gram)
             except BaseException:
                 os._exit(1)
             os._exit(0)
+        os.close(feed_read)
         os.close(write_end)
+        os.set_blocking(feed_write, False)
         os.set_blocking(read_end, False)
-        self._child, self._pipe = pid, open(read_end, "rb", buffering=0)
+        self._child, self._feed = pid, feed_write
+        self._pipe = open(read_end, "rb", buffering=0)
 
     def _receive(self) -> list:
-        """The helper's rows so far, last epoch first: takes every whole
+        """The helper's rows so far, from epoch 0 up: takes every whole
         record its pipe holds, without waiting, and closes the pipe at end
         of file, which comes once the helper has finished, died or failed."""
         while self._pipe is not None and (data := self._pipe.read(1 << 16)) is not None:
@@ -229,17 +269,27 @@ class SpectrumProgression:
 
     def rows(self) -> list:
         """The rows of every added epoch, in order; raises what counting the
-        first failing one raised. Counts up from epoch 0 until the helper's
-        rows, which come down from the last epoch, begin."""
+        first failing one raised. Counts down from the last epoch until the
+        helper's rows, which come up from epoch 0, end."""
         epochs, counted = len(self.gram), []
-        while len(counted) + len(self._receive()) < epochs:
-            counted.append(_progression_row(self.grads, self.gram, len(counted)))
-        return counted + self._received[: epochs - len(counted)][::-1]
+        try:
+            while len(self._receive()) + len(counted) < epochs:
+                counted.append(_progression_row(self.grads, self.gram, epochs - 1 - len(counted)))
+        except Exception:
+            # the row below this one that fails first, if any, is the error
+            # an ascending count would raise
+            for epoch in range(len(self._received), epochs - 1 - len(counted)):
+                _progression_row(self.grads, self.gram, epoch)
+            raise
+        return self._received[: epochs - len(counted)] + counted[::-1]
 
     def close(self):
         if self._child is None:
             return
         pid, self._child = self._child, None
+        if self._feed is not None:
+            os.close(self._feed)
+            self._feed = None
         if self._pipe is not None:
             self._pipe.close()
         os.kill(pid, signal.SIGKILL)
@@ -278,13 +328,14 @@ def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size:
             rng: np.random.Generator):
     """Record the gradients of a centralized run and analyze them: returns
     (progression rows, overlap matrix, similarity matrix), the matrices 0 x 0
-    when no epoch ran. The spectrum helper starts once training has ended
-    and counts the rows from the last epoch down while the matrices are
-    built; this process counts the rest from epoch 0 up once they are, and
-    the helper stops before this returns."""
+    when no epoch ran. The spectrum helper starts before the first epoch and
+    counts the rows from epoch 0 up as training stores them, while the
+    model trains and the matrices are built; this process counts the rest
+    from the last epoch down once they are, and the helper stops before
+    this returns."""
     with SpectrumProgression(epochs, model.param_dim) as progression:
-        grads = record_centralized(model, dataset, progression, eta, batch_size, rng)
         progression.start()
+        grads = record_centralized(model, dataset, progression, eta, batch_size, rng)
         overlap = overlap_matrix(grads, pgd(grads, 0.99))
         similarity = similarity_matrix(grads)
         return progression.rows(), overlap, similarity

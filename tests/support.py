@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,18 @@ def helper_acting_at(monkeypatch, record, act):
             os.kill(os.getpid(), signal.SIGSTOP if act == "stop" else signal.SIGKILL)
         return write(fd, data)
     monkeypatch.setattr(os, "write", write_or_act)
+
+
+@contextmanager
+def alarm(seconds, message):
+    """Fail the test with `message` if the block runs longer than `seconds`."""
+    handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail(message))
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def _state(path):

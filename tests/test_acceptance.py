@@ -231,6 +231,7 @@ def test_c10_low_rank_gradient_space():
     ds = synth_classification(1500, 20, 10, 6.0, data_rng)
     model = build_model("mlp1h", 20, 10, 32)
     with analyzer.SpectrumProgression(100, model.param_dim) as spectrum:
+        spectrum.start()
         grads = analyzer.record_centralized(model, ds, spectrum, 0.05, 512, rng_stream(0, 0))
         progression = spectrum.rows()
     n95 = analyzer.n_pca(grads, 0.95)

@@ -1,5 +1,7 @@
+import errno
 import logging
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from fedlbg.analyzer import (
 from fedlbg.data import synth_classification
 from fedlbg.models import build_model
 from fedlbg.numerics import rng_stream
-from support import helper_acting_at, needs_helper, package_env, process_state
+from support import alarm, helper_acting_at, needs_helper, package_env, process_state
 
 
 def test_n_pca_identical_gradients_is_one():
@@ -165,12 +167,13 @@ def test_a_row_whose_squared_norm_underflows_keeps_its_angle(caplog):
 @contextmanager
 def record_fixture(epochs):
     """The SpectrumProgression that record_centralized fills on a small
-    mlp1h problem, its helper started, and stopped on exit."""
+    mlp1h problem, its helper started before the first epoch, and stopped
+    on exit."""
     ds = synth_classification(120, 6, 4, 5.0, rng_stream(36, 1))
     model = build_model("mlp1h", 6, 4, 8)
     with SpectrumProgression(epochs, model.param_dim) as progression:
-        record_centralized(model, ds, progression, 0.1, 16, rng_stream(36, 0))
         progression.start()
+        record_centralized(model, ds, progression, 0.1, 16, rng_stream(36, 0))
         yield progression
 
 
@@ -191,44 +194,160 @@ def wait_for(pid, events):
         time.sleep(0.001)
 
 
+def in_process_rows(monkeypatch, epochs):
+    """The rows of record_fixture(epochs), counted without a helper, and
+    its gradient stack."""
+    with monkeypatch.context() as patch:
+        patch.setattr(analyzer, "_helper_can_run", lambda: False)
+        with record_fixture(epochs) as in_process:
+            assert in_process._child is None
+            return in_process.rows(), in_process.grads
+
+
 @pytest.mark.parametrize("written", ["all", "none", "some", "both"])
 @pytest.mark.parametrize("epochs", [1, 40, 95])
 def test_forked_and_in_process_drivers_agree(monkeypatch, epochs, written):
     # at 95 epochs of a 92-parameter model the last prefixes are tall: they
-    # take the SVD route, which reads the gradients themselves. The helper
-    # stops itself once it has written all, none or half of the rows, and
-    # rows() starts once it has: it counts the rest in process. In "both",
+    # take the SVD route, which reads the gradients themselves, from the
+    # stack shared with the helper. The helper stops itself once it has
+    # written all, none or half of the rows, and rows() starts once it has:
+    # it counts the rest in process, from the last epoch down. In "both",
     # the helper is resumed while rows() counts its last row, and writes
-    # that row and every row below it too. Where no helper can run, both
+    # that row and every row above it too. Where no helper can run, both
     # runs count in process, and are still compared
     record = {"all": epochs, "none": 0}.get(written, epochs // 2)
+    expected, stack = in_process_rows(monkeypatch, epochs)
     helper_acting_at(monkeypatch, record, "stop")
     with record_fixture(epochs) as forked:
         helper = forked._child
         assert (helper is not None) == analyzer._helper_can_run()
         if helper is not None:
             wait_for(helper, os.WEXITED | os.WSTOPPED)
+        else:
+            record = 0
         row, counted = analyzer._progression_row, []
 
         def count(grads, gram, epoch):
             counted.append(epoch)
-            if helper is not None and written == "both" and epoch == epochs - record - 1:
+            if helper is not None and written == "both" and epoch == record:
                 os.kill(helper, signal.SIGCONT)
                 wait_for(helper, os.WEXITED)
             return row(grads, gram, epoch)
         grads = forked.grads
         assert grads.shape == (epochs, 92)
+        assert grads.tobytes() == stack.tobytes()
         with monkeypatch.context() as patch:
             patch.setattr(analyzer, "_progression_row", count)
             rows = forked.rows()
-    assert counted == list(range(epochs if helper is None else epochs - record))
-    monkeypatch.setattr(analyzer, "_helper_can_run", lambda: False)
-    with record_fixture(epochs) as in_process:
-        assert in_process._child is None
-        assert in_process.grads.tobytes() == grads.tobytes()
-        assert in_process.rows() == rows
+    assert counted == list(reversed(range(record, epochs)))
+    assert rows == expected
     assert rows == [(t, n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
                     for t in range(epochs)]
+
+
+def dropping_counts(monkeypatch, dropped):
+    """Patch os.write so that this process's count of each epoch in
+    `dropped` meets a full feed pipe."""
+    test_pid, write = os.getpid(), os.write
+
+    def write_or_drop(fd, data):
+        on_feed = os.getpid() == test_pid and len(data) == 8
+        if on_feed and int.from_bytes(data, sys.byteorder) - 1 in dropped:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return write(fd, data)
+    monkeypatch.setattr(os, "write", write_or_drop)
+
+
+@needs_helper
+@pytest.mark.parametrize("dropped", [{0, 1, 7, 20, 38}, set(range(40))],
+                         ids=["some_counts", "every_count"])
+def test_a_dropped_count_only_delays_the_helper(monkeypatch, dropped):
+    # epoch 38's is the last count before the feed closes at epoch 39; with
+    # every count dropped, only the feed's end of file tells the helper the
+    # epochs are ready. It still counts every row: once it has exited,
+    # rows() counts none itself, and never waits
+    expected, _ = in_process_rows(monkeypatch, 40)
+    dropping_counts(monkeypatch, dropped)
+    with alarm(5, "the parent blocked on the feed"), record_fixture(40) as forked:
+        wait_for(forked._child, os.WEXITED)
+        with monkeypatch.context() as patch:
+            patch.setattr(analyzer, "_progression_row", lambda *_: pytest.fail("counted a row"))
+            rows = forked.rows()
+        grads = forked.grads
+    assert rows == expected
+    assert rows == [(t, n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
+                    for t in range(40)]
+
+
+@needs_helper
+def test_the_helper_counts_only_the_epochs_announced(monkeypatch):
+    # training waits after each epoch until the helper has written its row,
+    # so a helper that counted a row before its epoch was stored would read
+    # an unfilled row of the stack and write a wrong count
+    expected, _ = in_process_rows(monkeypatch, 40)
+    add = SpectrumProgression.add
+
+    def add_and_wait(self, epoch):
+        add(self, epoch)
+        deadline = time.monotonic() + 30
+        while len(self._receive()) <= epoch:
+            assert time.monotonic() < deadline, f"the helper never wrote the row of epoch {epoch}"
+            select.select([self._pipe], [], [], 1)
+    monkeypatch.setattr(SpectrumProgression, "add", add_and_wait)
+    with record_fixture(40) as forked:
+        assert forked._received == expected
+        assert forked.rows() == expected
+
+
+def failing_rows(monkeypatch, failing):
+    """Patch the row count to raise, naming its epoch, at each epoch in
+    `failing`: in a helper forked after this too."""
+    row = analyzer._progression_row
+
+    def row_or_fail(grads, gram, epoch):
+        if epoch in failing:
+            raise np.linalg.LinAlgError(f"row {epoch} failed")
+        return row(grads, gram, epoch)
+    monkeypatch.setattr(analyzer, "_progression_row", row_or_fail)
+
+
+@pytest.mark.parametrize("failing", [{30}, {10, 30}, {0, 39}])
+@pytest.mark.parametrize("first", ["helper", "parent", "no_helper"])
+def test_a_failing_row_raises_what_an_ascending_count_raises_first(monkeypatch, failing, first):
+    # the helper counts up to its first failing row and exits 1, and rows()
+    # starts once it has; or it stops before its first row, and the parent,
+    # counting down, meets the highest failing row first. Either way the
+    # lowest failing row's error is raised
+    failing_rows(monkeypatch, failing)
+    if first == "no_helper":
+        monkeypatch.setattr(analyzer, "_helper_can_run", lambda: False)
+    if first == "parent":
+        helper_acting_at(monkeypatch, 0, "stop")
+    with record_fixture(40) as progression:
+        if progression._child is not None:
+            wait_for(progression._child, os.WEXITED | os.WSTOPPED)
+        with pytest.raises(np.linalg.LinAlgError, match=rf"^row {min(failing)} failed$"):
+            progression.rows()
+
+
+def open_descriptors():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="no /proc to list descriptors in")
+@pytest.mark.parametrize("epochs_added", [40, 20, 0])
+def test_a_progression_closes_every_descriptor_it_opens(epochs_added):
+    # every epoch added closes the feed itself; fewer (a run that diverged)
+    # leave it to close()
+    before = open_descriptors()
+    with SpectrumProgression(40, 10) as progression:
+        progression.start()
+        progression.grads[:] = rng_stream(37, 0).standard_normal((40, 10))
+        for epoch in range(epochs_added):
+            progression.add(epoch)
+        if epochs_added == 40:
+            assert len(progression.rows()) == 40
+    assert open_descriptors() == before
 
 
 HELPER_PARENT = """
@@ -237,10 +356,10 @@ import numpy as np
 from fedlbg.analyzer import SpectrumProgression
 
 progression = SpectrumProgression(600, 1000)
+progression.start()
 progression.grads[:] = np.random.default_rng(0).standard_normal((600, 1000))
 for epoch in range(600):
     progression.add(epoch)
-progression.start()
 print(progression._child, flush=True)
 time.sleep(60)
 """

@@ -39,6 +39,7 @@ from fedlbg.numerics import one_blas_thread, rng_stream
 from support import (
     ANALYZER_OUTPUTS,
     CONFIGS,
+    alarm,
     assert_exit,
     assert_no_child,
     helper_acting_at,
@@ -511,8 +512,8 @@ def svd_failing_at_call_15(monkeypatch):
 
 
 def eigvalsh_failing_at_two(monkeypatch):
-    # epoch 1's 2 x 2 Gram, in the helper where one runs, else in this
-    # process: the error comes from the spectrum, not from pgd's 5 x 5 Gram
+    # epoch 1's 2 x 2 Gram, in whichever process counts it first: the
+    # error comes from the spectrum, not from pgd's 5 x 5 Gram
     eigvalsh = np.linalg.eigvalsh
 
     def eigvalsh_or_fail(a, *args, **kwargs):
@@ -655,7 +656,8 @@ def eigh_failing(monkeypatch):  # in pgd
     pytest.param(config(MINIMAL, "algorithm=rank_r_lbgm", "train.rounds=5"),
                  svd_failing_at_call_15, 3,
                  "run diverged in round 3 (worker 1): SVD did not converge", id="svd_failure"),
-    # training stops at epoch 5's non-finite Gram row, before a helper would start
+    # training stops at epoch 5's non-finite Gram row, which is never
+    # announced to the helper running alongside: it is stopped and reaped
     pytest.param(config(DIVERGING_ANALYZER), None, 3,
                  "run diverged: Gram row of epoch 5 contains non-finite entries",
                  id="diverged_analyzer"),
@@ -696,34 +698,54 @@ def no_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fail)
 
 
+def no_shared_mapping(monkeypatch):
+    def fail(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    monkeypatch.setattr(analyzer.mmap, "mmap", fail)
+
+
+def helper_signalled_in_training(sig):
+    """A patch that sends the helper `sig` once epoch 5 is added, with 34
+    epochs still to train."""
+    def patch(monkeypatch):
+        add = analyzer.SpectrumProgression.add
+
+        def add_then_signal(self, epoch):
+            add(self, epoch)
+            if epoch == 5:
+                os.kill(self._child, sig)
+        monkeypatch.setattr(analyzer.SpectrumProgression, "add", add_then_signal)
+    return patch
+
+
 @needs_helper
 @pytest.mark.parametrize("patch", [
     no_fork,
+    no_shared_mapping,
     lambda monkeypatch: helper_acting_at(monkeypatch, 0, "kill"),
     lambda monkeypatch: helper_acting_at(monkeypatch, 3, "kill"),
     lambda monkeypatch: helper_acting_at(monkeypatch, 3, "tear"),
     lambda monkeypatch: helper_acting_at(monkeypatch, 3, "stop"),
-], ids=["fork_failed", "helper_killed_at_its_first_row", "helper_killed_after_some_rows",
-        "helper_torn_row", "helper_stopped"])
+    helper_signalled_in_training(signal.SIGKILL),
+    helper_signalled_in_training(signal.SIGSTOP),
+], ids=["fork_failed", "no_shared_mapping", "helper_killed_at_its_first_row",
+        "helper_killed_after_some_rows", "helper_torn_row", "helper_stopped",
+        "helper_killed_in_training", "helper_stopped_in_training"])
 def test_the_spectrum_helper_is_only_a_speed_up(tmp_path, monkeypatch, patch):
-    # the fork fails, or the helper, counting 40 rows from the last one
-    # down, ends or stops after writing 0 or 3 of them: the run counts the
-    # rest in process, without waiting for it, and writes the same bytes. A
-    # run that waits is failed by the alarm, after 5 s
+    # the fork fails, or the stack cannot be shared (numpy allocates it, and
+    # no helper runs), or the helper, counting 40 rows from epoch 0 up, ends
+    # or stops after writing 0 or 3 of them, or is killed or stopped while
+    # the model trains: the run counts the rest in process, without waiting
+    # for it, and writes the same bytes. A run that waits is failed by the
+    # alarm, after 5 s
     with monkeypatch.context() as in_process:
         in_process.setattr(analyzer, "_helper_can_run", lambda: False)
         assert run(small_run_config(tmp_path / "inprocess", algorithm="centralized_analyze",
                                     rounds=40)) == 0
     patch(monkeypatch)
-    handler = signal.signal(signal.SIGALRM,
-                            lambda *_: pytest.fail("the run waited for the helper"))
-    signal.alarm(5)
-    try:
+    with alarm(5, "the run waited for the helper"):
         assert run(small_run_config(tmp_path / "helped", algorithm="centralized_analyze",
                                     rounds=40)) == 0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
     assert_no_child()
     for name in ANALYZER_OUTPUTS:
         got = (tmp_path / "helped" / "out" / name).read_bytes()
@@ -738,8 +760,8 @@ def children_file(pid):
 @pytest.mark.skipif(not children_file(os.getpid()).exists(),
                     reason="no /proc/<pid>/task/<pid>/children to find the helper by")
 def test_a_killed_run_leaves_no_spectrum_helper(tmp_path):
-    # the helper forks after 600 training epochs, then counts for seconds:
-    # the run lasts far longer than the test waits once the helper is found
+    # the helper forks before the first of 600 training epochs, and the run
+    # lasts seconds: far longer than the test waits once the helper is found
     argv = [sys.executable, "-m", "fedlbg", "run", str(CONFIGS / "analyze.cfg"),
             "--out", str(tmp_path / "out"), "--override", "train.rounds=600"]
     parent = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
