@@ -2,12 +2,13 @@
 
 Records one accumulated gradient per epoch, then asks how many principal
 directions carry a target fraction of the stacked gradients' singular-value
-mass (95% / 99%), recovers those principal gradient directions, and builds
-the overlap and pairwise-similarity heatmap matrices.
+mass (95% / 99%), for every prefix of the stack, recovers those principal
+gradient directions, and builds the overlap and pairwise-similarity heatmap
+matrices.
 
-The mass fraction is counted on raw singular values by default; the
-classical squared (explained-variance) convention is available via the
-``squared`` flag and generally reports fewer components.
+The mass fraction is counted on raw singular values. The classical squared
+(explained-variance) convention generally reports fewer components; the
+tests count it with an independent SVD oracle, not with this module.
 """
 
 import logging
@@ -33,59 +34,53 @@ def _zero_below(s: np.ndarray, tol: float) -> np.ndarray:
     return s
 
 
-def _singular_values(stack: np.ndarray, gram=None) -> np.ndarray:
+def _singular_values(stack: np.ndarray, gram) -> np.ndarray:
     """Descending singular values, sub-noise trailing values zeroed.
 
-    For wide stacks (M > T) the spectrum comes from the T x T Gram matrix,
-    which callers that maintain it pass in; this is much cheaper than a
-    direct SVD and yields the same spectrum. Gram eigenvalues carry machine
-    noise on the squared scale, so that route's rank cutoff is
-    sqrt(eps)-relative rather than eps-relative.
+    A wide stack (M > T) takes its spectrum from `gram`, its T x T Gram
+    matrix, which callers form anyway; this is much cheaper than a direct
+    SVD and yields the same spectrum. Gram eigenvalues carry machine noise
+    on the squared scale, so that route's rank cutoff is sqrt(eps)-relative
+    rather than eps-relative. A tall stack takes a direct SVD, and `gram`
+    is not read.
     """
     t, m = stack.shape
     eps = max(t, m) * np.finfo(np.float64).eps
     if m > t:
-        w = np.linalg.eigvalsh(stack @ stack.T if gram is None else gram)
+        w = np.linalg.eigvalsh(gram)
         return _zero_below(np.sqrt(np.clip(w[::-1], 0.0, None)), math.sqrt(eps))
     return _zero_below(np.linalg.svd(stack, compute_uv=False), eps)
 
 
-def _count_for_mass(s: np.ndarray, variance: float, squared: bool) -> int:
-    vals = s**2 if squared else s
-    total = vals.sum()
+def _count_for_mass(s: np.ndarray, variance: float) -> int:
+    total = s.sum()
     if total == 0.0:
         return 0
-    cum = np.cumsum(vals)
+    cum = np.cumsum(s)
     # tiny relative slack so exact-tie fixtures are not lost to rounding
     threshold = variance * total - 1e-12 * total
     return int(np.searchsorted(cum, threshold, side="left")) + 1
 
 
-def n_pca(grads: np.ndarray, variance: float, squared: bool = False) -> int:
-    """Smallest component count reaching the target singular-value mass of
-    a (T, M) gradient stack."""
-    return _count_for_mass(_singular_values(grads), variance, squared)
-
-
-def pgd(grads: np.ndarray, variance: float, squared: bool = False) -> list:
-    """Principal gradient directions of a (T, M) gradient stack: leading
-    unit right-singular vectors.
+def pgd(grads: np.ndarray, variance: float) -> list:
+    """Principal gradient directions of a (T, M) gradient stack: as many
+    leading unit right-singular vectors as carry the fraction `variance` of
+    its singular-value mass.
 
     Sign convention: the first nonzero coordinate of each direction is
     positive, so repeated analyses agree bit for bit. A wide stack's Gram
     matrix is formed once, for both the count and the directions.
     """
     t, m = grads.shape
+    gram = grads @ grads.T if m > t else None
+    count = _count_for_mass(_singular_values(grads, gram), variance)
     if m > t:
-        gram = grads @ grads.T
-        count = _count_for_mass(_singular_values(grads, gram), variance, squared)
         w, u = np.linalg.eigh(gram)
         order = np.argsort(w)[::-1]
         w = np.clip(w[order], 0.0, None)
         u = u[:, order]
         dirs = [grads.T @ u[:, i] / math.sqrt(w[i]) for i in range(count)]
     else:
-        count = n_pca(grads, variance, squared)
         _, _, vt = np.linalg.svd(grads, full_matrices=False)
         dirs = [vt[i].copy() for i in range(count)]
     for d in dirs:
@@ -126,7 +121,7 @@ def _progression_row(grads: np.ndarray, gram: np.ndarray, epoch: int) -> tuple:
     on its singular values."""
     t = epoch + 1
     s = _singular_values(grads[:t], gram[:t, :t])
-    return epoch, _count_for_mass(s, 0.95, False), _count_for_mass(s, 0.99, False)
+    return epoch, _count_for_mass(s, 0.95), _count_for_mass(s, 0.99)
 
 
 def _helper_can_run() -> bool:
@@ -169,23 +164,22 @@ class SpectrumProgression:
     matrix filled one epoch at a time: `add(epoch)` once that epoch's
     gradient is stored in `grads`, `rows()` once all are.
 
-    The stack and Gram matrix share one anonymous shared mapping. Where it
-    can be made, the platform can fork and the process may use two CPUs or
-    more, `start()`, called before the first `add`, forks one helper, pid
-    `_child`, that sees each epoch as it is stored. `add` announces each
-    epoch on a feed pipe, without waiting: a count the full pipe cannot
-    take is dropped, and a later one replaces it; after the last epoch the
-    feed is closed, and its end of file tells the helper every epoch is
-    ready. The helper counts each announced row from epoch 0 up, writes
-    each to a second pipe as it goes, and leaves by os._exit, so none of
-    the caller's code or atexit handlers runs in it: 0 once it has counted
-    every row or found its parent gone, else 1. `rows()` counts from the
+    Use it as a context manager, entered before the first `add`. The stack
+    and Gram matrix share one anonymous shared mapping. Where it can be
+    made, the platform can fork and the process may use two CPUs or more,
+    entering forks one helper, pid `_child`, that sees each epoch as it is
+    stored. `add` announces each epoch on a feed pipe, without waiting: a
+    count the full pipe cannot take is dropped, and a later one replaces
+    it; after the last epoch the feed is closed, and its end of file tells
+    the helper every epoch is ready. The helper counts each announced row
+    from epoch 0 up, writes each to a second pipe as it goes, and leaves by
+    os._exit, so none of the caller's code or atexit handlers runs in it: 0
+    once it has counted every row or found its parent gone, else 1. `rows()` counts from the
     last epoch down, in process, until it reaches the rows the helper has
     written, taking what the pipe holds without waiting; so it never waits
     for the helper, and a helper that dies or stops costs only speed.
-    Without a helper (one CPU, no mapping, a failed fork, or no `start()`)
-    it counts every row. Use it as a context manager, which stops and
-    reaps the helper.
+    Without a helper (one CPU, no mapping, a failed fork, or never entered)
+    it counts every row. Leaving the context stops and reaps the helper.
     """
 
     def __init__(self, epochs: int, m: int):
@@ -223,11 +217,11 @@ class SpectrumProgression:
         except (BlockingIOError, BrokenPipeError):  # a full pipe, or the helper gone
             pass
 
-    def start(self):
+    def __enter__(self):
         """Fork the helper, where one can run, to count each epoch's row once
         `add` has announced it."""
         if not (self._shared and _helper_can_run()):
-            return
+            return self
         feed_read, feed_write = os.pipe()
         read_end, write_end = os.pipe()
         parent = os.getpid()
@@ -236,7 +230,7 @@ class SpectrumProgression:
         except OSError:  # no fork (EAGAIN, ENOMEM); the helper is only a speed-up
             for fd in (feed_read, feed_write, read_end, write_end):
                 os.close(fd)
-            return
+            return self
         if pid == 0:  # the helper
             try:
                 os.close(feed_write)
@@ -251,6 +245,7 @@ class SpectrumProgression:
         os.set_blocking(read_end, False)
         self._child, self._feed = pid, feed_write
         self._pipe = open(read_end, "rb", buffering=0)
+        return self
 
     def _receive(self) -> list:
         """The helper's rows so far, from epoch 0 up: takes every whole
@@ -295,9 +290,6 @@ class SpectrumProgression:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
-    def __enter__(self):
-        return self
-
     def __exit__(self, *exc):
         self.close()
 
@@ -334,7 +326,6 @@ def analyze(model: Model, dataset: Dataset, epochs: int, eta: float, batch_size:
     from the last epoch down once they are, and the helper stops before
     this returns."""
     with SpectrumProgression(epochs, model.param_dim) as progression:
-        progression.start()
         grads = record_centralized(model, dataset, progression, eta, batch_size, rng)
         overlap = overlap_matrix(grads, pgd(grads, 0.99))
         similarity = similarity_matrix(grads)

@@ -193,10 +193,6 @@ class CommLedger:
     def cum_floats(self) -> float:
         return self._cum_floats
 
-    @property
-    def cum_bits(self) -> float:
-        return lbgm.FLOAT_BITS * self._cum_floats
-
     def csv_lines(self):
         return csv_text(((rnd, worker, floats, lbgm.FLOAT_BITS * floats)
                          for rnd, worker, floats in self.rows), LEDGER_HEADER)

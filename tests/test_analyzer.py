@@ -15,7 +15,6 @@ import pytest
 from fedlbg import analyzer
 from fedlbg.analyzer import (
     SpectrumProgression,
-    n_pca,
     overlap_matrix,
     pgd,
     record_centralized,
@@ -24,17 +23,25 @@ from fedlbg.analyzer import (
 from fedlbg.data import synth_classification
 from fedlbg.models import build_model
 from fedlbg.numerics import rng_stream
+from spectrum_oracle import counts, prefix_rows
 from support import alarm, helper_acting_at, needs_helper, package_env, process_state
 
 
-def test_n_pca_identical_gradients_is_one():
+def assert_oracle_rows(rows, grads):
+    """`rows` are the oracle's (epoch, n95, n99) of every prefix of `grads`;
+    a failure states the smallest margin, so that a near-tie reads as one."""
+    expected, margin = prefix_rows(grads)
+    assert rows == expected, f"smallest margin {margin:.2e} of a cumulative mass from a target"
+
+
+def test_pgd_of_identical_gradients_keeps_one():
     g = np.array([1.0, -2.0, 0.5])
     grads = np.stack([g.copy() for _ in range(15)])
     for variance in (0.5, 0.95, 0.99, 1.0):
-        assert n_pca(grads, variance) == 1
+        assert len(pgd(grads, variance)) == 1
 
 
-def test_n_pca_orthogonal_equal_norm_oracle():
+def test_pgd_orthogonal_equal_norm_oracle():
     # 20 orthonormal gradients: equal singular values, brute-force cumulative
     # count gives ceil(0.95 * 20) = 19
     grads = np.stack([np.eye(20)[i] * 3.0 for i in range(20)])
@@ -42,41 +49,50 @@ def test_n_pca_orthogonal_equal_norm_oracle():
     cum = np.cumsum(s) / s.sum()
     brute = int(np.argmax(cum >= 0.95)) + 1
     assert brute == 19
-    assert n_pca(grads, 0.95) == 19
-    assert n_pca(grads, 1.0) == 20
+    assert len(pgd(grads, 0.95)) == 19
+    assert len(pgd(grads, 1.0)) == 20
 
 
-def test_n_pca_variance_one_is_numerical_rank():
+def test_pgd_variance_one_is_numerical_rank():
     rng = rng_stream(30, 0)
     basis = rng.standard_normal((3, 50))
     coeffs = rng.standard_normal((8, 3))
     grads = coeffs @ basis
-    assert n_pca(grads, 1.0) == 3
+    assert len(pgd(grads, 1.0)) == 3
 
 
-def test_n_pca_all_zero_log():
+def test_pgd_of_all_zero_gradients_is_empty():
     grads = np.stack([np.zeros(5), np.zeros(5)])
-    assert n_pca(grads, 0.99) == 0
+    assert pgd(grads, 0.99) == []
 
 
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])  # wide (Gram) and tall (SVD) routes
-def test_pgd_keeps_n_pca_directions(shape):
-    grads = rng_stream(32, 0).standard_normal(shape)
-    for variance in (0.5, 0.95, 1.0):
-        assert len(pgd(grads, variance)) == n_pca(grads, variance)
-        assert len(pgd(grads, variance, squared=True)) == n_pca(grads, variance, squared=True)
+def test_pgd_keeps_the_oracles_count_of_directions(shape):
+    # columns scaled by powers of 1/2: a decaying spectrum, so each count
+    # depends on the order and the scale of the singular values
+    grads = rng_stream(32, 0).standard_normal(shape) * 0.5 ** np.arange(shape[1])
+    (n95, n99), margin = counts(grads)
+    assert (len(pgd(grads, 0.95)), len(pgd(grads, 0.99))) == (n95, n99), (
+        f"smallest margin {margin:.2e} of a cumulative mass from a target")
 
 
-def test_n_pca_ordering_invariant():
+def test_pgd_ordering_invariant():
     rng = rng_stream(31, 0)
     grads = rng.standard_normal((12, 40))
-    assert n_pca(grads, 0.95) <= n_pca(grads, 0.99) <= min(12, 40)
+    assert len(pgd(grads, 0.95)) <= len(pgd(grads, 0.99)) <= min(12, 40)
 
 
-def test_n_pca_squared_counts_fewer():
-    rng = rng_stream(32, 0)
-    grads = rng.standard_normal((15, 60))
-    assert n_pca(grads, 0.95, squared=True) <= n_pca(grads, 0.95)
+def test_a_mass_that_meets_its_target_exactly_stops_the_count():
+    # 0.95 of the total is exactly the first value, to the last bit: the
+    # count stops there, rather than taking the next value too
+    s = np.array([1.0, 0.052631578948476476])
+    assert 0.95 * s.sum() - 1e-12 * s.sum() == s[0]
+    assert analyzer._count_for_mass(s, 0.95) == 1
+
+
+def test_a_singular_value_exactly_at_the_cutoff_is_kept():
+    # only a value strictly below the cutoff is noise
+    assert analyzer._zero_below(np.array([1.0, 1e-8]), 1e-8).tolist() == [1.0, 1e-8]
 
 
 def test_pgd_single_gradient():
@@ -172,7 +188,6 @@ def record_fixture(epochs):
     ds = synth_classification(120, 6, 4, 5.0, rng_stream(36, 1))
     model = build_model("mlp1h", 6, 4, 8)
     with SpectrumProgression(epochs, model.param_dim) as progression:
-        progression.start()
         record_centralized(model, ds, progression, 0.1, 16, rng_stream(36, 0))
         yield progression
 
@@ -241,8 +256,7 @@ def test_forked_and_in_process_drivers_agree(monkeypatch, epochs, written):
             rows = forked.rows()
     assert counted == list(reversed(range(record, epochs)))
     assert rows == expected
-    assert rows == [(t, n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
-                    for t in range(epochs)]
+    assert_oracle_rows(rows, grads)
 
 
 def dropping_counts(monkeypatch, dropped):
@@ -275,8 +289,7 @@ def test_a_dropped_count_only_delays_the_helper(monkeypatch, dropped):
             rows = forked.rows()
         grads = forked.grads
     assert rows == expected
-    assert rows == [(t, n_pca(grads[: t + 1], 0.95), n_pca(grads[: t + 1], 0.99))
-                    for t in range(40)]
+    assert_oracle_rows(rows, grads)
 
 
 @needs_helper
@@ -341,7 +354,6 @@ def test_a_progression_closes_every_descriptor_it_opens(epochs_added):
     # leave it to close()
     before = open_descriptors()
     with SpectrumProgression(40, 10) as progression:
-        progression.start()
         progression.grads[:] = rng_stream(37, 0).standard_normal((40, 10))
         for epoch in range(epochs_added):
             progression.add(epoch)
@@ -355,13 +367,12 @@ import time
 import numpy as np
 from fedlbg.analyzer import SpectrumProgression
 
-progression = SpectrumProgression(600, 1000)
-progression.start()
-progression.grads[:] = np.random.default_rng(0).standard_normal((600, 1000))
-for epoch in range(600):
-    progression.add(epoch)
-print(progression._child, flush=True)
-time.sleep(60)
+with SpectrumProgression(600, 1000) as progression:
+    progression.grads[:] = np.random.default_rng(0).standard_normal((600, 1000))
+    for epoch in range(600):
+        progression.add(epoch)
+    print(progression._child, flush=True)
+    time.sleep(60)
 """
 
 
@@ -406,18 +417,17 @@ def test_zero_epochs_start_no_helper():
     assert progression.grads.shape == (0, 92) and progression.gram.shape == (0, 0)
 
 
-def test_n_pca_of_each_prefix_of_collinear_gradients_is_one():
-    # scaled copies of a single direction: every prefix, any variance
+def test_pgd_of_each_prefix_of_collinear_gradients_keeps_one():
+    # scaled copies of a single direction: every prefix, wide and tall
     v = np.array([0.6, -0.8, 0.0])
     grads = np.stack([c * v for c in (1.0, 0.5, 0.25, 0.125)])
     for t in range(1, 5):
-        assert n_pca(grads[:t], 0.99) == 1
+        assert len(pgd(grads[:t], 0.99)) == 1
 
 
 def test_an_empty_stack_has_no_directions_and_empty_matrices():
     # the stack of a zero-epoch run
     empty = np.zeros((0, 4))
-    assert n_pca(empty, 0.99) == 0
     assert pgd(empty, 0.99) == []
     assert overlap_matrix(empty, []).shape == (0, 0)
     assert similarity_matrix(empty).shape == (0, 0)

@@ -17,7 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedlbg import harness
+from fedlbg import analyzer, harness
+from spectrum_oracle import prefix_rows
 from support import ANALYZER_OUTPUTS, CONFIGS, write_idx_pair
 
 FL_FILES = ("metrics.csv", "ledger.csv")
@@ -134,6 +135,25 @@ def run_case(name, out_dir) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["analyze_40", "analyze_tall"])
+def test_npca_rows_equal_a_direct_svd_of_each_prefix(name, tmp_path, monkeypatch):
+    # npca.csv as written, against the spectrum oracle on the run's own
+    # gradient stack, which shares no code with the analyzer
+    record, stacks = analyzer.record_centralized, []
+
+    def record_and_keep(*args):
+        grads = record(*args)
+        stacks.append(grads.copy())
+        return grads
+    monkeypatch.setattr(analyzer, "record_centralized", record_and_keep)
+    run_case(name, tmp_path)
+    lines = (tmp_path / "npca.csv").read_text().splitlines()
+    assert lines[0] == "epoch,n95,n99"
+    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    expected, margin = prefix_rows(stacks[0])
+    assert rows == expected, f"smallest margin {margin:.2e} of a cumulative mass from a target"
 
 
 IDX_DIGESTS = {
