@@ -374,33 +374,27 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
                 participants = list(range(k_total))
                 eta_round = rc.eta
 
-            g_tilde = {}
-            sent = []  # floats per participant, ledgered once the round completes
-            n_scalar = 0
-            proxy = 0.0
+            uplinks = []  # (worker, message, drift proxy term), in participant order
             for k in participants:
                 worker = setup.workers[k]
                 g, _ = local_round(worker, server.theta_global, rc, model, setup.train_ds)
                 msg, sin2 = policy.process(worker, g)
-                sent.append(msg.cost_floats)
-                if msg.tag == lbgm.TAG_SCALAR:
-                    n_scalar += 1
-                proxy = max(proxy, norm_sq(g) / (rc.tau * rc.tau) * sin2)
-                g_tilde[k] = lbgm.reconstruct(server, k, msg)
+                uplinks.append((k, msg, norm_sq(g) / (rc.tau * rc.tau) * sin2))
             k = None
 
+            g_tilde = {w: lbgm.reconstruct(server, w, msg) for w, msg, _ in uplinks}
             aggregate(server, g_tilde, setup.weights, eta_round, transform=policy.server_transform)
             train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
-            for worker_id, floats in zip(participants, sent):
-                ledger.append(t, worker_id, floats)
+            for w, msg, _ in uplinks:
+                ledger.append(t, w, msg.cost_floats)
             metrics.rows.append(
                 MetricsRow(
                     t,
                     train_loss,
                     test_metric,
                     ledger.cum_floats,
-                    n_scalar / len(participants),
-                    proxy,
+                    sum(msg.tag == lbgm.TAG_SCALAR for _, msg, _ in uplinks) / len(uplinks),
+                    max([0.0] + [proxy for _, _, proxy in uplinks]),
                 )
             )
     except (FloatingPointError, np.linalg.LinAlgError) as exc:

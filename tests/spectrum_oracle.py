@@ -46,3 +46,20 @@ def prefix_rows(stack: np.ndarray, squared: bool = False) -> tuple:
         rows.append((t - 1, *found))
         margin = min(margin, prefix_margin)
     return rows, margin
+
+
+def directions(stack: np.ndarray, count: int) -> tuple:
+    """(vectors, values, tolerances): the `count` leading right singular
+    vectors of a stack, as the rows of a (count, M) array, with signs as the
+    SVD gives them; their singular values; and for each the distance within
+    which a backward-stable route, such as an SVD of the stack itself,
+    agrees with it up to sign. By Davis-Kahan that is max(T, M) * eps times
+    the largest singular value, over the gap between its singular value and
+    the nearest other one (0 past the last). A route through the Gram
+    matrix, stack @ stack.T, is not backward stable with respect to the
+    stack: its error in vector i may be larger by a further s1 / s_i."""
+    t, m = stack.shape
+    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    padded = np.concatenate([[np.inf], s, [0.0]])
+    gaps = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])[:count]
+    return vt[:count], s[:count], max(t, m) * np.finfo(np.float64).eps * s[0] / gaps

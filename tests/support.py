@@ -34,6 +34,29 @@ def federated_config(algorithm, **kw):
     return ExperimentConfig(algorithm=algorithm, **cfg)
 
 
+def npca_and_stack(config, out_dir, *overrides):
+    """Run an analyzer config into out_dir with the given overrides and
+    return (npca.csv's rows as (epoch, n95, n99) tuples, the gradient stack
+    the run recorded)."""
+    record, stacks = analyzer.record_centralized, []
+
+    def record_and_keep(*args):
+        grads = record(*args)
+        stacks.append(grads.copy())
+        return grads
+    argv = ["run", str(config), "--out", str(out_dir)]
+    for item in overrides:
+        argv += ["--override", item]
+    analyzer.record_centralized = record_and_keep
+    try:
+        assert harness.main(argv) == 0, f"the run of {' '.join(argv)} failed"
+    finally:
+        analyzer.record_centralized = record
+    lines = (Path(out_dir) / "npca.csv").read_text().splitlines()
+    assert lines[0] == "epoch,n95,n99"
+    return [tuple(map(int, line.split(","))) for line in lines[1:]], stacks[0]
+
+
 def vec(*values):
     return np.asarray(values, dtype=np.float64)
 

@@ -7,6 +7,7 @@ module-level cache.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from fedlbg.numerics import dot, norm_sq, rng_stream
 from gradcheck import fd_check
 from ledger_oracle import ledger_cost
 from spectrum_oracle import prefix_rows
+from support import CONFIGS
 
 _cache = {}
 
@@ -78,8 +80,9 @@ def test_c02_vanilla_recovery_delta_zero(tmp_path):
     same = (tmp_path / "v/metrics.csv").read_bytes() == (tmp_path / "l/metrics.csv").read_bytes()
     elapsed = time.monotonic() - start
     ok = same and elapsed < 60.0
-    _report(2, ok, f"delta=0 metrics CSV byte-identical to vanilla ({elapsed:.1f}s; "
-                   "holds while no gradient is collinear with its LBG to rounding)")
+    _report(2, ok, f"delta=0 metrics CSV byte-identical to vanilla ({elapsed:.1f}s); "
+                   "the identity holds only while no gradient is collinear with its LBG "
+                   "to rounding, as on this config")
 
 
 def test_c03_centralized_recovery():
@@ -326,3 +329,35 @@ def test_c12_ledger_exactness():
     _report(12, ok,
             f"vanilla ledger == K*M*T ({10 * m * 6} floats): {kmt_ok}; "
             f"per-message cost audit across 5 policies: {audit_ok}")
+
+
+def test_c13_tradeoff_against_the_least_squares_optimum():
+    # linear regression on one-hot targets is least squares, so F* has a
+    # closed form: lstsq on the training inputs with a bias column
+    start = time.monotonic()
+    deltas = (0.01, 0.05, 0.2, 0.5)
+    base = harness.parse_config((CONFIGS / "lbgm_noniid.cfg").read_text(), [
+        (item, item) for item in
+        ("model.kind=linear_regression", "train.batch_size=0", "train.eta=0.2", "train.rounds=200")
+    ])
+    ok, details = True, []
+    for seed in (3, 1000):
+        cfg = replace(base, seed=seed)
+        ds = build_experiment(cfg).train_ds
+        a = np.hstack([ds.inputs, np.ones((ds.n, 1))])
+        w, *_ = np.linalg.lstsq(a, ds.labels, rcond=None)
+        f_star = 0.5 * float(np.mean(np.sum((a @ w - ds.labels) ** 2, axis=1)))
+        vanilla = simulate(replace(cfg, algorithm="vanilla")).metrics.final()
+        gated = [simulate(replace(cfg, delta=d)).metrics.final() for d in deltas]
+        gaps = [r.train_loss - f_star for r in gated]
+        shares = [r.cum_floats / vanilla.cum_floats for r in gated]
+        ok = (ok and vanilla.train_loss - f_star < 1e-9
+              and all(lo < hi for lo, hi in zip(gaps[:-1], gaps[1:]))
+              and all(lo > hi for lo, hi in zip(shares[:-1], shares[1:])))
+        details.append(f"seed {seed}: vanilla gap {vanilla.train_loss - f_star:.1e} (<1e-9), "
+                       f"gaps {[f'{g:.1e}' for g in gaps]}, "
+                       f"floats shares {[f'{s:.3f}' for s in shares]}")
+    elapsed = time.monotonic() - start
+    _report(13, ok,
+            f"convex full-shard GD against F* at delta {list(deltas)}: the gap rises and "
+            f"the floats share falls strictly with delta; {'; '.join(details)} ({elapsed:.1f}s)")

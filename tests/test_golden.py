@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from fedlbg import analyzer, harness
-from spectrum_oracle import prefix_rows
-from support import ANALYZER_OUTPUTS, CONFIGS, write_idx_pair
+from spectrum_oracle import counts, directions, prefix_rows
+from support import ANALYZER_OUTPUTS, CONFIGS, npca_and_stack, write_idx_pair
 
 FL_FILES = ("metrics.csv", "ledger.csv")
 
@@ -137,23 +137,47 @@ def test_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["analyze_40", "analyze_tall"])
-def test_npca_rows_equal_a_direct_svd_of_each_prefix(name, tmp_path, monkeypatch):
-    # npca.csv as written, against the spectrum oracle on the run's own
-    # gradient stack, which shares no code with the analyzer
-    record, stacks = analyzer.record_centralized, []
+# npca.csv, pgd and overlap.csv as written, against the spectrum oracle on
+# the run's own gradient stack, which shares no code with the analyzer
 
-    def record_and_keep(*args):
-        grads = record(*args)
-        stacks.append(grads.copy())
-        return grads
-    monkeypatch.setattr(analyzer, "record_centralized", record_and_keep)
-    run_case(name, tmp_path)
-    lines = (tmp_path / "npca.csv").read_text().splitlines()
-    assert lines[0] == "epoch,n95,n99"
-    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
-    expected, margin = prefix_rows(stacks[0])
+def run_analyzer_case(name, out_dir):
+    """Run an analyzer case into out_dir, as run_case does, and return
+    (npca.csv's rows, the run's gradient stack)."""
+    config, overrides = CASES[name]
+    return npca_and_stack(CONFIGS / config, out_dir, "train.rounds=5", *overrides)
+
+
+@pytest.mark.parametrize("name", ["analyze_40", "analyze_tall"])
+def test_npca_rows_equal_a_direct_svd_of_each_prefix(name, tmp_path):
+    rows, stack = run_analyzer_case(name, tmp_path)
+    expected, margin = prefix_rows(stack)
     assert rows == expected, f"smallest margin {margin:.2e} of a cumulative mass from a target"
+
+
+@pytest.mark.parametrize("name", ["analyze_40", "analyze_tall"])
+def test_pgd_and_overlap_equal_the_direct_svds_directions(name, tmp_path):
+    _, stack = run_analyzer_case(name, tmp_path)
+    (_, n99), _ = counts(stack)
+    dirs = np.array(analyzer.pgd(stack, 0.99))
+    vectors, values, tolerances = directions(stack, n99)
+    assert dirs.shape == vectors.shape
+    if stack.shape[1] > stack.shape[0]:
+        # pgd takes a wide stack's directions from its Gram matrix; on
+        # analyze_40 the worst error was 0.094 of the bound without this
+        # factor and 0.0027 with it (analyze_tall's SVD route matched exactly)
+        tolerances = tolerances * values[0] / values
+    # up to sign: each oracle vector takes the sign of pgd's direction
+    vectors *= np.sign(np.sum(dirs * vectors, axis=1))[:, None]
+    errors = np.linalg.norm(dirs - vectors, axis=1)
+    assert (errors <= tolerances).all(), f"worst error / tolerance {(errors / tolerances).max():.2e}"
+    # a unit direction d within e of v moves a cosine with it by at most e,
+    # beyond the rounding of the cosines themselves
+    overlap = np.loadtxt(tmp_path / "overlap.csv", delimiter=",", ndmin=2)
+    unit_rows = stack / np.linalg.norm(stack, axis=1, keepdims=True)
+    rebuilt = unit_rows @ vectors.T
+    slack = tolerances + stack.shape[1] * np.finfo(np.float64).eps
+    assert (np.abs(overlap - rebuilt) <= slack).all(), (
+        f"worst overlap error / tolerance {(np.abs(overlap - rebuilt) / slack).max():.2e}")
 
 
 IDX_DIGESTS = {
