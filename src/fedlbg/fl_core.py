@@ -3,10 +3,12 @@ aggregation, and the shared round engine every algorithm runs on.
 
 Workers transmit accumulated gradients (the plain sum of their tau
 minibatch gradients); the server applies
-theta <- theta - eta * sum_k omega_k * g_k. Uplink policies decide what
-each worker actually puts on the wire, which is the single point where
-vanilla FL, look-back recycling, and the compressor stacks differ; the
-server turns every message back into a gradient with lbgm.reconstruct.
+theta <- theta - eta * K / m * sum_k omega_k * g_k over the m of K workers
+sampled that round (all K at the default fraction 1.0), omega_k being
+worker k's share of the training samples. Uplink policies decide what each
+worker actually puts on the wire, which is the single point where vanilla
+FL, look-back recycling, and the compressor stacks differ; the server
+turns every message back into a gradient with lbgm.reconstruct.
 
 `csv_text` formats the lines of every output CSV. The metrics table and the
 ledger give theirs lazily (`csv_lines`), for the harness to write line by
@@ -339,21 +341,25 @@ def evaluate(model: Model, theta: ParamVector, train_ds: Dataset, test_ds: Datas
 # Round engine
 # ---------------------------------------------------------------------------
 
-def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> RunResult:
+def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=1.0) -> RunResult:
     """Run T federated rounds of a built experiment with an uplink policy.
 
-    With a sample fraction in (0, 1], each round draws ceil(fraction * K)
-    workers without replacement from the server stream and scales the
-    update by 1/|sampled| while keeping the original data weights; the LBGs
-    of unsampled workers stay stale on both sides. A non-finite value, or a
-    LinAlgError from a compressor's decomposition, raises Diverged, carrying
-    the rounds completed before it.
+    Each round draws m = ceil(fraction * K) workers without replacement from
+    the server stream, and the server steps by eta * K / m on their
+    data-weighted sum, so a round's expected step is the full one; at the
+    default fraction 1.0 every worker takes part and the step is eta. The
+    data weights stay those of all K workers, and the LBGs of unsampled
+    workers stay stale on both sides. A non-finite value, or a LinAlgError
+    from a compressor's decomposition, raises Diverged, carrying the rounds
+    completed before it.
     """
-    if sample_fraction is not None and not 0.0 < sample_fraction <= 1.0:
+    if not 0.0 < sample_fraction <= 1.0:
         raise ValueError(f"sample fraction {sample_fraction} not in (0, 1]")
     model, rc = setup.model, setup.round_config
     server = setup.server
     k_total = len(setup.workers)
+    m = math.ceil(sample_fraction * k_total)
+    eta_round = rc.eta * (k_total / m)  # exactly rc.eta at m = K
 
     ledger = CommLedger()
     metrics = MetricsTable()
@@ -364,16 +370,7 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=None) -> Run
         metrics.rows.append(MetricsRow(0, train_loss, test_metric, 0.0, 0.0, 0.0))
 
         for t in range(1, setup.rounds + 1):
-            if sample_fraction is not None:
-                m = math.ceil(sample_fraction * k_total)
-                participants = sorted(
-                    int(i) for i in setup.server_rng.choice(k_total, size=m, replace=False)
-                )
-                eta_round = rc.eta / m
-            else:
-                participants = list(range(k_total))
-                eta_round = rc.eta
-
+            participants = sorted(setup.server_rng.choice(k_total, size=m, replace=False).tolist())
             uplinks = []  # (worker, message, drift proxy term), in participant order
             for k in participants:
                 worker = setup.workers[k]

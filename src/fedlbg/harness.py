@@ -258,7 +258,7 @@ def simulate(cfg: ExperimentConfig) -> fl_core.RunResult:
     Errors found while building raise ConfigError."""
     with _building():
         setup = fl_core.build_experiment(cfg)
-    fraction = cfg.sample_fraction if cfg.algorithm == "lbgm_sampled" else None
+    fraction = cfg.sample_fraction if cfg.algorithm == "lbgm_sampled" else 1.0
     return fl_core.run_with_policy(setup, policy_for(cfg, setup.model), fraction)
 
 

@@ -16,6 +16,14 @@ theta <- theta - eta * sum. The ledger counts one float per scalar and M
 per gradient. Each round is scored by the training loss and, on the test
 set, by the accuracy of a classifier or the loss of a regression.
 
+With device sampling at a fraction f, each round the server first draws
+m = ceil(f * K) of the K workers from its own stream, as
+sorted(Generator.choice(K, m, replace=False)); only they run their local
+steps and send, and the server steps by eta * K / m on their weighted sum,
+the weights still each worker's share of all the samples. A worker left
+out draws no batch and keeps its look-back gradient on both sides. At
+f = 1 every worker is drawn and the step is eta.
+
 The compressed stacks compress g first, and the worker sends, and gates
 on, that densified vector in place of g. Rank r: each weight matrix becomes
 its best rank-r approximation, truncated from its SVD, and each block with
@@ -32,10 +40,11 @@ sum, sign(0) = +1 again, in place of the sum.
 Samples are summed in the order the batch holds them, not in a canonical
 order, so the trajectory agrees with fedlbg's to rounding only. The
 reference shares only inputs with fedlbg: the model's kind and layer
-shapes, the datasets, the partition, the initial model, and each worker's
+shapes, the datasets, the partition, the initial model, each worker's
 random stream, from which it draws the batch indices as documented (one
 permutation of the shard per pass over it, consumed in batch-size slices,
-the last one shorter).
+the last one shorter), and the server's stream, from which it draws each
+round's workers.
 """
 
 import math
@@ -102,14 +111,15 @@ def one_pass(shards, batch_size) -> int:
     return 1 if batch_size <= 0 else max(1, math.ceil(longest / batch_size))
 
 
-def simulate(train, test, shards, rngs, theta0, model, eta, batch_size, tau, rounds,
-             delta=None, compress=None, error_feedback=False, majority=False):
+def simulate(train, test, shards, rngs, server_rng, fraction, theta0, model, eta,
+             batch_size, tau, rounds, delta=None, compress=None, error_feedback=False,
+             majority=False):
     """Run `rounds` rounds of vanilla FL (delta None) or LBGM (delta set),
-    each worker taking `tau` local steps a round, on raw gradients
-    (compress None) or on compress(g), which returns (dense, floats): the
-    densified payload and its cost. With error feedback, compress sees g
-    plus the worker's residual; with majority, the server steps by the
-    sign of the weighted sum.
+    each worker drawn from server_rng at `fraction` taking `tau` local
+    steps a round, on raw gradients (compress None) or on compress(g),
+    which returns (dense, floats): the densified payload and its cost. With
+    error feedback, compress sees g plus the worker's residual; with
+    majority, the server steps by the sign of the weighted sum.
 
     train and test are (inputs, labels); shards[k] are worker k's sample
     indices and rngs[k] its stream; model gives the kind and layer shapes. A
@@ -119,6 +129,8 @@ def simulate(train, test, shards, rngs, theta0, model, eta, batch_size, tau, rou
     (x, y), (x_test, y_test) = train, test
     total = sum(len(s) for s in shards)
     weights = [len(s) / total for s in shards]
+    n_workers = len(shards)
+    drawn = math.ceil(fraction * n_workers)
     batches = [_batches(s, r, batch_size) for s, r in zip(shards, rngs)]
     worker_lbg, server_lbg, residual = {}, {}, {}
     theta = theta0.copy()
@@ -133,7 +145,7 @@ def simulate(train, test, shards, rngs, theta0, model, eta, batch_size, tau, rou
     record()
     for t in range(1, rounds + 1):
         total_update = np.zeros_like(theta)
-        for k in range(len(shards)):
+        for k in sorted(server_rng.choice(n_workers, drawn, replace=False).tolist()):
             local = theta.copy()
             g = np.zeros_like(theta)
             for _ in range(tau):
@@ -164,6 +176,6 @@ def simulate(train, test, shards, rngs, theta0, model, eta, batch_size, tau, rou
             total_update += weights[k] * received
         if majority:
             total_update = np.where(total_update >= 0, 1.0, -1.0)
-        theta = theta - eta * total_update
+        theta = theta - eta * (n_workers / drawn) * total_update
         record()
     return out

@@ -318,7 +318,7 @@ def test_c12_ledger_exactness():
             standalone_config(algorithm=name, rounds=6, n=600, test_n=100, **kw),
             run_setup.model,
         ))
-        fraction = 0.5 if name == "lbgm" else None  # also audit the sampled path
+        fraction = 0.5 if name == "lbgm" else 1.0  # also audit a sampled run
         res = run_with_policy(run_setup, recorder, sample_fraction=fraction)
         floats = sum(ledger_cost(msg)[0] for msg in recorder.messages)
         bits = sum(ledger_cost(msg)[1] for msg in recorder.messages)

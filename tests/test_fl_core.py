@@ -255,7 +255,8 @@ ENGINE_CASES = {
 # -> 10) and on the affine kinds (20 -> 10), and the cases it runs: M =
 # 1002 and 210 raw; 2 * (20 + 32) + 32 + 2 * (32 + 10) + 10 and
 # 2 * (20 + 10) + 10 at rank 2; a value and an index for each of the top
-# 10%, 100 and 21 coordinates; M / 32 for one sign bit each
+# 10%, 100 and 21 coordinates; M / 32 for one sign bit each. lbgm_sampled
+# runs at the shipped sample fraction, 0.5
 AFFINE = ("softmax", "regression")
 RAW_CASES = ("shipped", "full_shard", "tau4", "inv_sqrt_tau_t") + AFFINE
 ALGORITHMS = {
@@ -267,6 +268,7 @@ ALGORITHMS = {
     "topk_lbgm": ((200.0, 42.0), ("shipped",) + AFFINE),
     "sign": ((31.3125, 6.5625), ("shipped", "majority") + AFFINE),
     "sign_lbgm": ((31.3125, 6.5625), ("shipped",) + AFFINE),
+    "lbgm_sampled": ((1002.0, 210.0), ("shipped",)),
 }
 # the gated top-k and sign stacks run at the delta configs/topk_stack.cfg
 # ships: at the shipped 0.2, no compressed payload passes the gate in 20 rounds
@@ -297,12 +299,14 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
         "topk": lambda g: reference_sim.topk(g, k),
         "sign": reference_sim.sign,
     }.get(base)
+    gated = "lbgm" in algorithm
     ref = reference_sim.simulate(
         (setup.train_ds.inputs, setup.train_ds.labels),
         (setup.test_ds.inputs, setup.test_ds.labels),
-        shards, [w.rng for w in setup.workers],
+        shards, [w.rng for w in setup.workers], setup.server_rng,
+        cfg.sample_fraction if algorithm == "lbgm_sampled" else 1.0,
         setup.server.theta_global, setup.model, eta, cfg.batch_size, tau,
-        cfg.rounds, cfg.delta if algorithm.endswith("lbgm") else None, compress,
+        cfg.rounds, cfg.delta if gated else None, compress,
         error_feedback=base == "topk" and cfg.error_feedback, majority=cfg.sign_majority)
 
     # compare up to the first round whose tags differ: from there on the
@@ -333,4 +337,4 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
     # every payload costs what it should, and a gated run exercises the
     # gate on both sides of delta
     assert ({f for t, _, f in ref.ledger if t <= rounds}
-            == ({1.0, payload} if algorithm.endswith("lbgm") else {payload}))
+            == ({1.0, payload} if gated else {payload}))

@@ -70,7 +70,7 @@ DIGESTS = {
         "ledger.csv": "f5ae177f49f875311cad95901362737b3de7b0f284afd1e673e717938deae414",
     },
     "lbgm_sampled": {
-        "metrics.csv": "3a5e738c5619288b4255b5255e13e4d2602622955c31581a5e069edb49ac3162",
+        "metrics.csv": "1565d82773fe13bd6f97d570694d06ffb6e3cf8fd9f79c6b497756e84bf04a81",
         "ledger.csv": "be6a60a8cd9350513cd8b472a88d759f4e82ae9583a0747d219d83408344ab31",
     },
     "rank_r": {

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import FrozenInstanceError, astuple, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +92,27 @@ def test_parse_every_key_at_its_default():
     text = "".join((f"[{section}]\n" if section else "") + "".join(lines)
                    for section, lines in sections.items())
     assert parse_config(text) == ExperimentConfig(algorithm="lbgm")
+
+
+def _default_text(default) -> str:
+    """A field's default as README's key table writes it."""
+    if default is MISSING:
+        return "(required)"
+    if isinstance(default, bool):
+        return str(default).lower()
+    return str(default) if default != "" else "(empty)"
+
+
+def test_readmes_key_table_lists_every_field_with_its_section_key_and_default():
+    lines = (CONFIGS.parent / "README.md").read_text().splitlines()
+    start = lines.index("| section | key | default | allowed values | read by |") + 2
+    rows = [tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+            for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+    assert rows == [
+        (f"[{f.metadata['section']}]" if f.metadata["section"] else "",
+         f.metadata["key"] or f.name, _default_text(f.default))
+        for f in fields(ExperimentConfig)
+    ]
 
 
 def overrides(*items):
@@ -413,9 +434,6 @@ def test_an_unreadable_baseline_warns_once_and_the_run_succeeds(tmp_path, capsys
     assert (tmp_path / "out/metrics.csv").is_file()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 10: with every worker sampled, lbgm_sampled still "
-                          "steps by eta / m, 1/K of lbgm's step")
 def test_lbgm_sampled_at_full_fraction_is_lbgm(tmp_path):
     written = {}
     for algorithm in ("lbgm", "lbgm_sampled"):
