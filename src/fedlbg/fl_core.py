@@ -207,6 +207,7 @@ class CommLedger:
 class RunResult:
     metrics: MetricsTable
     ledger: CommLedger
+    param_dim: int  # the floats of one dense uplink
 
 
 class Diverged(FloatingPointError):
@@ -395,5 +396,5 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=1.0) -> RunR
                 )
             )
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise Diverged(t, k, exc, RunResult(metrics, ledger)) from exc
-    return RunResult(metrics, ledger)
+        raise Diverged(t, k, exc, RunResult(metrics, ledger, model.param_dim)) from exc
+    return RunResult(metrics, ledger, model.param_dim)

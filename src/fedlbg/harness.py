@@ -103,7 +103,6 @@ class ExperimentConfig:
     algorithm: str = _key("", MISSING, *_one_of(*ALGORITHMS))
     seed: int = _key("", 0, lambda v: v >= 0, ">= 0")
     out: str = _key("", "out", lambda v: bool(v), "non-empty")
-    baseline_metrics: str = _key("", "")
     model_kind: str = _key("model", "mlp1h", *_one_of(*MODEL_KINDS), key="kind")
     hidden: int = _key("model", 64, lambda v: v >= 1, ">= 1")
     data_kind: str = _key("data", "synth", *_one_of("synth", "idx"), key="kind")
@@ -338,15 +337,10 @@ def _run_federated(cfg: ExperimentConfig, out_dir: Path) -> int:
         f"{cfg.algorithm}: rounds={final.round} test_metric={final.test_metric:.4f} "
         f"total_floats={final.cum_floats:.6g}"
     )
-    if cfg.baseline_metrics:
-        try:
-            base_floats = _final_cum_floats(Path(cfg.baseline_metrics))
-        except (OSError, ValueError, IndexError) as exc:
-            print(f"warning: cannot read baseline metrics: {exc}", file=sys.stderr)
-            base_floats = 0.0
-        if base_floats > 0:
-            savings = 1.0 - final.cum_floats / base_floats
-            summary += f" savings_vs_baseline={100.0 * savings:.1f}%"
+    # the floats saved against sending each uplink as a dense gradient
+    if uplinks := len(result.ledger.rows):
+        savings = 1.0 - final.cum_floats / (uplinks * result.param_dim)
+        summary += f" savings_vs_dense={100.0 * savings:.1f}%"
     print(summary + f" -> {out_dir}")
     return 0
 
@@ -384,19 +378,12 @@ def run(cfg: ExperimentConfig) -> int:
         return 3
 
 
-def _final_cum_floats(metrics_path: Path) -> float:
-    lines = metrics_path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    col = header.index("cum_floats")
-    return float(lines[-1].split(",")[col])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fedlbg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment from a config file")
     runp.add_argument("config", help="path to the config file")
-    runp.add_argument("--seed", type=int, default=None, help="override the master seed")
+    runp.add_argument("--seed", default=None, help="override the master seed")
     runp.add_argument("--out", default=None, help="override the output directory")
     runp.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE",

@@ -404,34 +404,23 @@ def test_run_centralized_analyze_zero_epochs(tmp_path):
     assert (tmp_path / "out/similarity.csv").read_text() == ""
 
 
-def test_run_reports_savings_vs_baseline(tmp_path, capsys):
-    base = small_run_config(tmp_path / "base", algorithm="vanilla", rounds=4)
-    run(base)
-    capsys.readouterr()
-    stacked = small_run_config(
-        tmp_path / "lbgm", algorithm="lbgm", rounds=4,
-        baseline_metrics=str(tmp_path / "base/out/metrics.csv"),
-    )
-    run(stacked)
-    assert "savings_vs_baseline=" in capsys.readouterr().out
+def test_savings_vs_dense_is_the_saving_against_the_same_configs_vanilla_run(tmp_path, capsys):
+    def summary_and_total(algorithm, rounds=6):
+        cfg = small_run_config(tmp_path / f"{algorithm}-{rounds}", algorithm=algorithm,
+                               rounds=rounds)
+        assert run(cfg) == 0
+        header, *_, final = (Path(cfg.out) / "metrics.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), final.split(",")))
+        return capsys.readouterr().out, float(row["cum_floats"])
 
-
-@pytest.mark.parametrize("baseline", [
-    "missing.csv", "a_directory", "empty.csv", "no_cum_floats.csv", "not_utf8.csv",
-])
-def test_an_unreadable_baseline_warns_once_and_the_run_succeeds(tmp_path, capsys, baseline):
-    (tmp_path / "a_directory").mkdir()
-    (tmp_path / "empty.csv").write_text("")
-    (tmp_path / "no_cum_floats.csv").write_text("round,train_loss\n1,0.5\n")
-    (tmp_path / "not_utf8.csv").write_bytes(b"round,cum_floats\n1,\xff\xfe\n")
-    cfg = small_run_config(tmp_path, algorithm="lbgm", rounds=2,
-                           baseline_metrics=str(tmp_path / baseline))
-    assert run(cfg) == 0
-    out, err = capsys.readouterr()
-    assert len(err.splitlines()) == 1
-    assert err.startswith("warning: cannot read baseline metrics: ")
-    assert "savings_vs_baseline=" not in out
-    assert (tmp_path / "out/metrics.csv").is_file()
+    out, dense = summary_and_total("vanilla")
+    assert " savings_vs_dense=0.0% -> " in out
+    for algorithm in ("lbgm", "topk_lbgm"):
+        out, total = summary_and_total(algorithm)
+        assert total < dense
+        assert f" savings_vs_dense={100.0 * (1.0 - total / dense):.1f}% -> " in out
+    out, _ = summary_and_total("lbgm", rounds=0)
+    assert "savings_vs_dense=" not in out
 
 
 def test_lbgm_sampled_at_full_fraction_is_lbgm(tmp_path):
@@ -553,6 +542,8 @@ def eigh_failing(monkeypatch):  # in pgd
                  "eta: value '-1' must be > 0 (--override train.eta=-1)", id="flag_eta"),
     pytest.param(config(MINIMAL, flags=["--seed", "-1"]), None, 2,
                  "seed: value '-1' must be >= 0 (--seed -1)", id="flag_seed"),
+    pytest.param(config(MINIMAL, flags=["--seed", "abc"]), None, 2,
+                 "seed: cannot parse 'abc' as int (--seed abc)", id="flag_seed_not_int"),
     pytest.param(config(MINIMAL, flags=["--out", ""]), None, 2,
                  "out: value '' must be non-empty (--out )", id="flag_out"),
     pytest.param(config(MINIMAL, "compress.sign_majority=maybe"), None, 2, "sign_majority: "
@@ -565,6 +556,8 @@ def eigh_failing(monkeypatch):  # in pgd
                  id="flag_separation_inf"),
     pytest.param(config(MINIMAL, "train.momentum=0.9"), None, 2,
                  "override names unknown key 'train.momentum'", id="flag_unknown_key"),
+    pytest.param(config(MINIMAL, "baseline_metrics=x"), None, 2,
+                 "override names unknown key 'baseline_metrics'", id="flag_deleted_key"),
     pytest.param(config(MINIMAL, "trainrounds9"), None, 2,
                  "override 'trainrounds9' is not key=value", id="flag_not_key_value"),
     pytest.param(config(MINIMAL, "train.workers=ten"), None, 2,
@@ -579,6 +572,8 @@ def eigh_failing(monkeypatch):  # in pgd
            "unknown key [train] momentum (line 3)"),
           ("deleted_key", "[lbgm]\nmonitor_delta_sq = false\n",
            "unknown key [lbgm] monitor_delta_sq (line 3)"),
+          ("deleted_top_level_key", "baseline_metrics = x\n",
+           "unknown key baseline_metrics (line 2)"),
           ("unknown_section", "[optimizer]\n", "unknown section [optimizer] (line 2)"),
           ("bad_int", "[train]\nworkers = ten\n", "workers: cannot parse 'ten' as int (line 3)"),
           ("no_equals", "just some words\n", "expected key = value (line 2)"),
