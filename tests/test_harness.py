@@ -404,23 +404,47 @@ def test_run_centralized_analyze_zero_epochs(tmp_path):
     assert (tmp_path / "out/similarity.csv").read_text() == ""
 
 
-def test_savings_vs_dense_is_the_saving_against_the_same_configs_vanilla_run(tmp_path, capsys):
-    def summary_and_total(algorithm, rounds=6):
-        cfg = small_run_config(tmp_path / f"{algorithm}-{rounds}", algorithm=algorithm,
-                               rounds=rounds)
-        assert run(cfg) == 0
-        header, *_, final = (Path(cfg.out) / "metrics.csv").read_text().splitlines()
-        row = dict(zip(header.split(","), final.split(",")))
-        return capsys.readouterr().out, float(row["cum_floats"])
+def summary_total_and_uplinks(tmp_path, capsys, algorithm, rounds=6):
+    """Run a small config; return its summary, last cum_floats and ledger rows."""
+    cfg = small_run_config(tmp_path / f"{algorithm}-{rounds}", algorithm=algorithm,
+                           rounds=rounds)
+    assert run(cfg) == 0
+    header, *_, final = (Path(cfg.out) / "metrics.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), final.split(",")))
+    uplinks = len((Path(cfg.out) / "ledger.csv").read_text().splitlines()) - 1
+    return capsys.readouterr().out, float(row["cum_floats"]), uplinks
 
-    out, dense = summary_and_total("vanilla")
+
+@pytest.mark.parametrize("algorithm", ["lbgm", "topk_lbgm"])
+def test_savings_vs_dense_is_the_saving_against_the_same_configs_vanilla_run(
+        tmp_path, capsys, algorithm):
+    _, dense, _ = summary_total_and_uplinks(tmp_path, capsys, "vanilla")
+    out, total, _ = summary_total_and_uplinks(tmp_path, capsys, algorithm)
+    assert total < dense
+    assert f" savings_vs_dense={100.0 * (1.0 - total / dense):.1f}% -> " in out
+
+
+def test_a_vanilla_run_saves_nothing_against_its_dense_uplinks(tmp_path, capsys):
+    out, _, _ = summary_total_and_uplinks(tmp_path, capsys, "vanilla")
     assert " savings_vs_dense=0.0% -> " in out
-    for algorithm in ("lbgm", "topk_lbgm"):
-        out, total = summary_and_total(algorithm)
-        assert total < dense
-        assert f" savings_vs_dense={100.0 * (1.0 - total / dense):.1f}% -> " in out
-    out, _ = summary_and_total("lbgm", rounds=0)
+
+
+def test_a_run_with_no_uplinks_prints_no_savings(tmp_path, capsys):
+    out, total, uplinks = summary_total_and_uplinks(tmp_path, capsys, "lbgm", rounds=0)
+    assert (total, uplinks) == (0.0, 0)
+    assert "lbgm: rounds=0 " in out
     assert "savings_vs_dense=" not in out
+
+
+def test_lbgm_sampleds_savings_are_against_its_own_sampled_uplinks(tmp_path, capsys):
+    _, dense, dense_uplinks = summary_total_and_uplinks(tmp_path, capsys, "vanilla")
+    out, total, uplinks = summary_total_and_uplinks(tmp_path, capsys, "lbgm_sampled")
+    # 2 of 3 workers a round at the default fraction 0.5
+    assert uplinks < dense_uplinks
+    own = 1.0 - total / (uplinks * dense / dense_uplinks)
+    assert f" savings_vs_dense={100.0 * own:.1f}% -> " in out
+    # not the figure against every worker's dense uplink
+    assert f"{100.0 * own:.1f}" != f"{100.0 * (1.0 - total / dense):.1f}"
 
 
 def test_lbgm_sampled_at_full_fraction_is_lbgm(tmp_path):
