@@ -11,12 +11,12 @@ The mass fraction is counted on raw singular values. The classical squared
 tests count it with an independent SVD oracle, not with this module.
 """
 
-import logging
 import math
 import mmap
 import os
 import signal
 import struct
+import sys
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .data import Dataset
 from .fl_core import RoundConfig, WorkerState, local_round, one_pass_steps
 from .models import Model, init_params
 from .numerics import check_finite, cosine_sim, fix_sign, is_zero
-
-log = logging.getLogger(__name__)
 
 
 def _zero_below(s: np.ndarray, tol: float) -> np.ndarray:
@@ -94,7 +92,8 @@ def overlap_matrix(grads: np.ndarray, pgds) -> np.ndarray:
     out = np.zeros((len(grads), len(pgds)))
     for i, g in enumerate(grads):
         if is_zero(g):
-            log.warning("epoch %d gradient has zero norm; overlap row zeroed", i)
+            print(f"warning: epoch {i} gradient has zero norm; overlap row zeroed",
+                  file=sys.stderr)
             continue
         out[i] = [cosine_sim(g, p) for p in pgds]
     return out
@@ -108,7 +107,8 @@ def similarity_matrix(grads: np.ndarray) -> np.ndarray:
     nonzero = [not is_zero(g) for g in rows]
     for i, g in enumerate(rows):
         if not nonzero[i]:
-            log.warning("epoch %d gradient has zero norm; similarity row zeroed", i)
+            print(f"warning: epoch {i} gradient has zero norm; similarity row zeroed",
+                  file=sys.stderr)
             continue
         row = [cosine_sim(g, h) if nz else 0.0 for h, nz in zip(rows[i:], nonzero[i:])]
         out[i, i:] = out[i:, i] = row

@@ -67,12 +67,6 @@ class WorkerState:
         return dataset.batch(idx)
 
 
-class ServerState:
-    def __init__(self, theta_global: ParamVector):
-        self.theta_global = theta_global
-        self.lbg_copies: dict = {}
-
-
 def one_pass_steps(n: int, batch_size: int) -> int:
     """Minibatch steps in one pass over n samples, at least one; a
     batch_size <= 0 takes the whole shard in one step."""
@@ -104,22 +98,22 @@ def local_round(
     return check_finite(g_sum, "accumulated gradient"), check_finite(theta, "local model")
 
 
-def aggregate(server: ServerState, grads: dict, weights, eta: float, transform=None) -> ParamVector:
-    """Apply theta <- theta - eta * sum_k omega_k g_k, ascending worker id.
+def aggregate(theta: ParamVector, grads: dict, weights, eta: float, transform=None) -> ParamVector:
+    """Return theta - eta * sum_k omega_k g_k, summed in ascending worker id;
+    `theta` itself is left as it is.
 
     `transform`, when given, is applied to the weighted gradient sum before
     the step (used for majority-vote sign aggregation).
     """
-    acc = np.zeros_like(server.theta_global)
+    acc = np.zeros_like(theta)
     for k in sorted(grads):
         g = grads[k]
-        if g.shape != server.theta_global.shape:
+        if g.shape != theta.shape:
             raise ValueError(f"worker {k} gradient has shape {g.shape}")
         acc += weights[k] * g  # rounds as acc = acc + ..., with one vector fewer
     if transform is not None:
         acc = transform(acc)
-    server.theta_global = check_finite(server.theta_global - eta * acc, "server model")
-    return server.theta_global
+    return check_finite(theta - eta * acc, "server model")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +229,7 @@ class ExperimentSetup:
     train_ds: Dataset
     test_ds: Dataset
     workers: list
-    server: ServerState
+    theta0: ParamVector  # the initial server model
     weights: dict
     round_config: RoundConfig
     rounds: int
@@ -299,7 +293,7 @@ def build_experiment(exp) -> ExperimentSetup:
         WorkerState(part.shards[k], rng_stream(exp.seed, k))
         for k in range(exp.workers)
     ]
-    server = ServerState(init_params(model, worker_states[0].rng))
+    theta0 = init_params(model, worker_states[0].rng)
     weights = {k: float(part.weights[k]) for k in range(exp.workers)}
 
     batch_size = exp.batch_size
@@ -321,7 +315,7 @@ def build_experiment(exp) -> ExperimentSetup:
         train_ds=train_ds,
         test_ds=test_ds,
         workers=worker_states,
-        server=server,
+        theta0=theta0,
         weights=weights,
         round_config=RoundConfig(eta, tau, batch_size),
         rounds=exp.rounds,
@@ -357,7 +351,8 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=1.0) -> RunR
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError(f"sample fraction {sample_fraction} not in (0, 1]")
     model, rc = setup.model, setup.round_config
-    server = setup.server
+    theta = setup.theta0
+    lbg_copies = {}  # worker id -> the server's copy of its LBG
     k_total = len(setup.workers)
     m = math.ceil(sample_fraction * k_total)
     eta_round = rc.eta * (k_total / m)  # exactly rc.eta at m = K
@@ -367,7 +362,7 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=1.0) -> RunR
     t, k = 0, None  # where a non-finite value stops the run
 
     try:
-        train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
+        train_loss, test_metric = evaluate(model, theta, setup.train_ds, setup.test_ds)
         metrics.rows.append(MetricsRow(0, train_loss, test_metric, 0.0, 0.0, 0.0))
 
         for t in range(1, setup.rounds + 1):
@@ -375,14 +370,14 @@ def run_with_policy(setup: ExperimentSetup, policy, sample_fraction=1.0) -> RunR
             uplinks = []  # (worker, message, drift proxy term), in participant order
             for k in participants:
                 worker = setup.workers[k]
-                g, _ = local_round(worker, server.theta_global, rc, model, setup.train_ds)
+                g, _ = local_round(worker, theta, rc, model, setup.train_ds)
                 msg, sin2 = policy.process(worker, g)
                 uplinks.append((k, msg, norm_sq(g) / (rc.tau * rc.tau) * sin2))
             k = None
 
-            g_tilde = {w: lbgm.reconstruct(server, w, msg) for w, msg, _ in uplinks}
-            aggregate(server, g_tilde, setup.weights, eta_round, transform=policy.server_transform)
-            train_loss, test_metric = evaluate(model, server.theta_global, setup.train_ds, setup.test_ds)
+            g_tilde = {w: lbgm.reconstruct(lbg_copies, w, msg) for w, msg, _ in uplinks}
+            theta = aggregate(theta, g_tilde, setup.weights, eta_round, transform=policy.server_transform)
+            train_loss, test_metric = evaluate(model, theta, setup.train_ds, setup.test_ds)
             for w, msg, _ in uplinks:
                 ledger.append(t, w, msg.cost_floats)
             metrics.rows.append(

@@ -335,7 +335,7 @@ def _run_federated(cfg: ExperimentConfig, out_dir: Path) -> int:
     final = result.metrics.final()
     summary = (
         f"{cfg.algorithm}: rounds={final.round} test_metric={final.test_metric:.4f} "
-        f"total_floats={final.cum_floats:.6g}"
+        f"total_floats={final.cum_floats!r}"
     )
     # the floats saved against sending each uplink as a dense gradient
     if uplinks := len(result.ledger.rows):

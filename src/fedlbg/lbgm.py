@@ -99,15 +99,16 @@ def look_back(worker, payload, dense: ParamVector, delta: Optional[float]):
     return UplinkMessage(payload=payload), sin2
 
 
-def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
-    """Recover the uplinked gradient at the server, updating its LBG copy.
+def reconstruct(lbg_copies: dict, worker_id: int, msg: UplinkMessage) -> ParamVector:
+    """Recover the uplinked gradient at the server from `lbg_copies`, its
+    copy of each worker's LBG by worker id.
 
     Scalar messages replay rho times the stored copy and leave it
     untouched; payload messages replace the stored copy with the densified
     transmitted gradient, read-only like the worker's.
     """
     if msg.payload is None:
-        stored = server.lbg_copies.get(worker_id)
+        stored = lbg_copies.get(worker_id)
         if stored is None:
             raise ValueError(
                 f"scalar LBC from worker {worker_id} but no server-side LBG"
@@ -115,7 +116,7 @@ def reconstruct(server, worker_id: int, msg: UplinkMessage) -> ParamVector:
         return msg.rho * stored
     g = msg.payload.densify()
     g.setflags(write=False)
-    server.lbg_copies[worker_id] = g
+    lbg_copies[worker_id] = g
     return g
 
 

@@ -89,7 +89,7 @@ def test_c03_centralized_recovery():
     cfg = standalone_config(algorithm="vanilla", workers=1, rounds=100, tau=1,
                             batch_size=0, n=500, test_n=100, partition_mode="iid")
     setup = build_experiment(cfg)
-    theta = setup.server.theta_global.copy()
+    theta = setup.theta0.copy()
     centralized = [theta.copy()]
     for _ in range(100):
         theta = theta - setup.round_config.eta * gradient(setup.model, theta, setup.train_ds)
@@ -97,14 +97,16 @@ def test_c03_centralized_recovery():
 
     replay = build_experiment(cfg)
     policy = LbgmPolicy(None)
-    ok = np.array_equal(replay.server.theta_global, centralized[0])
+    server_theta, lbg_copies = replay.theta0, {}
+    ok = np.array_equal(server_theta, centralized[0])
     for t in range(100):
-        g, _ = local_round(replay.workers[0], replay.server.theta_global,
+        g, _ = local_round(replay.workers[0], server_theta,
                            replay.round_config, replay.model, replay.train_ds)
         msg, _ = policy.process(replay.workers[0], g)
-        g_tilde = reconstruct(replay.server, 0, msg)
-        aggregate(replay.server, {0: g_tilde}, replay.weights, replay.round_config.eta)
-        ok = ok and np.array_equal(replay.server.theta_global, centralized[t + 1])
+        g_tilde = reconstruct(lbg_copies, 0, msg)
+        server_theta = aggregate(server_theta, {0: g_tilde}, replay.weights,
+                                 replay.round_config.eta)
+        ok = ok and np.array_equal(server_theta, centralized[t + 1])
     _report(3, ok, "K=1 tau=1 full-batch trajectory bit-equals centralized descent (100 steps)")
 
 

@@ -10,7 +10,6 @@ from fedlbg.data import Dataset, synth_classification
 from fedlbg.fl_core import (
     CommLedger,
     RoundConfig,
-    ServerState,
     WorkerState,
     aggregate,
     build_experiment,
@@ -88,35 +87,33 @@ def test_local_round_minibatches_cover_epoch_without_replacement():
 
 
 def test_aggregate_identical_gradients():
-    server = ServerState(np.array([1.0, 1.0]))
     g = np.array([2.0, -4.0])
-    theta = aggregate(server, {0: g, 1: g}, {0: 0.5, 1: 0.5}, 0.1)
+    theta = aggregate(np.array([1.0, 1.0]), {0: g, 1: g}, {0: 0.5, 1: 0.5}, 0.1)
     assert np.array_equal(theta, np.array([1.0, 1.0]) - 0.1 * g)
 
 
 def test_aggregate_zero_gradients_fixed_point():
-    server = ServerState(np.array([3.0, -1.0]))
-    theta = aggregate(server, {0: np.zeros(2)}, {0: 1.0}, 0.5)
+    theta = aggregate(np.array([3.0, -1.0]), {0: np.zeros(2)}, {0: 1.0}, 0.5)
     assert np.array_equal(theta, np.array([3.0, -1.0]))
 
 
 def test_aggregate_hand_example():
-    server = ServerState(np.zeros(2))
+    theta0 = np.zeros(2)
     grads = {0: np.array([4.0, 0.0]), 1: np.array([0.0, 4.0])}
-    theta = aggregate(server, grads, {0: 0.25, 1: 0.75}, 1.0)
+    theta = aggregate(theta0, grads, {0: 0.25, 1: 0.75}, 1.0)
     assert np.array_equal(theta, np.array([-1.0, -3.0]))
+    # the model it is given is left bitwise unchanged
+    assert theta0.view(np.uint64).tolist() == [0, 0]
 
 
 def test_aggregate_dimension_mismatch():
-    server = ServerState(np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
-        aggregate(server, {0: np.zeros(3)}, {0: 1.0}, 0.1)
+        aggregate(np.zeros(2), {0: np.zeros(3)}, {0: 1.0}, 0.1)
 
 
 def test_aggregate_rejects_overflowing_step():
-    server = ServerState(np.array([-1e308, 0.0]))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="server model"):
-        aggregate(server, {0: np.array([1e308, 0.0])}, {0: 1.0}, 1.0)
+        aggregate(np.array([-1e308, 0.0]), {0: np.array([1e308, 0.0])}, {0: 1.0}, 1.0)
 
 
 def base_config(**kw):
@@ -143,16 +140,14 @@ def test_identical_shards_equal_weights_match_single_worker():
     theta0 = np.array([1.0, 0.0])
 
     workers = [WorkerState(np.arange(2), rng_stream(9, k)) for k in range(3)]
-    server = ServerState(theta0.copy())
     cfg = RoundConfig(0.1, 2, 0)
     grads = {k: local_round(w, theta0, cfg, model, ds)[0] for k, w in enumerate(workers)}
-    aggregate(server, grads, {k: 1.0 / 3.0 for k in range(3)}, 0.1)
+    theta = aggregate(theta0, grads, {k: 1.0 / 3.0 for k in range(3)}, 0.1)
 
     solo_worker = WorkerState(np.arange(2), rng_stream(10, 0))
-    solo_server = ServerState(theta0.copy())
     g, _ = local_round(solo_worker, theta0, cfg, model, ds)
-    aggregate(solo_server, {0: g}, {0: 1.0}, 0.1)
-    assert np.array_equal(server.theta_global, solo_server.theta_global)
+    solo_theta = aggregate(theta0, {0: g}, {0: 1.0}, 0.1)
+    assert np.array_equal(theta, solo_theta)
 
 
 def test_vanilla_convergence_on_separable_data():
@@ -195,7 +190,7 @@ def test_evaluation_sorts_the_training_set_once(monkeypatch):
 
     monkeypatch.setattr(models, "_canonical_order", spy)
     for _ in range(2):
-        evaluate(setup.model, setup.server.theta_global, setup.train_ds, setup.test_ds)
+        evaluate(setup.model, setup.theta0, setup.train_ds, setup.test_ds)
     (x1, y1), (x2, y2) = seen
     assert x1 is x2 and y1 is y2
     for a in (x1, y1):
@@ -305,7 +300,7 @@ def test_round_engine_matches_the_independent_reference(algorithm, seed, case):
         (setup.test_ds.inputs, setup.test_ds.labels),
         shards, [w.rng for w in setup.workers], setup.server_rng,
         cfg.sample_fraction if algorithm == "lbgm_sampled" else 1.0,
-        setup.server.theta_global, setup.model, eta, cfg.batch_size, tau,
+        setup.theta0, setup.model, eta, cfg.batch_size, tau,
         cfg.rounds, cfg.delta if gated else None, compress,
         error_feedback=base == "topk" and cfg.error_feedback, majority=cfg.sign_majority)
 

@@ -5,7 +5,6 @@ import pytest
 
 from fedlbg.compressors import CompressedPolicy, topk
 from fedlbg.fl_core import (
-    ServerState,
     aggregate,
     build_experiment,
     local_round,
@@ -128,25 +127,24 @@ def test_look_back_zero_lbg_forces_full():
 
 
 def test_reconstruct_scalar_and_full():
-    server = ServerState(np.zeros(2))
+    lbg_copies = {}
     g = vec(3, -1)
-    out = reconstruct(server, 0, look_back_message(g, None, 0.2))
+    out = reconstruct(lbg_copies, 0, look_back_message(g, None, 0.2))
     assert np.array_equal(out, g)
-    assert np.array_equal(server.lbg_copies[0], g)
+    assert np.array_equal(lbg_copies[0], g)
 
-    out = reconstruct(server, 0, UplinkMessage(rho=0.0))
+    out = reconstruct(lbg_copies, 0, UplinkMessage(rho=0.0))
     assert np.array_equal(out, np.zeros(2))
-    assert np.array_equal(server.lbg_copies[0], g)  # untouched by scalars
+    assert np.array_equal(lbg_copies[0], g)  # untouched by scalars
 
-    server.lbg_copies[1] = vec(2, 4)
-    out = reconstruct(server, 1, UplinkMessage(rho=0.5))
+    lbg_copies[1] = vec(2, 4)
+    out = reconstruct(lbg_copies, 1, UplinkMessage(rho=0.5))
     assert np.array_equal(out, vec(1, 2))
 
 
 def test_reconstruct_scalar_without_lbg_is_protocol_violation():
-    server = ServerState(np.zeros(2))
     with pytest.raises(ValueError, match="no server-side LBG"):
-        reconstruct(server, 7, UplinkMessage(rho=1.0))
+        reconstruct({}, 7, UplinkMessage(rho=1.0))
 
 
 def test_constant_gradient_stream_sends_exactly_one_full():
@@ -160,11 +158,11 @@ def test_constant_gradient_stream_sends_exactly_one_full():
     g = vec(0.5, -1.5, 2.0)
     tags = []
     recon = []
-    server = ServerState(np.zeros(3))
+    lbg_copies = {}
     for _ in range(10):
         msg, _ = policy.process(worker, g.copy())
         tags.append(msg.tag)
-        recon.append(reconstruct(server, 0, msg))
+        recon.append(reconstruct(lbg_copies, 0, msg))
     assert tags.count(TAG_PAYLOAD) == 1 and tags[0] == TAG_PAYLOAD
     for r in recon:
         assert np.array_equal(r, g)  # rho = 1 replays exactly
@@ -174,11 +172,11 @@ def test_full_send_stores_one_read_only_vector():
     # payload, worker LBG and server LBG may share one buffer, so none of
     # them can be written through
     worker = SimpleNamespace(lbg=None)
-    server = ServerState(np.zeros(3))
+    lbg_copies = {}
     g = vec(0.5, -1.5, 2.0)
     msg, _ = LbgmPolicy(0.2).process(worker, g)
-    reconstruct(server, 0, msg)
-    for stored in (worker.lbg, server.lbg_copies[0], msg.payload.values):
+    reconstruct(lbg_copies, 0, msg)
+    for stored in (worker.lbg, lbg_copies[0], msg.payload.values):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 1.0
     assert np.array_equal(worker.lbg, vec(0.5, -1.5, 2.0))
@@ -186,8 +184,8 @@ def test_full_send_stores_one_read_only_vector():
     policy = CompressedPolicy(lambda v: topk(v, 2), 0.2)
     worker = SimpleNamespace(lbg=None, ef_residual=None)
     msg, _ = policy.process(worker, g)
-    reconstruct(server, 1, msg)
-    for stored in (worker.lbg, server.lbg_copies[1]):
+    reconstruct(lbg_copies, 1, msg)
+    for stored in (worker.lbg, lbg_copies[1]):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 1.0
 
@@ -213,16 +211,16 @@ def test_server_and_worker_lbg_copies_stay_bit_identical():
     cfg = federated_config("lbgm", delta=0.2, rounds=8)
     setup = build_experiment(cfg)
     policy = LbgmPolicy(cfg.delta)
+    theta, lbg_copies = setup.theta0, {}
     for t in range(8):
         g_tilde = {}
         for k, worker in enumerate(setup.workers):
-            g, _ = local_round(worker, setup.server.theta_global, setup.round_config,
-                               setup.model, setup.train_ds)
+            g, _ = local_round(worker, theta, setup.round_config, setup.model, setup.train_ds)
             msg, _ = policy.process(worker, g)
-            g_tilde[k] = reconstruct(setup.server, k, msg)
-        aggregate(setup.server, g_tilde, setup.weights, setup.round_config.eta)
+            g_tilde[k] = reconstruct(lbg_copies, k, msg)
+        theta = aggregate(theta, g_tilde, setup.weights, setup.round_config.eta)
         for k, worker in enumerate(setup.workers):
-            assert np.array_equal(setup.server.lbg_copies[k], worker.lbg)
+            assert np.array_equal(lbg_copies[k], worker.lbg)
 
 
 def test_scalar_rounds_reduce_cost_and_log_fraction():

@@ -7,8 +7,10 @@ earlier row-major form, the partition against its earlier hand-dealt
 form, config text against configs made in Python, and the analyzer's
 cosine matrices against one computed a pair at a time."""
 
+import io
 import math
 import string
+from contextlib import redirect_stderr
 from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
@@ -23,7 +25,6 @@ from hypothesis.extra import numpy as hnp
 from fedlbg import analyzer, models
 from fedlbg.compressors import ef_wrap, rank_r, sign_compress, topk
 from fedlbg.data import Dataset, content_order, partition
-from fedlbg.fl_core import ServerState
 from fedlbg.harness import ALGORITHMS, ConfigError, ExperimentConfig, parse_config
 from fedlbg.lbgm import DensePayload, UplinkMessage, lbp_error, look_back, reconstruct
 from fedlbg.models import (
@@ -93,9 +94,7 @@ def test_look_back_gates_on_the_look_back_error(kind, case):
     assert sin2 == sin2_before
     assert (msg.payload is None) == scalar
     if scalar:
-        server = ServerState(np.zeros_like(g))
-        server.lbg_copies[0] = lbg
-        assert np.array_equal(reconstruct(server, 0, msg), msg.rho * lbg)
+        assert np.array_equal(reconstruct({0: lbg}, 0, msg), msg.rho * lbg)
         residual = dense - msg.rho * lbg
         bound = 1e-9 * math.sqrt(norm_sq(dense)) * math.sqrt(norm_sq(lbg))
         assert abs(dot(residual, lbg)) <= bound
@@ -215,18 +214,18 @@ def test_overlap_and_similarity_are_bit_identical_to_the_per_pair_oracle(grads):
     # numpy's own loop, used for one entry, warns on an overflowing square;
     # such a row is not zero and has its angle, as in the oracle
     with np.errstate(over="ignore"):
-        with mock.patch.object(analyzer.log, "warning") as warn:
+        with redirect_stderr(io.StringIO()) as err:
             similarity = analyzer.similarity_matrix(grads)
             assert same_bits(similarity, cosine_oracle.similarity(grads))
-        assert warn.call_args_list == [
-            mock.call("epoch %d gradient has zero norm; similarity row zeroed", i) for i in zero]
+        assert err.getvalue() == "".join(
+            f"warning: epoch {i} gradient has zero norm; similarity row zeroed\n" for i in zero)
         if not dirs:
             return
-        with mock.patch.object(analyzer.log, "warning") as warn:
+        with redirect_stderr(io.StringIO()) as err:
             overlap = analyzer.overlap_matrix(grads, dirs)
             assert same_bits(overlap, cosine_oracle.overlap(grads, dirs))
-        assert warn.call_args_list == [
-            mock.call("epoch %d gradient has zero norm; overlap row zeroed", i) for i in zero]
+        assert err.getvalue() == "".join(
+            f"warning: epoch {i} gradient has zero norm; overlap row zeroed\n" for i in zero)
 
 
 @settings(deadline=None, max_examples=100)
